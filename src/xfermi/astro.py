@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .numerics import DEFAULT_STEP_CONTROL, StepControl, integrate_ode
+from .numerics import integrate_ode
 from .occupancy import EXCLUSIVE, STANDARD_FD, OccupancyModel
 
 REFERENCE_MASS_RATIO = 1.6  # quoted limiting-mass enhancement, cf. exact sqrt(2)
@@ -82,26 +82,17 @@ class LaneEmdenSolution:
     mass_integral: float  # -xi_1^2 theta'(xi_1)
 
 
-def lane_emden(
-    index: float,
-    control: StepControl | None = None,
-) -> LaneEmdenSolution:
+def lane_emden(index: float) -> LaneEmdenSolution:
     """Integrate the Lane-Emden equation out to the first zero of theta.
 
-    Starts one step off center with the series
+    Starts just off center, at xi = 1e-3, with the series
     theta = 1 - xi^2/6 + n xi^4/120 to sidestep the coordinate
     singularity; theta is clamped at zero inside the right-hand side so
-    the fractional power stays real during event refinement.
+    the fractional power stays real where the solver steps past the zero.
     """
     if not 0.0 <= index < 4.9:
         raise ValueError("polytropic index must lie in [0, 4.9)")
-    if control is None:
-        control = StepControl(
-            step_size=DEFAULT_STEP_CONTROL.step_size,
-            horizon=500.0,
-            event_tolerance=DEFAULT_STEP_CONTROL.event_tolerance,
-        )
-    xi0 = control.step_size
+    xi0 = 1e-3
     theta0 = 1.0 - xi0**2 / 6.0 + index * xi0**4 / 120.0
     slope0 = -xi0 / 3.0 + index * xi0**3 / 30.0
 
@@ -109,13 +100,7 @@ def lane_emden(
         theta, phi = y
         return phi, -max(theta, 0.0) ** index - 2.0 * phi / xi
 
-    terminus = integrate_ode(
-        rhs,
-        xi0,
-        (theta0, slope0),
-        stop_event=lambda xi, y: y[0] <= 0.0,
-        control=control,
-    )
+    terminus = integrate_ode(rhs, xi0, (theta0, slope0), lambda xi, y: y[0], xi0 + 500.0)
     xi1 = terminus.time
     slope = terminus.state[1]
     return LaneEmdenSolution(index, xi1, -(xi1**2) * slope)
@@ -188,15 +173,15 @@ class StellarComparison:
     limiting_mass_ratio: float  # gamma = 4/3, density-independent: sqrt(2)
 
 
-def compare_star_models(control: StepControl | None = None) -> StellarComparison:
+def compare_star_models() -> StellarComparison:
     k_nr = [
         eos_coefficient(m, Regime.NON_RELATIVISTIC) for m in (EXCLUSIVE, STANDARD_FD)
     ]
     k_ur = [
         eos_coefficient(m, Regime.ULTRA_RELATIVISTIC) for m in (EXCLUSIVE, STANDARD_FD)
     ]
-    nr_solution = lane_emden(1.5, control)
-    ur_solution = lane_emden(3.0, control)
+    nr_solution = lane_emden(1.5)
+    ur_solution = lane_emden(3.0)
     nr_masses = [
         white_dwarf_mass(k, 1.0, Regime.NON_RELATIVISTIC.gamma, 1.0, nr_solution)
         for k in k_nr

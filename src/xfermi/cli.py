@@ -65,7 +65,7 @@ from .magnetism import (
     pauli_magnetization,
     small_field_series_factor,
 )
-from .numerics import NumericsError, QuadratureSpec, StepControl
+from .numerics import NumericsError, QuadratureSpec
 from .occupancy import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -505,12 +505,7 @@ def _cmd_landau(args, ctx):
 
 
 def _cmd_star(args, ctx):
-    control = None
-    if args.step is not None:
-        if args.step <= 0:
-            raise UsageError("--step must be positive")
-        control = StepControl(step_size=args.step, horizon=500.0, event_tolerance=1e-12)
-    comparison = compare_star_models(control)
+    comparison = compare_star_models()
     records = [
         _long(None, "k_nr_ratio", comparison.k_nr_ratio, "closed-form"),
         _long(None, "k_ur_ratio", comparison.k_ur_ratio, "closed-form"),
@@ -686,9 +681,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-lambda3", type=float, help="degeneracy parameter (default 0.1)")
     p.add_argument("--field", type=float, help="reduced level spacing / 2 (default 0.5)")
 
-    p = sub.add_parser("star", parents=[base],
-                       help="degenerate-star consequences of the occupancy step")
-    p.add_argument("--step", type=float, help="Lane-Emden integrator step size")
+    sub.add_parser("star", parents=[base],
+                   help="degenerate-star consequences of the occupancy step")
 
     p = sub.add_parser("oracle", parents=[base, modeled],
                        help="cross-check closed forms against enumeration and Monte Carlo")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .occupancy import EXCLUSIVE, OccupancyModel
 
-MAX_LEVELS = 20
+# radix**levels; 4**12 configurations take about 7 s to enumerate
+MAX_CONFIGURATIONS = 4**12
 
 # configuration tags: 0 empty, 1 spin-up, 2 spin-down, 3 doubly occupied
 _OCCUPANCY_OF_TAG = np.array([0.0, 1.0, 1.0, 2.0])
@@ -52,14 +53,14 @@ class LevelSystem:
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
         if len(self.energies) < 1:
             raise ValueError("a level system needs at least one level")
-        if len(self.energies) > MAX_LEVELS:
-            raise CapacityError(
-                f"{len(self.energies)} levels exceed the enumeration "
-                f"capacity of {MAX_LEVELS}"
-            )
         if not all(math.isfinite(e) for e in self.energies):
             raise ValueError("level energies must be finite")
-        _require_discrete_model(self.model)
+        radix = _require_discrete_model(self.model)
+        if radix ** len(self.energies) > MAX_CONFIGURATIONS:
+            raise CapacityError(
+                f"{radix}^{len(self.energies)} configurations exceed the "
+                f"enumeration capacity of {MAX_CONFIGURATIONS}"
+            )
 
     @property
     def radix(self) -> int:

@@ -22,6 +22,7 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     BracketedRootSpec,
     BracketError,
+    NumericsError,
     QuadratureSpec,
     find_root,
     integrate_semi_infinite,
@@ -32,6 +33,25 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # series in n lambda^3 are quoted to second order; beyond this they drift
 _SERIES_TRUST = 0.2
+
+
+class FugacityOverflowError(NumericsError, OverflowError):
+    """e^eta, or a quantity proportional to it, exceeds the double range."""
+
+
+class InvariantError(NumericsError, ValueError):
+    """Two independent routes to the same quantity disagree."""
+
+
+def _scaled_exp(scale: float, eta: float) -> float:
+    """scale * e^eta, raising :class:`FugacityOverflowError` past the double range."""
+    try:
+        value = scale * math.exp(eta)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise FugacityOverflowError(f"e^eta overflows the double range at eta = {eta:g}")
+    return value
 
 
 def _log1p_exp(y: float) -> float:
@@ -83,7 +103,7 @@ def pressure(
     g = model.weight
     a = model.blocking
     if a == 0.0:
-        return g * math.exp(eta)  # classical ideal gas
+        return _scaled_exp(g, eta)  # classical ideal gas
     ln_a = math.log(a)
 
     def f(x: float) -> float:
@@ -189,7 +209,7 @@ class ThermoPoint:
         if abs(self.fugacity - math.exp(self.eta)) > 1e-12 * self.fugacity:
             raise ValueError("fugacity inconsistent with eta")
         if abs(self.pressure - 2.0 * self.energy_density / 3.0) > 1e-6 * self.pressure:
-            raise ValueError("pressure and energy density violate p = (2/3) u")
+            raise InvariantError("pressure and energy density violate p = (2/3) u")
 
 
 def solve_point(
@@ -205,7 +225,7 @@ def solve_point(
         eta = solve_fugacity(n_lambda3, model, spec)
     return ThermoPoint(
         eta=float(eta),
-        fugacity=math.exp(eta),
+        fugacity=_scaled_exp(1.0, eta),
         n_lambda3=density(eta, model, spec),
         energy_density=energy_density(eta, model, spec),
         pressure=pressure(eta, model, spec),

@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
 Three primitives used throughout the package: adaptive quadrature on the
-half line, bracketed root finding, and fixed-step RK4 integration with
-event location.  Everything here is a pure function of its arguments, so
+half line, bracketed root finding, and ODE integration up to a terminal
+event.  Everything here is a pure function of its arguments, so
 concurrent use needs no locking.
 """
 
@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate as _sp_integrate
 from scipy import optimize as _sp_optimize
+from scipy.integrate import solve_ivp as _solve_ivp
 
 
 class NumericsError(Exception):
@@ -55,7 +56,7 @@ class RootConvergenceError(NumericsError):
 
 
 class EventHorizonError(NumericsError):
-    """The ODE stop event never fired within the configured horizon."""
+    """The ODE stop event never fired before the end of the interval."""
 
 
 @dataclass(frozen=True)
@@ -185,79 +186,52 @@ def find_root(f: Callable[[float], float], spec: BracketedRootSpec) -> float:
     return float(root)
 
 
-@dataclass(frozen=True)
-class StepControl:
-    step_size: float = 1e-3
-    horizon: float = 100.0
-    event_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.step_size <= 0 or self.horizon <= 0:
-            raise ValueError("step_size and horizon must be positive")
-        if self.event_tolerance <= 0:
-            raise ValueError("event_tolerance must be positive")
-
-
-DEFAULT_STEP_CONTROL = StepControl()
+# tolerances of the adaptive ODE solver; with these the analytic
+# Lane-Emden cases n = 0 and n = 1 come out to better than 1e-12
+_ODE_RTOL = 1e-12
+_ODE_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
 class OdeTerminus:
-    """Where the integration stopped: time, state vector, full steps taken."""
+    """Where the integration stopped: time, state vector, solver steps taken."""
 
     time: float
     state: np.ndarray
     steps: int
 
 
-def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = np.asarray(rhs(t, y), dtype=float)
-    k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def integrate_ode(
     rhs: Callable[[float, np.ndarray], Sequence[float]],
     t0: float,
     y0: Sequence[float],
-    stop_event: Callable[[float, np.ndarray], bool],
-    control: StepControl = DEFAULT_STEP_CONTROL,
+    stop_event: Callable[[float, np.ndarray], float],
+    t_end: float,
 ) -> OdeTerminus:
-    """March ``y' = rhs(t, y)`` with classical fixed-step RK4 until
-    ``stop_event(t, y)`` first returns True.
+    """Integrate ``y' = rhs(t, y)`` from ``t0`` until the continuous
+    function ``stop_event(t, y)`` first falls to zero from above.
 
-    The firing point is refined by bisecting the final step (re-taking a
-    single shorter RK4 step from the step's start) down to
-    ``control.event_tolerance`` in ``t``.  Raises
-    :class:`EventHorizonError` if the event never fires before
-    ``t0 + control.horizon``.
+    One adaptive DOP853 solve with a terminal event; the crossing is
+    located on the solver's dense output.  Returns at once, with no
+    steps, when ``stop_event`` is already <= 0 at ``t0``.  Raises
+    :class:`EventHorizonError` if the event never fires before ``t_end``.
     """
+    t0, t_end = float(t0), float(t_end)
+    if not t_end > t0:
+        raise ValueError("t_end must exceed t0")
     y = np.array(y0, dtype=float)
-    t = float(t0)
-    if stop_event(t, y):
-        return OdeTerminus(t, y, 0)
-    t_end = t + control.horizon
-    steps = 0
-    while t < t_end:
-        h = min(control.step_size, t_end - t)
-        y_next = _rk4_step(rhs, t, y, h)
-        steps += 1
-        if stop_event(t + h, y_next):
-            lo, hi = 0.0, h
-            y_hi = y_next
-            while hi - lo > control.event_tolerance:
-                mid = 0.5 * (lo + hi)
-                y_mid = _rk4_step(rhs, t, y, mid)
-                if stop_event(t + mid, y_mid):
-                    hi, y_hi = mid, y_mid
-                else:
-                    lo = mid
-            return OdeTerminus(t + hi, y_hi, steps)
-        t += h
-        y = y_next
-    raise EventHorizonError(
-        f"stop event did not fire before t = {t_end:g} "
-        f"(step {control.step_size:g})"
-    )
+    if stop_event(t0, y) <= 0.0:
+        return OdeTerminus(t0, y, 0)
+
+    def event(t, y):
+        return stop_event(t, y)
+
+    event.terminal = True
+    event.direction = -1.0
+    sol = _solve_ivp(rhs, (t0, t_end), y, method="DOP853", events=event,
+                     rtol=_ODE_RTOL, atol=_ODE_ATOL)
+    if not sol.success:
+        raise NumericsError(f"ODE solver failed: {sol.message}")
+    if sol.t_events[0].size == 0:
+        raise EventHorizonError(f"stop event did not fire before t = {t_end:g}")
+    return OdeTerminus(float(sol.t_events[0][0]), sol.y_events[0][0], sol.t.size - 1)

@@ -51,3 +51,47 @@ def density_oracle(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
 def energy_density_oracle(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """u by dense trapezoid."""
     return (2.0 / math.sqrt(math.pi)) * halfline_moment(1.5, eta, model)
+
+
+def lane_emden_rk4(
+    index: float, step: float = 1e-4, tolerance: float = 1e-12, horizon: float = 500.0
+) -> tuple[float, float]:
+    """First zero xi_1 and mass integral -xi_1^2 theta'(xi_1) by fixed-step RK4.
+
+    Classical RK4 on plain floats from the series start xi = step; once a
+    step lands at theta <= 0, the crossing is bisected by re-taking one
+    shorter step from that step's start, down to ``tolerance`` in xi.
+    """
+
+    def rhs(xi, theta, phi):
+        return phi, -max(theta, 0.0) ** index - 2.0 * phi / xi
+
+    def advance(xi, theta, phi, h):
+        k1 = rhs(xi, theta, phi)
+        k2 = rhs(xi + 0.5 * h, theta + 0.5 * h * k1[0], phi + 0.5 * h * k1[1])
+        k3 = rhs(xi + 0.5 * h, theta + 0.5 * h * k2[0], phi + 0.5 * h * k2[1])
+        k4 = rhs(xi + h, theta + h * k3[0], phi + h * k3[1])
+        return (
+            theta + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            phi + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        )
+
+    xi = step
+    theta = 1.0 - xi**2 / 6.0 + index * xi**4 / 120.0
+    phi = -xi / 3.0 + index * xi**3 / 30.0
+    while xi < horizon:
+        end = advance(xi, theta, phi, step)
+        if end[0] <= 0.0:
+            lo, hi = 0.0, step
+            while hi - lo > tolerance:
+                mid = 0.5 * (lo + hi)
+                trial = advance(xi, theta, phi, mid)
+                if trial[0] <= 0.0:
+                    hi, end = mid, trial
+                else:
+                    lo = mid
+            xi1 = xi + hi
+            return xi1, -(xi1**2) * end[1]
+        xi += step
+        theta, phi = end
+    raise RuntimeError(f"theta has no zero before xi = {horizon:g}")

@@ -24,7 +24,6 @@ from xfermi import (
     STANDARD_FD,
     LevelSystem,
     Regime,
-    StepControl,
     chandrasekhar_ratio,
     chemical_potential_exact,
     compare_star_models,
@@ -52,6 +51,8 @@ from xfermi import (
     virial_pressure,
 )
 from xfermi.cli import main
+
+from oracles import lane_emden_rk4
 
 SEED = 20240817
 
@@ -211,16 +212,15 @@ def test_10_landau_susceptibility_reaches_dilute_limit():
 
 
 def test_11_stellar_structure_pipeline(capsys):
-    """Lane-Emden solver against analytic cases and step refinement; the
+    """Lane-Emden solver against analytic cases and a fixed-step RK4 route; the
     limiting-mass ratio comes out sqrt(2) and the report also quotes 1.6."""
     zero = lane_emden(0.0)
     assert math.isclose(zero.xi1, math.sqrt(6.0), abs_tol=1e-6)
     one = lane_emden(1.0)
     assert math.isclose(one.xi1, math.pi, abs_tol=1e-6)
 
-    coarse = lane_emden(3.0)
-    fine = lane_emden(3.0, StepControl(1e-4, 500.0, 1e-12))
-    assert math.isclose(coarse.xi1, fine.xi1, rel_tol=1e-5)
+    xi1, _ = lane_emden_rk4(3.0, step=1e-4)
+    assert math.isclose(lane_emden(3.0).xi1, xi1, rel_tol=1e-5)
 
     baseline = chandrasekhar_ratio()
     assert math.isclose(baseline, math.sqrt(2.0), rel_tol=1e-10)

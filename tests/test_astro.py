@@ -9,7 +9,6 @@ from xfermi import (
     REFERENCE_MASS_RATIO,
     STANDARD_FD,
     Regime,
-    StepControl,
     chandrasekhar_ratio,
     compare_star_models,
     degenerate_polytrope,
@@ -20,6 +19,8 @@ from xfermi import (
     polytrope_index,
     white_dwarf_mass,
 )
+
+from oracles import lane_emden_rk4
 
 
 class TestEosCoefficients:
@@ -77,11 +78,11 @@ class TestLaneEmden:
         assert math.isclose(three.xi1, 6.896848619, rel_tol=1e-5)
         assert math.isclose(three.mass_integral, 2.018235951, rel_tol=1e-5)
 
-    def test_step_refinement_is_converged(self):
-        coarse = lane_emden(3.0)
-        fine = lane_emden(3.0, StepControl(1e-4, 500.0, 1e-12))
-        assert math.isclose(coarse.xi1, fine.xi1, rel_tol=1e-5)
-        assert math.isclose(coarse.mass_integral, fine.mass_integral, rel_tol=1e-5)
+    def test_matches_rk4_oracle(self):
+        solution = lane_emden(3.0)
+        xi1, mass_integral = lane_emden_rk4(3.0, step=1e-4)
+        assert math.isclose(solution.xi1, xi1, rel_tol=1e-5)
+        assert math.isclose(solution.mass_integral, mass_integral, rel_tol=1e-5)
 
     def test_index_range_validation(self):
         with pytest.raises(ValueError):

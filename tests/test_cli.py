@@ -193,6 +193,24 @@ class TestExitCodes:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("model", ["exclusive", "boltzmann"])
+    def test_fugacity_overflow_reports_numerics_failure(self, capsys, model):
+        code, out, err = run_cli(capsys, "eos", "--eta", "800", "--model", model)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("xfermi: numerical failure: ")
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--eta", "-30"),  # moments near 1e-13, where the 1e-14 absolute tolerance bites
+        ("--eta", "0", "--rel-tol", "1e-2", "--abs-tol", "1e-2"),
+    ])
+    def test_failed_invariant_reports_numerics_failure(self, capsys, args):
+        code, _, err = run_cli(capsys, "eos", *args)
+        assert code == 2
+        assert err.startswith("xfermi: numerical failure: ")
+        assert "p = (2/3) u" in err
+
 
 class TestPhysicsOutput:
     def test_compare_table(self, capsys):

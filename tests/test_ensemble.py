@@ -103,6 +103,13 @@ class TestValidation:
     def test_too_many_levels(self):
         with pytest.raises(CapacityError):
             LevelSystem((1.0,) * 21)
+        # the cap is on 4^12 configurations: 4^13 is over it, 3^15 under it
+        with pytest.raises(CapacityError):
+            LevelSystem((1.0,) * 13, STANDARD_FD)
+        assert len(LevelSystem((1.0,) * 12, STANDARD_FD).energies) == 12
+        assert len(LevelSystem((1.0,) * 15, EXCLUSIVE).energies) == 15
+        with pytest.raises(CapacityError):
+            LevelSystem((1.0,) * 16, EXCLUSIVE)
 
     def test_empty_system(self):
         with pytest.raises(ValueError):

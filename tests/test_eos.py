@@ -10,6 +10,7 @@ from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
     STANDARD_FD,
+    NumericsError,
     ThermoPoint,
     ValidityWarning,
     density,
@@ -162,8 +163,14 @@ class TestSolvePoint:
         with pytest.raises(ValueError):
             solve_point(EXCLUSIVE, eta=1.0, n_lambda3=1.0)
 
+    def test_fugacity_overflow_is_a_numerics_error(self):
+        with pytest.raises(NumericsError, match="overflows"):
+            solve_point(EXCLUSIVE, eta=800.0)
+        with pytest.raises(NumericsError, match="overflows"):
+            pressure(709.5, BOLTZMANN)  # e^eta is finite, 2 e^eta is not
+
     def test_point_validation_rejects_inconsistent_pressure(self):
-        with pytest.raises(ValueError, match="p = "):
+        with pytest.raises(ValueError, match="p = ") as failure:
             ThermoPoint(
                 eta=0.0,
                 fugacity=1.0,
@@ -172,6 +179,7 @@ class TestSolvePoint:
                 pressure=1.0,
                 model=EXCLUSIVE,
             )
+        assert isinstance(failure.value, NumericsError)
 
     def test_point_validation_rejects_inconsistent_fugacity(self):
         with pytest.raises(ValueError, match="fugacity"):
