@@ -59,7 +59,6 @@ from .eos import (
 )
 from .magnetism import (
     geometric_level_factor,
-    landau_level_factor,
     landau_partition_ratio,
     landau_susceptibility,
     pauli_magnetization,
@@ -488,16 +487,12 @@ def _cmd_landau(args, ctx):
         if s <= 0:
             raise UsageError("field must be positive")
         records += [
-            _long(s, "partition_ratio",
-                  landau_partition_ratio(z, s, ctx.model, **_spec_args(ctx)), "quadrature"),
-            _long(s, "level_sum_factor",
-                  landau_level_factor(z, s, ctx.model, **_spec_args(ctx)), "quadrature"),
+            _long(s, "partition_ratio", landau_partition_ratio(z, s, ctx.model), "series"),
             _long(s, "geometric_factor", geometric_level_factor(s), "closed-form"),
             _long(s, "small_field_factor", small_field_series_factor(s), "series"),
         ]
     records += [
-        _long(None, "chi_reduced",
-              landau_susceptibility(x, ctx.model, **_spec_args(ctx)), "quadrature"),
+        _long(None, "chi_reduced", landau_susceptibility(x, ctx.model), "series"),
         _long(None, "chi_leading_order", -1.0 / 3.0, "closed-form"),
     ]
     meta = {"command": "landau", "model": ctx.model.name, "n_lambda3": x}
@@ -547,7 +542,8 @@ def _cmd_oracle(args, ctx):
         mean, se = mc_occupancy(energy, z, samples, ctx.seed, model, stream=i + 1)
         records += [
             _long(energy, "mc_occupancy", mean, "monte-carlo", se),
-            _long(energy, "mc_z_score", (mean - occ_law[i]) / se, "monte-carlo"),
+            _long(energy, "mc_z_score",
+                  None if se == 0.0 else (mean - occ_law[i]) / se, "monte-carlo"),
         ]
     meta = {
         "command": "oracle",
@@ -676,8 +672,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", type=float, help="reduced chemical potential (default 0)")
     p.add_argument("--field", type=float, help="reduced field mu_B B/kT (default 0.5)")
 
-    p = sub.add_parser("landau", parents=[base, modeled, quad, sweep],
-                       help="orbital response from the quantized level sum")
+    p = sub.add_parser("landau", parents=[base, modeled, sweep],
+                       help="orbital response, Landau levels summed in closed form")
     p.add_argument("--n-lambda3", type=float, help="degeneracy parameter (default 0.1)")
     p.add_argument("--field", type=float, help="reduced level spacing / 2 (default 0.5)")
 

@@ -85,14 +85,18 @@ def grand_partition_product(system: LevelSystem, fugacity: float) -> GrandPartit
     _check_fugacity(fugacity)
     g = system.model.weight
     a = system.model.blocking
+    ln_az = math.log(a * fugacity)
     log_z = 0.0
     for eps in system.energies:
-        log_z += (g / a) * math.log1p(a * fugacity * math.exp(-eps))
+        log_z += (g / a) * float(np.logaddexp(0.0, ln_az - eps))
+    return GrandPartition(_exp_or_inf(log_z), log_z)
+
+
+def _exp_or_inf(x: float) -> float:
     try:
-        value = math.exp(log_z)
+        return math.exp(x)
     except OverflowError:
-        value = math.inf
-    return GrandPartition(value, log_z)
+        return math.inf
 
 
 def _check_fugacity(z: float) -> None:
@@ -108,31 +112,39 @@ def _config_chunks(n_levels: int, radix: int):
         yield np.array(np.unravel_index(idx, shape))  # (levels, block)
 
 
-def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, np.ndarray]:
-    """Partition sum and per-level occupancy-weighted sums, by enumeration."""
+def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, float, np.ndarray]:
+    """Partition sum and per-level occupancy-weighted sums, by enumeration.
+
+    Returns (log of the largest configuration weight, sums scaled by that
+    weight); the scaling keeps every weight at most 1, so none overflows.
+    """
     energies = np.asarray(system.energies)[:, None]
     log_z = math.log(z)
+    # each level takes its best state independently, so the largest
+    # log-weight is a sum over levels of the empty or the fullest state
+    full = _OCCUPANCY_OF_TAG[system.radix - 1]
+    shift = float(np.maximum(0.0, full * (log_z - energies)).sum())
     total = 0.0
     weighted = np.zeros(len(system.energies))
     for tags in _config_chunks(len(system.energies), system.radix):
         occ = _OCCUPANCY_OF_TAG[tags]
-        w = np.exp(log_z * occ.sum(axis=0) - (energies * occ).sum(axis=0))
+        w = np.exp(log_z * occ.sum(axis=0) - (energies * occ).sum(axis=0) - shift)
         total += float(w.sum())
         weighted += (occ * w).sum(axis=1)
-    return total, weighted
+    return shift, total, weighted
 
 
 def grand_partition_enumerate(system: LevelSystem, fugacity: float) -> float:
     """Grand partition function summed configuration by configuration."""
     _check_fugacity(fugacity)
-    total, _ = _enumerate_sums(system, fugacity)
-    return total
+    shift, total, _ = _enumerate_sums(system, fugacity)
+    return total * _exp_or_inf(shift)
 
 
 def mean_occupancies_enumerate(system: LevelSystem, fugacity: float) -> np.ndarray:
     """Mean occupancy of every level, from the enumerated ensemble average."""
     _check_fugacity(fugacity)
-    total, weighted = _enumerate_sums(system, fugacity)
+    _, total, weighted = _enumerate_sums(system, fugacity)
     return weighted / total
 
 
@@ -169,8 +181,9 @@ def mc_occupancy(
         raise ValueError("samples must be positive")
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be non-negative")
-    w = fugacity * math.exp(-energy)
-    weights = np.array([1.0, w, w, w * w][:radix])
+    y = math.log(fugacity) - energy
+    log_weights = np.array([0.0, y, y, 2.0 * y][:radix])
+    weights = np.exp(log_weights - log_weights.max())
     probabilities = weights / weights.sum()
     rng = np.random.default_rng([int(seed), int(stream)])
     draws = rng.choice(radix, size=int(samples), p=probabilities)

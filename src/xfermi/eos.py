@@ -63,6 +63,22 @@ def _log1p_exp(y: float) -> float:
     return math.log1p(math.exp(y))
 
 
+def _edge_breaks(eta: float, model: OccupancyModel) -> tuple[float, ...]:
+    """Quadrature breakpoints around the Fermi edge x = eta + ln a.
+
+    The occupation drops over a width of order 1 there.  Breakpoints 40
+    either side of the edge give it segments of its own: left at the end
+    of a long [0, edge] segment, it can fall between QUADPACK's first
+    Gauss-Kronrod nodes, which then see a flat integrand and stop.
+    """
+    if model.blocking == 0.0:
+        return ()
+    knee = eta + math.log(model.blocking)
+    if knee <= 0.0:
+        return ()
+    return tuple(b for b in (knee - 40.0, knee, knee + 40.0) if b > 0.0)
+
+
 def density(
     eta: float,
     model: OccupancyModel = EXCLUSIVE,
@@ -74,8 +90,7 @@ def density(
     def f(x: float) -> float:
         return math.sqrt(x) * occupation(x - eta, model)
 
-    breaks = (eta,) if eta > 0 else ()
-    return _TWO_OVER_SQRT_PI * integrate_semi_infinite(f, spec, breaks)
+    return _TWO_OVER_SQRT_PI * integrate_semi_infinite(f, spec, _edge_breaks(eta, model))
 
 
 def energy_density(
@@ -89,8 +104,7 @@ def energy_density(
     def f(x: float) -> float:
         return x * math.sqrt(x) * occupation(x - eta, model)
 
-    breaks = (eta,) if eta > 0 else ()
-    return _TWO_OVER_SQRT_PI * integrate_semi_infinite(f, spec, breaks)
+    return _TWO_OVER_SQRT_PI * integrate_semi_infinite(f, spec, _edge_breaks(eta, model))
 
 
 def pressure(
@@ -109,8 +123,7 @@ def pressure(
     def f(x: float) -> float:
         return math.sqrt(x) * _log1p_exp(ln_a + eta - x)
 
-    knee = eta + ln_a
-    breaks = (knee,) if knee > 0 else ()
+    breaks = _edge_breaks(eta, model)
     return _TWO_OVER_SQRT_PI * (g / a) * integrate_semi_infinite(f, spec, breaks)
 
 

@@ -5,9 +5,12 @@ shifted by the Zeeman energy, b_red = mu_B B / kT.  Orbital part: the
 grand partition function is summed over quantized transverse levels with
 reduced spacing 2s, s = (hbar omega_c)/(2 kT) = mu_B B / kT,
 
-    log Z = (V/lambda^3) (2s/sqrt(pi)) Sum_n Int (g/a) ln(1 + a z e^{-q^2 - s(2n+1)}) dq,
+    log Z = (V/lambda^3) (2s/sqrt(pi)) Sum_n Int (g/a) ln(1 + a z e^{-q^2 - s(2n+1)}) dq.
 
-whose small-z level sum collapses to the geometric form 1/(2 sinh s).
+Each level's momentum integral is the density integral at eta = ln z -
+s(2n+1), and once a z e^{-s(2n+1)} <= 1/2 the fugacity expansion turns
+the remaining levels into geometric series, so the sum is evaluated in
+closed form; its small-z limit is the geometric factor 1/(2 sinh s).
 The zero-field susceptibility is extracted by differencing log Z in s and
 extrapolating s -> 0, and lands on chi kT/(mu_B^2 n) = -1/3.
 """
@@ -20,18 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import density
-from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, integrate_semi_infinite
+from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec
 from .occupancy import EXCLUSIVE, OccupancyModel
-
-# level sums are compared against closed forms at 1e-10, so run tighter
-_LEVEL_SPEC = QuadratureSpec(1e-12, 1e-15, 200)
-
-_MAX_LEVELS = 1_000_000
-_LEVEL_CUTOFF = 1e-14  # relative to the running total
-
-
-class LevelSumError(NumericsError):
-    """The level sum failed to converge within the level budget."""
 
 
 class ExtrapolationError(NumericsError):
@@ -85,77 +78,41 @@ def pauli_magnetization(
     return MagnetizationResult(n_up, n_down, n_down - n_up)
 
 
-def landau_log_partition(
-    fugacity: float,
-    s: float,
-    volume_lambda3: float = 1.0,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = _LEVEL_SPEC,
-    linearized: bool = False,
-    max_levels: int = _MAX_LEVELS,
-) -> float:
-    """log of the grand partition function with quantized transverse levels.
-
-    ``s`` is the reduced level spacing over two (mu_B B / kT) and
-    ``volume_lambda3`` is V/lambda^3.  Each level contributes a momentum
-    integral along the field axis; the sum stops once a level adds less
-    than 1e-14 of the running total.  ``linearized`` keeps only the
-    first order in fugacity, the route that must reproduce the geometric
-    factor 1/(2 sinh s).
-    """
-    if fugacity <= 0 or s <= 0 or volume_lambda3 <= 0:
-        raise ValueError("fugacity, s and volume_lambda3 must be positive")
-    g = model.weight
-    a = model.blocking
-    total = 0.0
-    for n in range(max_levels):
-        c = s * (2 * n + 1)
-        if linearized or a == 0.0:
-
-            def level_integrand(q: float, c: float = c) -> float:
-                return g * fugacity * math.exp(-q * q - c)
-
-        else:
-            ln_az = math.log(a * fugacity)
-
-            def level_integrand(q: float, c: float = c) -> float:
-                y = ln_az - q * q - c
-                if y < -36.0:
-                    return (g / a) * math.exp(y)
-                return (g / a) * math.log1p(math.exp(y))
-
-        term = 2.0 * integrate_semi_infinite(level_integrand, spec)
-        total += term
-        if term <= _LEVEL_CUTOFF * total:
-            break
-    else:
-        raise LevelSumError(
-            f"level sum not converged after {max_levels} levels at s = {s:g}"
-        )
-    return volume_lambda3 * (2.0 * s / math.sqrt(math.pi)) * total
-
-
 def landau_partition_ratio(
     fugacity: float,
     s: float,
     model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = _LEVEL_SPEC,
-    linearized: bool = False,
 ) -> float:
-    """log Z over its field-free dilute value g z V/lambda^3; -> s/sinh(s)."""
-    log_z = landau_log_partition(fugacity, s, 1.0, model, spec, linearized)
-    return log_z / (model.weight * fugacity)
+    """log Z over its field-free dilute value g z V/lambda^3; -> s/sinh(s).
 
+    ``s`` is the reduced level spacing over two (mu_B B / kT).  Level n
+    contributes sqrt(pi) density(ln z - s(2n+1)) per V/lambda^3.  The
+    first N levels, those with a z e^{-s(2n+1)} > 1/2, are summed level
+    by level; for the rest the fugacity expansion of the log converges,
+    and its sum over levels is geometric:
 
-def landau_level_factor(
-    fugacity: float,
-    s: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = _LEVEL_SPEC,
-    linearized: bool = True,
-) -> float:
-    """Numeric level-sum factor that the geometric form 1/(2 sinh s) predicts."""
-    return landau_partition_ratio(fugacity, s, model, spec, linearized) / (2.0 * s)
+        ratio = 2s [ (1/(g z)) Sum_{n<N} density(ln z - s(2n+1))
+                     + e^{-s(2N+1)} Sum_k (-1)^{k+1} w^{k-1} / (k^{3/2} (1 - e^{-2ks})) ]
+
+    with w = a z e^{-s(2N+1)} <= 1/2.  The classical model (a = 0) keeps
+    only k = 1, which is s/sinh(s).
+    """
+    if not (0.0 < fugacity < math.inf and 0.0 < s < math.inf):
+        raise ValueError("fugacity and s must be positive and finite")
+    az = model.blocking * fugacity
+    levels = math.ceil((math.log(2.0 * az) / s - 1.0) / 2.0) if az > 0.5 else 0
+    ln_z = math.log(fugacity)
+    degenerate = sum(density(ln_z - s * (2 * n + 1), model) for n in range(levels))
+    decay = math.exp(-s * (2 * levels + 1))
+    w = az * decay
+    total, k = 0.0, 1
+    while True:
+        term = (-w) ** (k - 1) / (k**1.5 * -math.expm1(-2.0 * k * s))
+        total += term
+        if abs(term) <= 1e-17 * total:
+            break
+        k += 1
+    return 2.0 * s * (degenerate / (model.weight * fugacity) + decay * total)
 
 
 def geometric_level_factor(s: float) -> float:
@@ -175,7 +132,6 @@ def landau_susceptibility(
     model: OccupancyModel = EXCLUSIVE,
     s_values: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025),
     relative_step: float = 0.05,
-    spec: QuadratureSpec = _LEVEL_SPEC,
 ) -> float:
     """Reduced orbital susceptibility chi kT/(mu_B^2 n), extrapolated to B = 0.
 
@@ -192,8 +148,8 @@ def landau_susceptibility(
 
     def d_ratio(s: float) -> float:
         h = s * relative_step
-        above = landau_partition_ratio(z, s + h, model, spec)
-        below = landau_partition_ratio(z, s - h, model, spec)
+        above = landau_partition_ratio(z, s + h, model)
+        below = landau_partition_ratio(z, s - h, model)
         return (above - below) / (2.0 * h * s)
 
     s_arr = np.asarray(s_values, dtype=float)

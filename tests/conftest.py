@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,10 @@ import pytest
 
 # make the sibling oracle helpers importable regardless of invocation dir
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# `python -m xfermi` children import the package from this source tree too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

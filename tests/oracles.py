@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import integrate
 
 from xfermi import EXCLUSIVE, OccupancyModel
 
@@ -51,6 +52,38 @@ def density_oracle(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
 def energy_density_oracle(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """u by dense trapezoid."""
     return (2.0 / math.sqrt(math.pi)) * halfline_moment(1.5, eta, model)
+
+
+def landau_level_sum(
+    z: float, s: float, model: OccupancyModel = EXCLUSIVE, linearized: bool = False
+) -> float:
+    """log Z / (g z V/lambda^3) summed level by level with QUADPACK.
+
+    Level n adds 2 Int_0^inf (g/a) ln(1 + a z e^{-q^2 - s(2n+1)}) dq, to
+    1e-12 relative; the sum stops once a level adds less than 1e-14 of the
+    running total.  ``linearized`` keeps only the first order in z, whose
+    sum over levels must reproduce s/sinh(s).
+    """
+    g, a = model.weight, model.blocking
+    total, n = 0.0, 0
+    while True:
+        c = s * (2 * n + 1)
+        if linearized or a == 0.0:
+
+            def level(q: float) -> float:
+                return g * z * math.exp(-q * q - c)
+
+        else:
+
+            def level(q: float) -> float:
+                return (g / a) * math.log1p(a * z * math.exp(-q * q - c))
+
+        value, _ = integrate.quad(level, 0.0, math.inf, epsabs=1e-15, epsrel=1e-12, limit=200)
+        term = 2.0 * value
+        total += term
+        if term <= 1e-14 * total:
+            return (2.0 * s / math.sqrt(math.pi)) * total / (g * z)
+        n += 1
 
 
 def lane_emden_rk4(

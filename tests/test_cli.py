@@ -239,6 +239,27 @@ class TestPhysicsOutput:
         assert rows[("", "chi_leading_order")][0] == "-0.3333333333"
         chi = float(rows[("", "chi_reduced")][0])
         assert -0.34 < chi < -0.30
+        assert rows[("", "chi_reduced")][1] == "series"
+        assert rows[("0.5", "partition_ratio")][1] == "series"
+        assert {q for _, q in rows} == {
+            "partition_ratio", "geometric_factor", "small_field_factor",
+            "chi_reduced", "chi_leading_order",
+        }
+
+    def test_landau_takes_no_quadrature_tolerance(self, capsys):
+        code, _, err = run_cli(capsys, "landau", "--rel-tol", "1e-8")
+        assert code == 1
+        assert "--rel-tol" in err
+
+    @pytest.mark.filterwarnings("error")  # a warning would otherwise reach stderr
+    def test_oracle_without_spread_has_no_z_score(self, capsys):
+        # at z = 1e-9 every draw is empty, so the standard error is 0
+        code, out, err = run_cli(capsys, "oracle", "--fugacity", "1e-9", "--samples", "1000")
+        assert code == 0
+        assert err == ""
+        rows = long_rows(out)
+        z_scores = [v for (_, q), v in rows.items() if q == "mc_z_score"]
+        assert z_scores and all(v == ("", "monte-carlo", "") for v in z_scores)
 
     def test_sommerfeld_reports_both_routes(self, capsys):
         _, out, _ = run_cli(capsys, "sommerfeld")

@@ -199,6 +199,15 @@ class TestChemicalPotential:
                 abs_tol=2e-5,
             )
 
+    def test_deep_degenerate_point(self):
+        # eta ~ 1.5e4: the Fermi edge sits at the far end of a long segment
+        for model in (EXCLUSIVE, STANDARD_FD):
+            assert math.isclose(
+                chemical_potential_exact(6.7e-5, model),
+                chemical_potential_series(6.7e-5, model),
+                abs_tol=1e-9,
+            )
+
     def test_series_warns_outside_trust_region(self):
         with pytest.warns(ValidityWarning):
             chemical_potential_series(0.35)
@@ -220,8 +229,9 @@ class TestHeatCapacity:
 
     def test_exact_derivative_approaches_coefficient(self):
         for model in (EXCLUSIVE, STANDARD_FD):
-            got = specific_heat_exact(0.02, model)
-            assert math.isclose(got, math.pi**2 / 2.0, rel_tol=0.01)
+            for t in (0.02, 5e-5):
+                got = specific_heat_exact(t, model)
+                assert math.isclose(got, math.pi**2 / 2.0, rel_tol=0.01)
 
     def test_heat_capacity_is_linear_at_low_temperature(self):
         ts = np.linspace(0.01, 0.04, 7)

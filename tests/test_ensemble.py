@@ -51,6 +51,23 @@ class TestExactSmallSystems:
             law = occupation(1.0 - math.log(0.5), model)
             assert math.isclose(got, law, rel_tol=1e-13)
 
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    def test_energies_beyond_the_exp_range(self, model):
+        # e^{+-800} is outside the double range; both routes stay in log space
+        system = LevelSystem((-800.0, 1.0, 800.0), model)
+        z = 0.5
+        law = occupation(np.asarray(system.energies) - math.log(z), model)
+        product = grand_partition_product(system, z)
+        assert product.value == math.inf
+        g, a = model.weight, model.blocking
+        by_hand = (g / a) * (800.0 + math.log(a * z) + math.log1p(a * z * math.exp(-1.0)))
+        assert math.isclose(product.log_value, by_hand, rel_tol=1e-14)
+        assert grand_partition_enumerate(system, z) == math.inf
+        assert np.max(np.abs(mean_occupancies_enumerate(system, z) - law)) <= 1e-12
+        for energy, exact in ((-800.0, law[0]), (800.0, law[2])):  # states certain
+            mean, err = mc_occupancy(energy, z, samples=1_000, seed=1, model=model)
+            assert (mean, err) == (exact, 0.0)
+
     def test_linear_value_can_overflow_while_log_stays_finite(self):
         system = LevelSystem((-100.0,) * 8, EXCLUSIVE)
         product = grand_partition_product(system, 2.0)

@@ -17,6 +17,8 @@ from xfermi import (
     energy_density,
     fugacity_series,
     pressure,
+    series_density,
+    series_energy_density,
     solve_fugacity,
     solve_point,
     virial_pressure,
@@ -53,6 +55,18 @@ class TestPressureEnergyIdentity:
             p = pressure(eta, model)
             u = energy_density(eta, model)
             assert math.isclose(p, 2.0 * u / 3.0, rel_tol=1e-8)
+
+
+class TestDeepDegeneracy:
+    """Against the Sommerfeld series, whose truncation error is below 1e-11 here."""
+
+    @pytest.mark.parametrize("eta", [8e3, 1e4, 1.5e4, 3e4, 1e5, 3e5, 1e6])
+    def test_moments_match_series(self, eta):
+        for model in (EXCLUSIVE, STANDARD_FD):
+            u = series_energy_density(eta, model)
+            assert math.isclose(density(eta, model), series_density(eta, model), rel_tol=1e-10)
+            assert math.isclose(energy_density(eta, model), u, rel_tol=1e-10)
+            assert math.isclose(pressure(eta, model), 2.0 * u / 3.0, rel_tol=1e-10)
 
 
 class TestDiluteLimit:

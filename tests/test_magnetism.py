@@ -5,17 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import density_oracle
+from oracles import density_oracle, landau_level_sum
 from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
     STANDARD_FD,
     ExtrapolationError,
-    LevelSumError,
     density,
     geometric_level_factor,
-    landau_level_factor,
-    landau_log_partition,
     landau_partition_ratio,
     landau_susceptibility,
     pauli_magnetization,
@@ -84,8 +81,18 @@ class TestLandauLevelSum:
         """The numeric level sum must land on 1/(2 sinh s)."""
         z = 1e-4
         for s in (0.5, 1.0, 2.0):
-            numeric = landau_level_factor(z, s)
+            numeric = landau_level_sum(z, s, linearized=True) / (2.0 * s)
             assert math.isclose(numeric, geometric_level_factor(s), rel_tol=1e-10)
+
+    @pytest.mark.parametrize("z, s", [
+        (1e-6, 0.015), (1e-3, 0.2), (0.05, 0.5), (0.45, 2.0),
+        (5.0, 0.5),  # a z e^{-s} >= 1: the first levels are summed one by one
+    ])
+    def test_matches_level_sum_oracle(self, z, s):
+        for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
+            assert math.isclose(
+                landau_partition_ratio(z, s, model), landau_level_sum(z, s, model), rel_tol=1e-10
+            )
 
     def test_partition_ratio_dilute_value(self):
         # s/sinh(s) at s = 1
@@ -93,9 +100,7 @@ class TestLandauLevelSum:
         assert math.isclose(ratio, 1.0 / math.sinh(1.0), rel_tol=1e-5)
 
     def test_ratio_approaches_one_at_zero_field(self):
-        # the full route keeps an O(z) offset, so probe the linearized one
-        ratio = landau_partition_ratio(1e-6, 1e-4, linearized=True)
-        assert math.isclose(ratio, 1.0, rel_tol=1e-7)
+        # the full route keeps an O(z) offset
         full = landau_partition_ratio(1e-6, 1e-4)
         assert math.isclose(full, 1.0 - 2e-6 / 2.0**2.5, rel_tol=1e-7)
 
@@ -104,23 +109,10 @@ class TestLandauLevelSum:
         gap = abs(landau_partition_ratio(1e-6, 0.1) - small_field_series_factor(0.1))
         assert gap < 3e-6
 
-    def test_volume_scaling_is_linear(self):
-        single = landau_log_partition(0.05, 0.3, volume_lambda3=1.0)
-        doubled = landau_log_partition(0.05, 0.3, volume_lambda3=2.0)
-        assert doubled == 2.0 * single
-
-    def test_level_budget_enforced(self):
-        # s = 0.05 needs hundreds of levels, far over a budget of 2
-        with pytest.raises(LevelSumError):
-            landau_log_partition(0.1, 0.05, max_levels=2)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            landau_log_partition(0.0, 1.0)
-        with pytest.raises(ValueError):
-            landau_log_partition(0.1, -1.0)
-        with pytest.raises(ValueError):
-            landau_log_partition(0.1, 1.0, volume_lambda3=0.0)
+        for z, s in ((0.0, 1.0), (0.1, -1.0), (math.nan, 1.0), (0.1, math.inf)):
+            with pytest.raises(ValueError):
+                landau_partition_ratio(z, s)
         with pytest.raises(ValueError):
             geometric_level_factor(0.0)
 
