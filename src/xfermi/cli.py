@@ -251,10 +251,6 @@ def _context(args) -> RunContext:
     )
 
 
-def _spec_args(ctx: RunContext) -> dict:
-    return {} if ctx.spec is None else {"spec": ctx.spec}
-
-
 def _coords(ctx: RunContext, var: str, scalar, default) -> list[float]:
     """Coordinate values for the command: one scalar, or the sweep grid."""
     if ctx.sweep is None:
@@ -316,9 +312,7 @@ def _cmd_eos(args, ctx):
         meta["mass"] = mass
         scale = constants.k_B * args.temperature / wavelength**3
         for n_si in _coords(ctx, "density", args.density, None):
-            point = solve_point(
-                ctx.model, n_lambda3=n_si * wavelength**3, **_spec_args(ctx)
-            )
+            point = solve_point(ctx.model, n_lambda3=n_si * wavelength**3)
             records += [
                 _long(n_si, "eta", point.eta, "quadrature"),
                 _long(n_si, "n_lambda3", point.n_lambda3, "quadrature"),
@@ -334,11 +328,11 @@ def _cmd_eos(args, ctx):
     sweep_var = ctx.sweep[0] if ctx.sweep else None
     if args.n_lambda3 is not None or sweep_var == "n-lambda3":
         for x in _coords(ctx, "n-lambda3", args.n_lambda3, None):
-            point = solve_point(ctx.model, n_lambda3=x, **_spec_args(ctx))
+            point = solve_point(ctx.model, n_lambda3=x)
             records += _point_rows(x, point, "quadrature")
     else:
         for eta in _coords(ctx, "eta", args.eta, 0.0):
-            point = solve_point(ctx.model, eta=eta, **_spec_args(ctx))
+            point = solve_point(ctx.model, eta=eta)
             records += _point_rows(eta, point, "closed-form")
     return meta, _LONG_HEADER, records
 
@@ -347,7 +341,7 @@ def _cmd_virial(args, ctx):
     meta = {"command": "virial", "model": ctx.model.name}
     records: list[list] = []
     for x in _coords(ctx, "n-lambda3", args.n_lambda3, 0.1):
-        point = solve_point(ctx.model, n_lambda3=x, **_spec_args(ctx))
+        point = solve_point(ctx.model, n_lambda3=x)
         records += [
             _long(x, "pv_over_nkt_series", virial_pressure(x, ctx.model), "series"),
             _long(x, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"),
@@ -391,11 +385,7 @@ def _cmd_fermi(args, ctx):
 def _cmd_sommerfeld(args, ctx):
     _require_blocking(ctx, "the broadened-step moments")
     a = ctx.model.blocking
-    result = (
-        sommerfeld_constants(a)
-        if ctx.spec is None
-        else sommerfeld_constants(a, ctx.spec)
-    )
+    result = sommerfeld_constants(a) if ctx.spec is None else sommerfeld_constants(a, ctx.spec)
     records = [
         _long(a, "a1", result.a1, "quadrature"),
         _long(a, "a1_closed_form", result.closed_form_a1, "closed-form"),
@@ -420,7 +410,7 @@ def _cmd_mu_of_t(args, ctx):
             raise UsageError("t must be positive")
         records += [
             _long(t, "mu_over_ef",
-                  chemical_potential_exact(t, model, **_spec_args(ctx)), "quadrature"),
+                  chemical_potential_exact(t, model), "quadrature"),
             _long(t, "mu_over_ef_series",
                   chemical_potential_series(t, model), "series"),
         ]
@@ -449,7 +439,7 @@ def _cmd_heat_capacity(args, ctx):
             raise UsageError("t must be positive")
         records.append(
             _long(t, "heat_coefficient",
-                  specific_heat_exact(t, model, **_spec_args(ctx)), "quadrature")
+                  specific_heat_exact(t, model), "quadrature")
         )
     records += [
         _long(None, "heat_coefficient_limit",
@@ -465,7 +455,7 @@ def _cmd_pauli(args, ctx):
     eta = args.eta if args.eta is not None else 0.0
     records: list[list] = []
     for b in _coords(ctx, "field", args.field, 0.5):
-        result = pauli_magnetization(eta, b, ctx.model, **_spec_args(ctx))
+        result = pauli_magnetization(eta, b, ctx.model)
         records += [
             _long(b, "n_up", result.n_up, "quadrature"),
             _long(b, "n_down", result.n_down, "quadrature"),
@@ -561,7 +551,6 @@ def _cmd_compare(args, ctx):
     n0 = args.density if args.density is not None else 1.0
     if n0 <= 0:
         raise UsageError("--density must be positive")
-    spec_args = _spec_args(ctx)
     models = (EXCLUSIVE, STANDARD_FD, BOLTZMANN)
 
     def row(quantity: str, fn, provenance: str) -> list:
@@ -569,9 +558,9 @@ def _cmd_compare(args, ctx):
 
     records = [
         row("occupation", lambda m: occupation(at, m), "closed-form"),
-        row("density", lambda m: density(at, m, **spec_args), "quadrature"),
-        row("energy_density", lambda m: energy_density(at, m, **spec_args), "quadrature"),
-        row("pressure", lambda m: pressure(at, m, **spec_args), "quadrature"),
+        row("density", lambda m: density(at, m), "quadrature"),
+        row("energy_density", lambda m: energy_density(at, m), "quadrature"),
+        row("pressure", lambda m: pressure(at, m), "quadrature"),
         row("virial_coefficient",
             lambda m: m.blocking / (m.weight * 4.0 * math.sqrt(2.0)), "closed-form"),
         row("heat_coefficient",
@@ -614,10 +603,6 @@ def _build_parser() -> _Parser:
     modeled.add_argument("--model", choices=tuple(MODELS),
                          help="occupancy model (default exclusive)")
 
-    quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
-    quad.add_argument("--abs-tol", type=float, help="quadrature absolute tolerance")
-
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--sweep", nargs=4, metavar=("VAR", "START", "STOP", "POINTS"),
                        help="evaluate on a grid of the named coordinate")
@@ -635,7 +620,7 @@ def _build_parser() -> _Parser:
                        help="occupation law f(x) = weight/(e^x + blocking)")
     p.add_argument("--x", type=float, help="reduced energy (eps - mu)/kT (default 0)")
 
-    p = sub.add_parser("eos", parents=[base, modeled, quad, sweep],
+    p = sub.add_parser("eos", parents=[base, modeled, sweep],
                        help="reduced equation of state at one point")
     p.add_argument("--eta", type=float, help="reduced chemical potential mu/kT")
     p.add_argument("--n-lambda3", type=float, help="degeneracy parameter n lambda^3")
@@ -645,7 +630,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--temperature", type=float, help="temperature in kelvin (with --si)")
     p.add_argument("--mass", type=float, help="particle mass in kg (default electron)")
 
-    p = sub.add_parser("virial", parents=[base, modeled, quad, sweep],
+    p = sub.add_parser("virial", parents=[base, modeled, sweep],
                        help="dilute-limit virial and fugacity series vs quadrature")
     p.add_argument("--n-lambda3", type=float, help="degeneracy parameter (default 0.1)")
 
@@ -656,18 +641,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--si", action="store_true", help="report in SI units")
     p.add_argument("--mass", type=float, help="particle mass in kg (default electron)")
 
-    sub.add_parser("sommerfeld", parents=[base, modeled, quad],
-                   help="broadened-step moments A1, A2 vs their closed forms")
+    p = sub.add_parser("sommerfeld", parents=[base, modeled],
+                       help="broadened-step moments A1, A2 vs their closed forms")
+    p.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
+    p.add_argument("--abs-tol", type=float, help="quadrature absolute tolerance")
 
-    p = sub.add_parser("mu-of-t", parents=[base, modeled, quad, sweep],
+    p = sub.add_parser("mu-of-t", parents=[base, modeled, sweep],
                        help="chemical potential vs temperature at fixed density")
     p.add_argument("--t", type=float, help="reduced temperature kT/E_F (default 0.05)")
 
-    p = sub.add_parser("heat-capacity", parents=[base, modeled, quad, sweep],
+    p = sub.add_parser("heat-capacity", parents=[base, modeled, sweep],
                        help="low-temperature heat-capacity coefficient")
     p.add_argument("--t", type=float, help="reduced temperature kT/E_F (default 0.02)")
 
-    p = sub.add_parser("pauli", parents=[base, modeled, quad, sweep],
+    p = sub.add_parser("pauli", parents=[base, modeled, sweep],
                        help="spin magnetization at a reduced field")
     p.add_argument("--eta", type=float, help="reduced chemical potential (default 0)")
     p.add_argument("--field", type=float, help="reduced field mu_B B/kT (default 0.5)")
@@ -688,7 +675,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int,
                    help="RNG seed (default: XFERMI_SEED or 0)")
 
-    p = sub.add_parser("compare", parents=[base, quad],
+    p = sub.add_parser("compare", parents=[base],
                        help="one quantity per row across all occupancy models")
     p.add_argument("--at", type=float,
                    help="evaluation point: x for the occupation row, eta otherwise (default 0)")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .constants import REDUCED
 from .eos import energy_density, pressure, solve_fugacity
-from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, integrate_semi_infinite
+from .numerics import NumericsError, QuadratureSpec, integrate_semi_infinite
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning, dos_coefficient
 
 # density-of-states coefficient in reduced units
@@ -239,36 +239,27 @@ def _degenerate_target(t: float, model: OccupancyModel) -> float:
     return (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
 
 
-def chemical_potential_exact(
-    t: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def chemical_potential_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """mu/E_F at t = kT/E_F, from inverting the density integral at fixed density."""
     if t <= 0:
         raise ValueError("t must be positive")
-    eta = solve_fugacity(_degenerate_target(t, model), model, spec)
+    eta = solve_fugacity(_degenerate_target(t, model), model)
     return eta * t
 
 
-def reduced_energy_per_particle(
-    t: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def reduced_energy_per_particle(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """E/(N E_F) at fixed density and reduced temperature t = kT/E_F."""
     if t <= 0:
         raise ValueError("t must be positive")
     target = _degenerate_target(t, model)
-    eta = solve_fugacity(target, model, spec)
-    return energy_density(eta, model, spec) / target * t
+    eta = solve_fugacity(target, model)
+    return energy_density(eta, model) / target * t
 
 
 def specific_heat_exact(
     t: float,
     model: OccupancyModel = EXCLUSIVE,
     relative_step: float = 1e-3,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Low-temperature heat-capacity coefficient c/(k_B t) per particle.
 
@@ -285,8 +276,8 @@ def specific_heat_exact(
     h = t * relative_step
 
     def slope(step: float) -> float:
-        above = reduced_energy_per_particle(t + step, model, spec)
-        below = reduced_energy_per_particle(t - step, model, spec)
+        above = reduced_energy_per_particle(t + step, model)
+        below = reduced_energy_per_particle(t - step, model)
         return (above - below) / (2.0 * step)
 
     refined = (4.0 * slope(0.5 * h) - slope(h)) / 3.0
@@ -299,14 +290,10 @@ def heat_capacity_series_coefficient(model: OccupancyModel = EXCLUSIVE) -> float
     return 1.5 * (r2 - r1 * r1)
 
 
-def pressure_over_degenerate(
-    t: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def pressure_over_degenerate(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Exact pressure over the T = 0 value (2/5) n E_F, at t = kT/E_F."""
     if t <= 0:
         raise ValueError("t must be positive")
     target = _degenerate_target(t, model)
-    eta = solve_fugacity(target, model, spec)
-    return pressure(eta, model, spec) / target * t / 0.4
+    eta = solve_fugacity(target, model)
+    return pressure(eta, model) / target * t / 0.4

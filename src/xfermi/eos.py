@@ -18,16 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    BracketedRootSpec,
-    BracketError,
-    NumericsError,
-    QuadratureSpec,
-    find_root,
-    integrate_semi_infinite,
-)
-from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning, occupation
+import numpy as np
+
+from .numerics import BracketedRootSpec, BracketError, NumericsError, find_root
+from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -43,94 +37,112 @@ class InvariantError(NumericsError, ValueError):
     """Two independent routes to the same quantity disagree."""
 
 
-def _scaled_exp(scale: float, eta: float) -> float:
-    """scale * e^eta, raising :class:`FugacityOverflowError` past the double range."""
-    try:
-        value = scale * math.exp(eta)
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        raise FugacityOverflowError(f"e^eta overflows the double range at eta = {eta:g}")
-    return value
+# Fixed Gauss-Legendre panels for the half-line moments (Fukushima 2015,
+# Aparicio 1998).  The occupation 1/(e^{x-k} + 1) has its poles at
+# x = k +- i pi, so 20 nodes on a panel no wider than 4 reach rounding
+# error.  The first panel, [0, lo], is taken in u = sqrt(x), which removes
+# the sqrt(x) branch point at the origin; 19 x-panels run from lo up to
+# k + 40, past which the occupation is below e^{-40}.  lo is one panel
+# width, or k - 36 once that is larger: below k - 36 the occupation is
+# 1 - O(e^{-36}), so the integrands are polynomials in u of degree <= 4,
+# which the u-panel integrates exactly.
+_GL_T, _GL_V = np.polynomial.legendre.leggauss(20)
+_PANELS = 19
+_PANEL_WIDTH = 4.0
+_TAIL = 40.0
+_BULK = 36.0
+
+_V = 0.5 * (1.0 + _GL_T)  # nodes on [0, 1]
+_HEAD, _BODY = np.zeros(_V.size), np.ones(_PANELS * _V.size)
+# nodes lo * _X_LO + span * _X_SPAN, weights lo * _W_LO + span * _W_SPAN;
+# on the u-panel x = lo v^2, so dx = 2 lo v dv
+_X_LO = np.concatenate((_V**2, _BODY))
+_X_SPAN = np.concatenate((_HEAD, ((np.arange(_PANELS)[:, None] + _V) / _PANELS).ravel()))
+_W_LO = np.concatenate((_V * _GL_V, np.zeros_like(_BODY)))
+_W_SPAN = np.concatenate((_HEAD, np.tile(_GL_V, _PANELS) / (2.0 * _PANELS)))
 
 
-def _log1p_exp(y: float) -> float:
-    """log(1 + e^y) without overflow on either side."""
-    if y > 36.0:
-        return y + math.log1p(math.exp(-y))
-    if y < -36.0:
-        return math.exp(y)
-    return math.log1p(math.exp(y))
+def _degenerate(k: np.ndarray) -> np.ndarray:
+    """(2/sqrt(pi)) (F_{1/2}, F_{3/2}, Int sqrt(x) ln(1 + e^{k-x}) dx) at k > 0."""
+    lo = np.maximum(k - _BULK, _PANEL_WIDTH)[:, None]
+    span = k[:, None] + _TAIL - lo
+    x = lo * _X_LO + span * _X_SPAN
+    d = x - k[:, None]
+    r = np.sqrt(x)
+    occupied = r / (1.0 + np.exp(d))
+    integrands = np.stack((occupied, occupied * x, r * np.logaddexp(0.0, -d)))
+    # summed row by row, so each value is independent of the others in k
+    return _TWO_OVER_SQRT_PI * (integrands * (lo * _W_LO + span * _W_SPAN)).sum(axis=-1)
 
 
-def _edge_breaks(eta: float, model: OccupancyModel) -> tuple[float, ...]:
-    """Quadrature breakpoints around the Fermi edge x = eta + ln a.
+# the dilute form runs on the nodes of k = 0, weighted by x^j e^{-x} / Gamma(j + 1)
+_DILUTE_X = _PANEL_WIDTH * _X_LO + (_TAIL - _PANEL_WIDTH) * _X_SPAN
+_DILUTE_E = np.exp(-_DILUTE_X)
+_DILUTE_W = (_PANEL_WIDTH * _W_LO + (_TAIL - _PANEL_WIDTH) * _W_SPAN) * _DILUTE_E
+_DILUTE_W *= np.sqrt(_DILUTE_X) * _TWO_OVER_SQRT_PI
+_DILUTE_W = np.stack((_DILUTE_W, _DILUTE_W * _DILUTE_X, _DILUTE_W))[:, None, :]
+_CLASSICAL = np.array([[1.0], [1.5], [1.0]])  # (n, u, p) / (g e^eta) at a = 0
 
-    The occupation drops over a width of order 1 there.  Breakpoints 40
-    either side of the edge give it segments of its own: left at the end
-    of a long [0, edge] segment, it can fall between QUADPACK's first
-    Gauss-Kronrod nodes, which then see a flat integrand and stop.
+
+def _dilute(w: np.ndarray) -> np.ndarray:
+    """(n, u, p) / (g e^eta) at w = a e^eta <= 1.
+
+    With y = w e^{-x}, each is its classical value less the correction
+    (2/sqrt(pi)) Int x^j e^{-x} psi(y) dx, where psi = y/(1 + y) for the
+    density (j = 1/2) and energy (j = 3/2), and 1 - ln(1 + y)/y for the
+    pressure (j = 1/2).  At a = 0 the correction vanishes exactly.
     """
-    if model.blocking == 0.0:
-        return ()
-    knee = eta + math.log(model.blocking)
-    if knee <= 0.0:
-        return ()
-    return tuple(b for b in (knee - 40.0, knee, knee + 40.0) if b > 0.0)
+    y = w[:, None] * _DILUTE_E
+    occupied = y / (1.0 + y)
+    logged = 1.0 - np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0)
+    return _CLASSICAL - (np.stack((occupied, occupied, logged)) * _DILUTE_W).sum(axis=-1)
 
 
-def density(
-    eta: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def _moments(eta, model: OccupancyModel) -> np.ndarray:
+    """Density, energy density and pressure at scalar or 1-D eta.
+
+    Returns shape (3,) for a scalar, (3, m) for m values.  The shift
+    identity n_{g,a}(eta) = (g/a) n_FD(eta + ln a) reduces every model to
+    one Fermi integral at k = eta + ln a.  For k <= 0, and for the
+    classical model (a = 0), the fugacity-scaled form keeps relative
+    accuracy down to e^eta near the bottom of the double range.
+    """
+    flat = np.atleast_1d(np.asarray(eta, dtype=float))
+    if flat.ndim != 1 or not np.isfinite(flat).all():
+        raise ValueError("eta must be a finite scalar or 1-D array")
+    g, a = model.weight, model.blocking
+    k = flat + math.log(a) if a > 0.0 else np.full_like(flat, -np.inf)
+    out = np.empty((3, flat.size))
+    dilute = k <= 0.0
+    if dilute.any():
+        with np.errstate(over="ignore", invalid="ignore"):  # a = 0 only; raised below
+            z = np.exp(flat[dilute])
+            out[:, dilute] = g * z * _dilute(a * z)
+    if not dilute.all():
+        out[:, ~dilute] = (g / a) * _degenerate(k[~dilute])
+    if not np.isfinite(out).all():  # only the largest eta can overflow
+        raise FugacityOverflowError(f"e^eta overflows a double at eta = {flat.max():g}")
+    return out if np.ndim(eta) else out[:, 0]
+
+
+def density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced density n lambda^3 at reduced chemical potential eta."""
-    eta = float(eta)
-
-    def f(x: float) -> float:
-        return math.sqrt(x) * occupation(x - eta, model)
-
-    return _TWO_OVER_SQRT_PI * integrate_semi_infinite(f, spec, _edge_breaks(eta, model))
+    return float(_moments(eta, model)[0])
 
 
-def energy_density(
-    eta: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def energy_density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced energy density u = <E> lambda^3 / (V kT)."""
-    eta = float(eta)
-
-    def f(x: float) -> float:
-        return x * math.sqrt(x) * occupation(x - eta, model)
-
-    return _TWO_OVER_SQRT_PI * integrate_semi_infinite(f, spec, _edge_breaks(eta, model))
+    return float(_moments(eta, model)[1])
 
 
-def pressure(
-    eta: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def pressure(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced pressure p = P lambda^3 / kT from the grand-potential integral."""
-    eta = float(eta)
-    g = model.weight
-    a = model.blocking
-    if a == 0.0:
-        return _scaled_exp(g, eta)  # classical ideal gas
-    ln_a = math.log(a)
-
-    def f(x: float) -> float:
-        return math.sqrt(x) * _log1p_exp(ln_a + eta - x)
-
-    breaks = _edge_breaks(eta, model)
-    return _TWO_OVER_SQRT_PI * (g / a) * integrate_semi_infinite(f, spec, breaks)
+    return float(_moments(eta, model)[2])
 
 
 def solve_fugacity(
     n_lambda3: float,
     model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     tolerance: float = 1e-12,
 ) -> float:
     """Invert the density integral: eta such that density(eta) = n lambda^3.
@@ -142,35 +154,22 @@ def solve_fugacity(
         raise ValueError("n_lambda3 must be positive and finite")
 
     def residual(eta: float) -> float:
-        return density(eta, model, spec) - n_lambda3
+        return density(eta, model) - n_lambda3
 
     eta0 = math.log(n_lambda3 / model.weight)
     r0 = residual(eta0)
     if r0 == 0.0:
         return eta0
-    if r0 > 0.0:
-        hi, lo, r_lo = eta0, eta0, r0
-        step = 1.0
-        for _ in range(200):
-            lo -= step
-            step *= 2.0
-            r_lo = residual(lo)
-            if r_lo <= 0.0:
-                break
-        else:
-            raise BracketError("could not bracket the fugacity below eta0")
+    sign = math.copysign(1.0, r0)  # +1: eta0 overshoots, so search below it
+    far, step = eta0, 1.0
+    for _ in range(200):
+        far -= sign * step
+        step *= 2.0
+        if sign * residual(far) <= 0.0:
+            break
     else:
-        lo, hi, r_hi = eta0, eta0, r0
-        step = 1.0
-        for _ in range(200):
-            hi += step
-            step *= 2.0
-            r_hi = residual(hi)
-            if r_hi >= 0.0:
-                break
-        else:
-            raise BracketError("could not bracket the fugacity above eta0")
-    return find_root(residual, BracketedRootSpec(lo, hi, tolerance, 200))
+        raise BracketError(f"no fugacity bracket {'above' if sign < 0 else 'below'} eta0")
+    return find_root(residual, BracketedRootSpec(*sorted((eta0, far)), tolerance, 200))
 
 
 def virial_pressure(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -229,18 +228,21 @@ def solve_point(
     model: OccupancyModel = EXCLUSIVE,
     eta: float | None = None,
     n_lambda3: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> ThermoPoint:
     """Fill in a full ThermoPoint from either eta or the degeneracy parameter."""
     if (eta is None) == (n_lambda3 is None):
         raise ValueError("give exactly one of eta or n_lambda3")
     if eta is None:
-        eta = solve_fugacity(n_lambda3, model, spec)
+        eta = solve_fugacity(n_lambda3, model)
+    try:
+        fugacity = math.exp(eta)
+    except OverflowError:
+        raise FugacityOverflowError(f"e^eta overflows a double at eta = {eta:g}") from None
     return ThermoPoint(
         eta=float(eta),
-        fugacity=_scaled_exp(1.0, eta),
-        n_lambda3=density(eta, model, spec),
-        energy_density=energy_density(eta, model, spec),
-        pressure=pressure(eta, model, spec),
+        fugacity=fugacity,
+        n_lambda3=density(eta, model),
+        energy_density=energy_density(eta, model),
+        pressure=pressure(eta, model),
         model=model,
     )

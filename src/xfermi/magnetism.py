@@ -22,13 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import density
-from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec
+from .eos import _moments
+from .numerics import NumericsError
 from .occupancy import EXCLUSIVE, OccupancyModel
+
+# degenerate Landau levels are summed through the moment kernel in chunks
+# of this many levels (bounded memory), and at most this many in all
+MAX_DEGENERATE_LEVELS = 10**6
+_LEVEL_CHUNK = 1024
 
 
 class ExtrapolationError(NumericsError):
     """The zero-field extrapolation did not settle."""
+
+
+class LevelBudgetError(NumericsError):
+    """More degenerate Landau levels than MAX_DEGENERATE_LEVELS."""
 
 
 @dataclass(frozen=True)
@@ -51,30 +60,23 @@ class MagnetizationResult:
 
 
 def pauli_populations(
-    eta: float,
-    b_red: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    eta: float, b_red: float, model: OccupancyModel = EXCLUSIVE
 ) -> tuple[float, float]:
     """Spin populations (up, down) per lambda^3, up being the species
     raised by the field.  Exchanging the field sign swaps them exactly."""
-    up = 0.5 * density(eta - b_red, model, spec)
-    down = 0.5 * density(eta + b_red, model, spec)
-    return up, down
+    up, down = 0.5 * _moments(np.array([eta - b_red, eta + b_red]), model)[0]
+    return float(up), float(down)
 
 
 def pauli_magnetization(
-    eta: float,
-    b_red: float,
-    model: OccupancyModel = EXCLUSIVE,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    eta: float, b_red: float, model: OccupancyModel = EXCLUSIVE
 ) -> MagnetizationResult:
     """Spin magnetization at reduced field b_red = mu_B B / kT.
 
     In the dilute limit M/(N mu_B) -> tanh(b_red) independent of the
     occupancy model; saturation bounds |M| <= N mu_B always.
     """
-    n_up, n_down = pauli_populations(eta, b_red, model, spec)
+    n_up, n_down = pauli_populations(eta, b_red, model)
     return MagnetizationResult(n_up, n_down, n_down - n_up)
 
 
@@ -87,9 +89,10 @@ def landau_partition_ratio(
 
     ``s`` is the reduced level spacing over two (mu_B B / kT).  Level n
     contributes sqrt(pi) density(ln z - s(2n+1)) per V/lambda^3.  The
-    first N levels, those with a z e^{-s(2n+1)} > 1/2, are summed level
-    by level; for the rest the fugacity expansion of the log converges,
-    and its sum over levels is geometric:
+    first N levels, those with a z e^{-s(2n+1)} > 1/2, go through the
+    moment kernel as arrays (more than MAX_DEGENERATE_LEVELS of them raise
+    :class:`LevelBudgetError`); for the rest the fugacity expansion of the
+    log converges, and its sum over levels is geometric:
 
         ratio = 2s [ (1/(g z)) Sum_{n<N} density(ln z - s(2n+1))
                      + e^{-s(2N+1)} Sum_k (-1)^{k+1} w^{k-1} / (k^{3/2} (1 - e^{-2ks})) ]
@@ -100,9 +103,15 @@ def landau_partition_ratio(
     if not (0.0 < fugacity < math.inf and 0.0 < s < math.inf):
         raise ValueError("fugacity and s must be positive and finite")
     az = model.blocking * fugacity
-    levels = math.ceil((math.log(2.0 * az) / s - 1.0) / 2.0) if az > 0.5 else 0
+    levels = (math.log(2.0 * az) / s - 1.0) / 2.0 if az > 0.5 else 0.0
+    if levels > MAX_DEGENERATE_LEVELS:
+        raise LevelBudgetError(f"{levels:.3g} degenerate Landau levels, over the budget")
+    levels = math.ceil(levels)
     ln_z = math.log(fugacity)
-    degenerate = sum(density(ln_z - s * (2 * n + 1), model) for n in range(levels))
+    degenerate = 0.0
+    for start in range(0, levels, _LEVEL_CHUNK):
+        n = np.arange(start, min(start + _LEVEL_CHUNK, levels))
+        degenerate += float(_moments(ln_z - s * (2 * n + 1), model)[0].sum())
     decay = math.exp(-s * (2 * levels + 1))
     w = az * decay
     total, k = 0.0, 1

@@ -8,14 +8,25 @@ concurrent use needs no locking.
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _sp_integrate
-from scipy import optimize as _sp_optimize
-from scipy.integrate import solve_ivp as _solve_ivp
+
+
+def __getattr__(name: str):
+    """scipy.integrate and scipy.optimize as _sp_integrate and _sp_optimize,
+    imported on first use: the moment kernel and most subcommands never need them."""
+    if name not in ("_sp_integrate", "_sp_optimize"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    setattr(_SELF, name, importlib.import_module("scipy." + name[4:]))
+    return getattr(_SELF, name)
+
+
+_SELF = sys.modules[__name__]
 
 
 class NumericsError(Exception):
@@ -76,7 +87,7 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _quad_segment(f, lo: float, hi: float, spec: QuadratureSpec) -> tuple[float, float]:
-    out = _sp_integrate.quad(
+    out = _SELF._sp_integrate.quad(
         f,
         lo,
         hi,
@@ -168,7 +179,7 @@ def find_root(f: Callable[[float], float], spec: BracketedRootSpec) -> float:
             f"no sign change on [{spec.lo:g}, {spec.hi:g}]: "
             f"f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
         )
-    root, result = _sp_optimize.brentq(
+    root, result = _SELF._sp_optimize.brentq(
         f,
         spec.lo,
         spec.hi,
@@ -216,6 +227,8 @@ def integrate_ode(
     steps, when ``stop_event`` is already <= 0 at ``t0``.  Raises
     :class:`EventHorizonError` if the event never fires before ``t_end``.
     """
+    from scipy.integrate import solve_ivp
+
     t0, t_end = float(t0), float(t_end)
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -228,7 +241,7 @@ def integrate_ode(
 
     event.terminal = True
     event.direction = -1.0
-    sol = _solve_ivp(rhs, (t0, t_end), y, method="DOP853", events=event,
+    sol = solve_ivp(rhs, (t0, t_end), y, method="DOP853", events=event,
                      rtol=_ODE_RTOL, atol=_ODE_ATOL)
     if not sol.success:
         raise NumericsError(f"ODE solver failed: {sol.message}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -52,6 +53,66 @@ def density_oracle(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
 def energy_density_oracle(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """u by dense trapezoid."""
     return (2.0 / math.sqrt(math.pi)) * halfline_moment(1.5, eta, model)
+
+
+def polylog_moments(eta: float, model: OccupancyModel = EXCLUSIVE) -> tuple[float, float, float]:
+    """(n lambda^3, u, p) from mpmath's polylog at 30 digits.
+
+    Shift identity: n = (g/a) f_{3/2}(a e^eta), u = (3/2) (g/a) f_{5/2},
+    p = (g/a) f_{5/2}, with f_nu(w) = -Li_nu(-w); the classical model is
+    n = p = g e^eta, u = (3/2) g e^eta.
+    """
+    g, a = model.weight, model.blocking
+    with mpmath.workdps(30):
+        if a == 0.0:
+            n = g * mpmath.exp(eta)
+            return float(n), float(1.5 * n), float(n)
+        w = -mpmath.exp(mpmath.mpf(eta) + mpmath.log(a))
+        f32, f52 = (-mpmath.re(mpmath.polylog(nu, w)) * g / a for nu in (1.5, 2.5))
+        return float(f32), float(1.5 * f52), float(f52)
+
+
+def _log1p_exp(y: float) -> float:
+    """log(1 + e^y) without overflow on either side."""
+    if y > 36.0:
+        return y + math.log1p(math.exp(-y))
+    if y < -36.0:
+        return math.exp(y)
+    return math.log1p(math.exp(y))
+
+
+def quad_moment(kind: str, eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """Density, energy density or pressure by adaptive QUADPACK, to 1e-12 relative.
+
+    The integrands sqrt(x) f(x - eta), x^{3/2} f(x - eta) and
+    (g/a) sqrt(x) ln(1 + a e^{eta - x}) are split at the Fermi edge
+    x = eta + ln a and 40 either side of it, where those are above 0, so
+    that the edge gets segments of its own.
+    """
+    g, a = model.weight, model.blocking
+    knee = eta + math.log(a) if a > 0.0 else -math.inf
+    if kind == "pressure" and a == 0.0:
+
+        def f(x: float) -> float:
+            return g * math.sqrt(x) * math.exp(eta - x)
+
+    elif kind == "pressure":
+
+        def f(x: float) -> float:
+            return (g / a) * math.sqrt(x) * _log1p_exp(knee - x)
+
+    else:
+        power = {"density": 0.5, "energy_density": 1.5}[kind]
+
+        def f(x: float) -> float:
+            return x**power * float(occupancy_grid(x - eta, model))
+
+    edges = [0.0] + [b for b in (knee - 40.0, knee, knee + 40.0) if b > 0.0] + [math.inf]
+    total = sum(
+        integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+    return (2.0 / math.sqrt(math.pi)) * total
 
 
 def landau_level_sum(

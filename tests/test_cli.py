@@ -10,7 +10,12 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import polylog_moments
+from xfermi import MODELS
 from xfermi.cli import main
+
+# the CLI prints 10 significant digits
+CLI_REL = 1e-9
 
 
 def run_cli(capsys, *args):
@@ -188,7 +193,7 @@ class TestExitCodes:
 
     def test_unattainable_tolerance_reports_numerics_failure(self, capsys):
         code, _, err = run_cli(
-            capsys, "eos", "--eta", "0", "--rel-tol", "1e-30", "--abs-tol", "1e-300"
+            capsys, "sommerfeld", "--rel-tol", "1e-30", "--abs-tol", "1e-300"
         )
         assert code == 2
         assert err
@@ -201,15 +206,28 @@ class TestExitCodes:
         assert err.startswith("xfermi: numerical failure: ")
         assert "overflows" in err
 
-    @pytest.mark.parametrize("args", [
-        ("--eta", "-30"),  # moments near 1e-13, where the 1e-14 absolute tolerance bites
-        ("--eta", "0", "--rel-tol", "1e-2", "--abs-tol", "1e-2"),
-    ])
-    def test_failed_invariant_reports_numerics_failure(self, capsys, args):
-        code, _, err = run_cli(capsys, "eos", *args)
+    def test_failed_invariant_reports_numerics_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr("xfermi.eos.pressure", lambda eta, model: 1.0)
+        code, _, err = run_cli(capsys, "eos", "--eta", "0")
         assert code == 2
         assert err.startswith("xfermi: numerical failure: ")
         assert "p = (2/3) u" in err
+
+    def test_level_budget_reports_numerics_failure(self, capsys):
+        # about 1.5e9 degenerate Landau levels at z = 5
+        code, out, err = run_cli(capsys, "landau", "--n-lambda3", "10", "--field", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("xfermi: numerical failure: ")
+        assert "Landau levels" in err
+
+    @pytest.mark.parametrize(
+        "command", ["eos", "virial", "mu-of-t", "heat-capacity", "pauli", "compare"]
+    )
+    def test_kernel_commands_take_no_quadrature_tolerance(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--rel-tol", "1e-8")
+        assert code == 1
+        assert "--rel-tol" in err
 
 
 class TestPhysicsOutput:
@@ -245,6 +263,18 @@ class TestPhysicsOutput:
             "partition_ratio", "geometric_factor", "small_field_factor",
             "chi_reduced", "chi_leading_order",
         }
+
+    @pytest.mark.parametrize("model", ["exclusive", "fd", "boltzmann"])
+    def test_deep_dilute_eos_matches_polylog(self, capsys, model):
+        # moments near 1e-13: the adaptive route once failed p = (2/3) u here
+        code, out, _ = run_cli(capsys, "eos", "--eta", "-30", "--model", model)
+        assert code == 0
+        rows = long_rows(out)
+        exact = polylog_moments(-30.0, MODELS[model])
+        for quantity, expected in zip(("n_lambda3", "energy_density", "pressure"), exact):
+            value, provenance, _ = rows[("-30", quantity)]
+            assert provenance == "quadrature"
+            assert math.isclose(float(value), expected, rel_tol=CLI_REL)
 
     def test_landau_takes_no_quadrature_tolerance(self, capsys):
         code, _, err = run_cli(capsys, "landau", "--rel-tol", "1e-8")

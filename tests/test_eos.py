@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import density_oracle, energy_density_oracle
+from oracles import density_oracle, energy_density_oracle, polylog_moments, quad_moment
 from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -25,16 +27,29 @@ from xfermi import (
 )
 
 ALL_MODELS = (EXCLUSIVE, STANDARD_FD, BOLTZMANN)
+BLOCKING_MODELS = (EXCLUSIVE, STANDARD_FD)
+KINDS = {"density": density, "energy_density": energy_density, "pressure": pressure}
+
+# every moment is held to this against the 30-digit polylog route
+POLYLOG_REL = 1e-12
+# the same draws on every run, and no example database on disk
+DOMAIN = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def assert_matches_polylog(eta, model):
+    got = (density(eta, model), energy_density(eta, model), pressure(eta, model))
+    for kind, value, exact in zip(KINDS, got, polylog_moments(eta, model)):
+        assert math.isclose(value, exact, rel_tol=POLYLOG_REL), (kind, eta, model.name)
 
 
 class TestIntegralsAgainstDenseGrid:
-    """Adaptive quadrature vs the substituted-trapezoid oracle."""
+    """Gauss-Legendre kernel vs the substituted-trapezoid oracle."""
 
     @pytest.mark.parametrize("eta", [-5.0, 0.0, 2.0, 8.0])
     def test_density(self, eta):
         for model in ALL_MODELS:
             assert math.isclose(
-                density(eta, model), density_oracle(eta, model), rel_tol=1e-9
+                density(eta, model), density_oracle(eta, model), rel_tol=1e-12
             )
 
     @pytest.mark.parametrize("eta", [-5.0, 0.0, 2.0, 8.0])
@@ -43,30 +58,93 @@ class TestIntegralsAgainstDenseGrid:
             assert math.isclose(
                 energy_density(eta, model),
                 energy_density_oracle(eta, model),
-                rel_tol=1e-9,
+                rel_tol=1e-12,
             )
+
+
+class TestAgainstQuadpack:
+    """The kernel vs the adaptive QUADPACK route it replaced."""
+
+    @pytest.mark.parametrize("eta", [-25.0, -5.0, -0.4, 0.5, 3.0, 20.0, 41.0, 300.0, 2e3])
+    def test_moments(self, eta):
+        for model in ALL_MODELS if eta < 700.0 else BLOCKING_MODELS:  # e^eta overflows
+            for kind, moment in KINDS.items():
+                assert math.isclose(
+                    moment(eta, model), quad_moment(kind, eta, model), rel_tol=1e-10
+                )
 
 
 class TestPressureEnergyIdentity:
     @pytest.mark.parametrize("eta", [-10.0, -5.0, -2.0, 0.0, 2.0, 5.0, 10.0, 20.0])
     def test_pressure_is_two_thirds_energy(self, eta):
-        # two independent integrals (grand potential vs energy moment)
+        # two independent integrands (grand potential vs energy moment)
         for model in ALL_MODELS:
             p = pressure(eta, model)
             u = energy_density(eta, model)
-            assert math.isclose(p, 2.0 * u / 3.0, rel_tol=1e-8)
+            assert math.isclose(p, 2.0 * u / 3.0, rel_tol=1e-12)
 
 
 class TestDeepDegeneracy:
-    """Against the Sommerfeld series, whose truncation error is below 1e-11 here."""
+    """Against the Sommerfeld series, whose truncation error is below 5e-12 here."""
 
     @pytest.mark.parametrize("eta", [8e3, 1e4, 1.5e4, 3e4, 1e5, 3e5, 1e6])
     def test_moments_match_series(self, eta):
         for model in (EXCLUSIVE, STANDARD_FD):
             u = series_energy_density(eta, model)
-            assert math.isclose(density(eta, model), series_density(eta, model), rel_tol=1e-10)
-            assert math.isclose(energy_density(eta, model), u, rel_tol=1e-10)
-            assert math.isclose(pressure(eta, model), 2.0 * u / 3.0, rel_tol=1e-10)
+            assert math.isclose(density(eta, model), series_density(eta, model), rel_tol=1e-11)
+            assert math.isclose(energy_density(eta, model), u, rel_tol=1e-11)
+            assert math.isclose(pressure(eta, model), 2.0 * u / 3.0, rel_tol=1e-11)
+
+
+class TestWholeDomain:
+    """Every moment against the polylog route over all eta the API accepts."""
+
+    @DOMAIN
+    @given(
+        eta=st.one_of(st.floats(-700.0, 1e6), st.floats(-45.0, 80.0)),
+        model=st.sampled_from(BLOCKING_MODELS),
+    )
+    def test_blocking_models(self, eta, model):
+        assert_matches_polylog(eta, model)
+
+    @DOMAIN
+    @given(eta=st.floats(-700.0, 700.0))
+    def test_classical_model(self, eta):
+        assert_matches_polylog(eta, BOLTZMANN)
+
+    @DOMAIN
+    @given(
+        # k = eta + ln a: the dilute/degenerate switch, and the two ends of
+        # the bulk cut k - 36, which takes over once it clears a panel width
+        seam=st.sampled_from((0.0, 36.0, 40.0)),
+        offset=st.floats(-1e-3, 1e-3),
+        model=st.sampled_from(BLOCKING_MODELS),
+    )
+    def test_regime_seams(self, seam, offset, model):
+        assert_matches_polylog(seam + offset - math.log(model.blocking), model)
+
+    @pytest.mark.parametrize("model, eta", [(EXCLUSIVE, -1.64505), (STANDARD_FD, -0.95205)])
+    def test_pressure_near_the_dilute_knee(self, model, eta):
+        # eta + ln a = -0.952, where the adaptive route missed 1e-10 by 5.6e-7
+        for offset in np.linspace(-3e-5, 3e-5, 7):
+            exact = polylog_moments(eta + offset, model)[2]
+            assert math.isclose(pressure(eta + offset, model), exact, rel_tol=POLYLOG_REL)
+
+    @pytest.mark.parametrize("eta", [float(e) for e in np.arange(-27.0, -40.5, -1.0)])
+    def test_solve_point_in_the_deep_dilute_range(self, eta):
+        # the moments are near g e^eta < 1e-14, once below an absolute tolerance
+        for model in ALL_MODELS:
+            point = solve_point(model, eta=eta)
+            exact = polylog_moments(eta, model)
+            got = (point.n_lambda3, point.energy_density, point.pressure)
+            for value, expected in zip(got, exact):
+                assert math.isclose(value, expected, rel_tol=POLYLOG_REL)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eta(self, bad):
+        for moment in KINDS.values():
+            with pytest.raises(ValueError):
+                moment(bad)
 
 
 class TestDiluteLimit:

@@ -11,6 +11,7 @@ from xfermi import (
     EXCLUSIVE,
     STANDARD_FD,
     ExtrapolationError,
+    LevelBudgetError,
     density,
     geometric_level_factor,
     landau_partition_ratio,
@@ -86,13 +87,19 @@ class TestLandauLevelSum:
 
     @pytest.mark.parametrize("z, s", [
         (1e-6, 0.015), (1e-3, 0.2), (0.05, 0.5), (0.45, 2.0),
-        (5.0, 0.5),  # a z e^{-s} >= 1: the first levels are summed one by one
+        (5.0, 0.5),  # a z e^{-s} >= 1: the first levels go through the moment kernel
+        (5.0, 0.05),  # 23 such levels
     ])
     def test_matches_level_sum_oracle(self, z, s):
         for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
             assert math.isclose(
                 landau_partition_ratio(z, s, model), landau_level_sum(z, s, model), rel_tol=1e-10
             )
+
+    def test_level_budget_enforced(self):
+        # about 1.2e9 degenerate levels, past the budget of 1e6
+        with pytest.raises(LevelBudgetError, match="Landau levels"):
+            landau_partition_ratio(5.0, 1e-9)
 
     def test_partition_ratio_dilute_value(self):
         # s/sinh(s) at s = 1
