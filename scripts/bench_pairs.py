@@ -40,6 +40,8 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:  # one pair: no spread to report
+        return {"median": values[0], "q1": values[0], "q3": values[0], "runs": values}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 

@@ -242,7 +242,7 @@ def integrate_ode(
     event.terminal = True
     event.direction = -1.0
     sol = solve_ivp(rhs, (t0, t_end), y, method="DOP853", events=event,
-                     rtol=_ODE_RTOL, atol=_ODE_ATOL)
+                    rtol=_ODE_RTOL, atol=_ODE_ATOL)
     if not sol.success:
         raise NumericsError(f"ODE solver failed: {sol.message}")
     if sol.t_events[0].size == 0:

@@ -1,11 +1,12 @@
-"""Brute-force numerical oracles, independent of the package's own kernels.
+"""Numerical oracles, independent of the package's own kernels.
 
-Everything here works from the occupation law alone, on dense fixed
-grids, so that the adaptive-quadrature results in the package can be
-checked against a second, dumber route.  The half-line moments use the
-substitution u = sqrt(x), which removes the sqrt(x) kink at the origin:
-a plain trapezoid on x converges like h^{3/2} there and would stall near
-1e-7, far above the tolerances these oracles are held to.
+The package's Gauss-Legendre moments are checked against three other
+routes: dense fixed grids on the occupation law, adaptive QUADPACK
+(the route the package used before), and mpmath's polylogarithm.  The
+dense-grid moments use the substitution u = sqrt(x), which removes the
+sqrt(x) kink at the origin: a plain trapezoid on x converges like
+h^{3/2} there and would stall near 1e-7, far above the tolerances these
+oracles are held to.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from xfermi import (
     solve_point,
     virial_pressure,
 )
+from xfermi.eos import _moments
 
 ALL_MODELS = (EXCLUSIVE, STANDARD_FD, BOLTZMANN)
 BLOCKING_MODELS = (EXCLUSIVE, STANDARD_FD)
@@ -139,6 +140,17 @@ class TestWholeDomain:
             got = (point.n_lambda3, point.energy_density, point.pressure)
             for value, expected in zip(got, exact):
                 assert math.isclose(value, expected, rel_tol=POLYLOG_REL)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_array_form_matches_scalar_calls(self, model):
+        # the Pauli species and the Landau levels pass arrays that mix regimes
+        etas = np.array([-700.0, -30.0, -0.7, 0.0, 0.2, 5.0, 39.0, 41.0, 650.0])
+        if model.blocking:
+            etas = np.append(etas, [1e3, 1e6])
+        batch = _moments(etas, model)
+        for i, eta in enumerate(etas):
+            assert np.array_equal(batch[:, i], _moments(float(eta), model))
+            assert batch[0, i] == density(float(eta), model)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_eta(self, bad):
