@@ -21,8 +21,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import REDUCED
-from .eos import energy_density, pressure, solve_fugacity
+from .eos import _GL_T, _GL_V, _moments, energy_density, pressure, solve_fugacity
 from .numerics import NumericsError, QuadratureSpec, integrate_semi_infinite
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning, dos_coefficient
 
@@ -39,10 +41,6 @@ _SERIES_TRUST = 0.3
 REFERENCE_A1 = 0.34657
 REFERENCE_A2 = 1.88516
 REFERENCE_HEAT_COEFFICIENT = {"exclusive": 5.55, "fd": 4.93}
-
-
-class StepSizeError(ValueError):
-    """A finite-difference step fell below the solver noise floor."""
 
 
 def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -234,54 +232,51 @@ def chemical_potential_series(t: float, model: OccupancyModel = EXCLUSIVE) -> fl
     return 1.0 + c1 * t + c2 * t * t
 
 
-def _degenerate_target(t: float, model: OccupancyModel) -> float:
-    """n lambda^3 of a gas held at fixed density, at temperature t = kT/E_F."""
-    return (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
+def _fixed_density(t: float, model: OccupancyModel) -> tuple[float, float]:
+    """n lambda^3 of a gas held at fixed density, at temperature t = kT/E_F, and its eta."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    target = (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
+    return target, solve_fugacity(target, model)
 
 
 def chemical_potential_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """mu/E_F at t = kT/E_F, from inverting the density integral at fixed density."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    eta = solve_fugacity(_degenerate_target(t, model), model)
-    return eta * t
+    return _fixed_density(t, model)[1] * t
 
 
 def reduced_energy_per_particle(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """E/(N E_F) at fixed density and reduced temperature t = kT/E_F."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    target = _degenerate_target(t, model)
-    eta = solve_fugacity(target, model)
+    target, eta = _fixed_density(t, model)
     return energy_density(eta, model) / target * t
 
 
-def specific_heat_exact(
-    t: float,
-    model: OccupancyModel = EXCLUSIVE,
-    relative_step: float = 1e-3,
-) -> float:
+# the Fermi edge past k = eta + ln a = 40: y = x - k on 20 Gauss-Legendre panels of
+# width 4 over [-40, 40], weighted by f(1 - f) = 1/(4 cosh^2(y/2)), below e^{-40} outside
+_EDGE = 40.0
+_EDGE_Y = (4.0 * np.arange(-10.0, 10.0)[:, None] + 2.0 * (1.0 + _GL_T)).ravel()
+_EDGE_W = np.tile(2.0 * _GL_V, 20) / (2.0 * np.cosh(0.5 * _EDGE_Y)) ** 2
+
+
+def specific_heat_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Low-temperature heat-capacity coefficient c/(k_B t) per particle.
 
-    Differentiates the exact E/(N E_F) at fixed density by centered
-    differences with one Richardson refinement; the result tends to
-    pi^2/2 as t -> 0 for every blocking parameter.
+    At fixed density C/(N k_B) = (5/2) u/n - (9/4) n/(dn/deta), that is
+    (15/4) F_{3/2}/F_{1/2} - (9/4) F_{1/2}/F_{-1/2}, all at the eta of one
+    inversion; it tends to pi^2/2 as t -> 0 for every blocking parameter.
+    The two terms cancel to ~3/k^2 of their size, so past k = 40 the ratio
+    is integrated by parts onto f(1 - f): (3/2) Var(y) / <k + y> under the
+    measure sqrt(k + y) f(1 - f) dy, with no cancellation.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if relative_step < 1e-6:
-        raise StepSizeError(
-            f"relative step {relative_step:g} is below the solver noise floor"
-        )
-    h = t * relative_step
-
-    def slope(step: float) -> float:
-        above = reduced_energy_per_particle(t + step, model)
-        below = reduced_energy_per_particle(t - step, model)
-        return (above - below) / (2.0 * step)
-
-    refined = (4.0 * slope(0.5 * h) - slope(h)) / 3.0
-    return refined / t
+    eta = _fixed_density(t, model)[1]
+    k = eta + math.log(model.blocking)
+    if k < _EDGE:
+        n, u, _, slope = _moments(eta, model)
+        return float((2.5 * u / n - 2.25 * n / slope) / t)
+    measure = _EDGE_W * np.sqrt(1.0 + _EDGE_Y / k)
+    mean = (_EDGE_Y * measure).sum() / measure.sum()
+    spread = ((_EDGE_Y - mean) ** 2 * measure).sum()
+    return float(1.5 * spread / ((k + _EDGE_Y) * measure).sum() / t)
 
 
 def heat_capacity_series_coefficient(model: OccupancyModel = EXCLUSIVE) -> float:
@@ -292,8 +287,5 @@ def heat_capacity_series_coefficient(model: OccupancyModel = EXCLUSIVE) -> float
 
 def pressure_over_degenerate(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Exact pressure over the T = 0 value (2/5) n E_F, at t = kT/E_F."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    target = _degenerate_target(t, model)
-    eta = solve_fugacity(target, model)
+    target, eta = _fixed_density(t, model)
     return pressure(eta, model) / target * t / 0.4

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BracketedRootSpec, BracketError, NumericsError, find_root
+from .numerics import NumericsError, RootConvergenceError
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -30,7 +30,7 @@ _SERIES_TRUST = 0.2
 
 
 class FugacityOverflowError(NumericsError, OverflowError):
-    """e^eta, or a quantity proportional to it, exceeds the double range."""
+    """e^eta, or a moment that grows with it, exceeds the double range."""
 
 
 class InvariantError(NumericsError, ValueError):
@@ -62,15 +62,22 @@ _W_LO = np.concatenate((_V * _GL_V, np.zeros_like(_BODY)))
 _W_SPAN = np.concatenate((_HEAD, np.tile(_GL_V, _PANELS) / (2.0 * _PANELS)))
 
 
-def _degenerate(k: np.ndarray) -> np.ndarray:
-    """(2/sqrt(pi)) (F_{1/2}, F_{3/2}, Int sqrt(x) ln(1 + e^{k-x}) dx) at k > 0."""
+def _degenerate(k: np.ndarray, rows: list[int]) -> np.ndarray:
+    """``rows`` of (2/sqrt(pi)) (F_{1/2}, F_{3/2}, Int sqrt(x) ln(1 + e^{k-x}) dx,
+    F_{-1/2}/2) at k > 0.  Row 3, dF_{1/2}/dk, is integrated by parts,
+    (1/2) Int x^{-1/2} f dx, which the u-panel keeps finite at 0: the direct
+    Int sqrt(x) f (1 - f) dx lives on the Fermi edge alone, which the x-panels
+    lose once k passes ~1e16 and they collapse to zero width in doubles.
+    """
     lo = np.maximum(k - _BULK, _PANEL_WIDTH)[:, None]
     span = k[:, None] + _TAIL - lo
     x = lo * _X_LO + span * _X_SPAN
     d = x - k[:, None]
     r = np.sqrt(x)
-    occupied = r / (1.0 + np.exp(d))
-    integrands = np.stack((occupied, occupied * x, r * np.logaddexp(0.0, -d)))
+    denominator = 1.0 + np.exp(d)
+    integrand = (lambda: r / denominator, lambda: r / denominator * x,
+                 lambda: r * np.logaddexp(0.0, -d), lambda: 0.5 / (r * denominator))
+    integrands = np.stack([integrand[i]() for i in rows])
     # summed row by row, so each value is independent of the others in k
     return _TWO_OVER_SQRT_PI * (integrands * (lo * _W_LO + span * _W_SPAN)).sum(axis=-1)
 
@@ -80,96 +87,118 @@ _DILUTE_X = _PANEL_WIDTH * _X_LO + (_TAIL - _PANEL_WIDTH) * _X_SPAN
 _DILUTE_E = np.exp(-_DILUTE_X)
 _DILUTE_W = (_PANEL_WIDTH * _W_LO + (_TAIL - _PANEL_WIDTH) * _W_SPAN) * _DILUTE_E
 _DILUTE_W *= np.sqrt(_DILUTE_X) * _TWO_OVER_SQRT_PI
-_DILUTE_W = np.stack((_DILUTE_W, _DILUTE_W * _DILUTE_X, _DILUTE_W))[:, None, :]
-_CLASSICAL = np.array([[1.0], [1.5], [1.0]])  # (n, u, p) / (g e^eta) at a = 0
+_DILUTE_W = np.stack((_DILUTE_W, _DILUTE_W * _DILUTE_X, _DILUTE_W, _DILUTE_W))[:, None, :]
+_CLASSICAL = np.array([[1.0], [1.5], [1.0], [1.0]])  # (n, u, p, dn/deta) / (g e^eta) at a = 0
 
 
-def _dilute(w: np.ndarray) -> np.ndarray:
-    """(n, u, p) / (g e^eta) at w = a e^eta <= 1.
+def _dilute(w: np.ndarray, rows: list[int]) -> np.ndarray:
+    """``rows`` of (n, u, p, dn/deta) / (g e^eta) at w = a e^eta <= 1.
 
     With y = w e^{-x}, each is its classical value less the correction
     (2/sqrt(pi)) Int x^j e^{-x} psi(y) dx, where psi = y/(1 + y) for the
-    density (j = 1/2) and energy (j = 3/2), and 1 - ln(1 + y)/y for the
-    pressure (j = 1/2).  At a = 0 the correction vanishes exactly.
+    density (j = 1/2) and energy (j = 3/2), 1 - ln(1 + y)/y for the
+    pressure (j = 1/2), and y(2 + y)/(1 + y)^2 for dn/deta (j = 1/2).
+    At a = 0 the correction vanishes exactly.
     """
     y = w[:, None] * _DILUTE_E
     occupied = y / (1.0 + y)
-    logged = 1.0 - np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0)
-    return _CLASSICAL - (np.stack((occupied, occupied, logged)) * _DILUTE_W).sum(axis=-1)
+    correction = (lambda: occupied, lambda: occupied,
+                  lambda: 1.0 - np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0),
+                  lambda: occupied * (2.0 + y) / (1.0 + y))
+    corrections = np.stack([correction[i]() for i in rows])
+    return _CLASSICAL[rows] - (corrections * _DILUTE_W[rows]).sum(axis=-1)
 
 
-def _moments(eta, model: OccupancyModel) -> np.ndarray:
-    """Density, energy density and pressure at scalar or 1-D eta.
+def _moments(eta, model: OccupancyModel, rows=(0, 1, 2, 3)) -> np.ndarray:
+    """Density, energy density, pressure and dn/deta (rows 0-3) at scalar or 1-D eta.
 
-    Returns shape (3,) for a scalar, (3, m) for m values.  The shift
-    identity n_{g,a}(eta) = (g/a) n_FD(eta + ln a) reduces every model to
-    one Fermi integral at k = eta + ln a.  For k <= 0, and for the
-    classical model (a = 0), the fugacity-scaled form keeps relative
-    accuracy down to e^eta near the bottom of the double range.
+    Returns the chosen ``rows``: shape (len(rows),) for a scalar,
+    (len(rows), m) for m values.  The shift identity n_{g,a}(eta) =
+    (g/a) n_FD(eta + ln a) reduces every model to one Fermi integral at
+    k = eta + ln a.  For k <= 0, and for the classical model (a = 0), the
+    fugacity-scaled form keeps relative accuracy down to e^eta near the
+    bottom of the double range.  Only the chosen rows are computed and
+    checked for overflow, so a moment that fits a double is returned even
+    when a larger one at the same eta does not.
     """
     flat = np.atleast_1d(np.asarray(eta, dtype=float))
     if flat.ndim != 1 or not np.isfinite(flat).all():
         raise ValueError("eta must be a finite scalar or 1-D array")
     g, a = model.weight, model.blocking
     k = flat + math.log(a) if a > 0.0 else np.full_like(flat, -np.inf)
-    out = np.empty((3, flat.size))
+    rows = list(rows)
+    out = np.empty((len(rows), flat.size))
     dilute = k <= 0.0
-    if dilute.any():
-        with np.errstate(over="ignore", invalid="ignore"):  # a = 0 only; raised below
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        if dilute.any():
             z = np.exp(flat[dilute])
-            out[:, dilute] = g * z * _dilute(a * z)
-    if not dilute.all():
-        out[:, ~dilute] = (g / a) * _degenerate(k[~dilute])
+            out[:, dilute] = g * z * _dilute(a * z, rows)
+        if not dilute.all():
+            out[:, ~dilute] = (g / a) * _degenerate(k[~dilute], rows)
     if not np.isfinite(out).all():  # only the largest eta can overflow
-        raise FugacityOverflowError(f"e^eta overflows a double at eta = {flat.max():g}")
+        raise FugacityOverflowError(f"a moment overflows a double at eta = {flat.max():g}")
     return out if np.ndim(eta) else out[:, 0]
 
 
 def density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced density n lambda^3 at reduced chemical potential eta."""
-    return float(_moments(eta, model)[0])
+    return float(_moments(eta, model, [0])[0])
 
 
 def energy_density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced energy density u = <E> lambda^3 / (V kT)."""
-    return float(_moments(eta, model)[1])
+    return float(_moments(eta, model, [1])[0])
 
 
 def pressure(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced pressure p = P lambda^3 / kT from the grand-potential integral."""
-    return float(_moments(eta, model)[2])
+    return float(_moments(eta, model, [2])[0])
 
 
-def solve_fugacity(
-    n_lambda3: float,
-    model: OccupancyModel = EXCLUSIVE,
-    tolerance: float = 1e-12,
-) -> float:
+# Newton on ln n reaches the 1e-13 step within 5 kernel calls for every
+# n lambda^3 from 1e-300 to 1e300; the cap only stops a runaway iteration
+_NEWTON_STEPS = 50
+
+
+def solve_fugacity(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Invert the density integral: eta such that density(eta) = n lambda^3.
 
-    The bracket is grown by doubling away from the classical estimate
-    eta0 = ln(n lambda^3 / weight), then handed to the bracketed solver.
+    Newton on ln n(eta), with dn/deta from the moment kernel.  It starts
+    from the classical eta = ln(n lambda^3 / g), or from the T = 0 step
+    (3 sqrt(pi)/4 n lambda^3 a/g)^{2/3} - ln a once n lambda^3 a/g > 1.
+    ln n is concave in eta, so after the first step the iterates rise
+    monotonically to the root.
     """
     if not (n_lambda3 > 0 and math.isfinite(n_lambda3)):
         raise ValueError("n_lambda3 must be positive and finite")
+    a = model.blocking
+    target = math.log(n_lambda3)
+    eta = target - math.log(model.weight)
+    if a > 0.0 and eta + math.log(a) > 0.0:
+        eta = math.exp((eta + math.log(0.75 * math.sqrt(math.pi) * a)) / 1.5) - math.log(a)
+    for _ in range(_NEWTON_STEPS):
+        n, slope = _moments(eta, model, [0, 3])
+        step = float((target - math.log(n)) * n / slope)
+        eta += step
+        # rounding in ln n limits each step to ~1e-15 eta; stop above that
+        if abs(step) <= 1e-13 * max(1.0, abs(eta)):
+            return eta
+    raise RootConvergenceError(
+        f"Newton inversion at n lambda^3 = {n_lambda3!r} took over {_NEWTON_STEPS} steps",
+        eta,
+        tuple(sorted((eta - step, eta))),
+    )
 
-    def residual(eta: float) -> float:
-        return density(eta, model) - n_lambda3
 
-    eta0 = math.log(n_lambda3 / model.weight)
-    r0 = residual(eta0)
-    if r0 == 0.0:
-        return eta0
-    sign = math.copysign(1.0, r0)  # +1: eta0 overshoots, so search below it
-    far, step = eta0, 1.0
-    for _ in range(200):
-        far -= sign * step
-        step *= 2.0
-        if sign * residual(far) <= 0.0:
-            break
-    else:
-        raise BracketError(f"no fugacity bracket {'above' if sign < 0 else 'below'} eta0")
-    return find_root(residual, BracketedRootSpec(*sorted((eta0, far)), tolerance, 200))
+def _check_series(name: str, n_lambda3: float) -> None:
+    if n_lambda3 <= 0:
+        raise ValueError("n_lambda3 must be positive")
+    if n_lambda3 > _SERIES_TRUST:
+        warnings.warn(
+            f"{name} series used at n lambda^3 = {n_lambda3:g} > {_SERIES_TRUST}",
+            ValidityWarning,
+            stacklevel=3,
+        )
 
 
 def virial_pressure(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -179,27 +208,13 @@ def virial_pressure(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> floa
     single-occupancy gas carries twice the quantum correction of the
     standard Fermi gas.
     """
-    if n_lambda3 <= 0:
-        raise ValueError("n_lambda3 must be positive")
-    if n_lambda3 > _SERIES_TRUST:
-        warnings.warn(
-            f"virial series used at n lambda^3 = {n_lambda3:g} > {_SERIES_TRUST}",
-            ValidityWarning,
-            stacklevel=2,
-        )
+    _check_series("virial", n_lambda3)
     return 1.0 + (model.blocking / model.weight) * n_lambda3 / (4.0 * math.sqrt(2.0))
 
 
 def fugacity_series(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Companion small-degeneracy series for the fugacity itself."""
-    if n_lambda3 <= 0:
-        raise ValueError("n_lambda3 must be positive")
-    if n_lambda3 > _SERIES_TRUST:
-        warnings.warn(
-            f"fugacity series used at n lambda^3 = {n_lambda3:g} > {_SERIES_TRUST}",
-            ValidityWarning,
-            stacklevel=2,
-        )
+    _check_series("fugacity", n_lambda3)
     x = n_lambda3 / model.weight
     return x * (1.0 + model.blocking * x / (2.0 * math.sqrt(2.0)))
 
@@ -238,11 +253,12 @@ def solve_point(
         fugacity = math.exp(eta)
     except OverflowError:
         raise FugacityOverflowError(f"e^eta overflows a double at eta = {eta:g}") from None
+    n, u, p = _moments(eta, model, [0, 1, 2])
     return ThermoPoint(
         eta=float(eta),
         fugacity=fugacity,
-        n_lambda3=density(eta, model),
-        energy_density=energy_density(eta, model),
-        pressure=pressure(eta, model),
+        n_lambda3=float(n),
+        energy_density=float(u),
+        pressure=float(p),
         model=model,
     )

@@ -64,7 +64,7 @@ def pauli_populations(
 ) -> tuple[float, float]:
     """Spin populations (up, down) per lambda^3, up being the species
     raised by the field.  Exchanging the field sign swaps them exactly."""
-    up, down = 0.5 * _moments(np.array([eta - b_red, eta + b_red]), model)[0]
+    up, down = 0.5 * _moments(np.array([eta - b_red, eta + b_red]), model, [0])[0]
     return float(up), float(down)
 
 
@@ -111,7 +111,7 @@ def landau_partition_ratio(
     degenerate = 0.0
     for start in range(0, levels, _LEVEL_CHUNK):
         n = np.arange(start, min(start + _LEVEL_CHUNK, levels))
-        degenerate += float(_moments(ln_z - s * (2 * n + 1), model)[0].sum())
+        degenerate += float(_moments(ln_z - s * (2 * n + 1), model, [0]).sum())
     decay = math.exp(-s * (2 * levels + 1))
     w = az * decay
     total, k = 0.0, 1

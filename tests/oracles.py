@@ -2,7 +2,10 @@
 
 The package's Gauss-Legendre moments are checked against three other
 routes: dense fixed grids on the occupation law, adaptive QUADPACK
-(the route the package used before), and mpmath's polylogarithm.  The
+(the route the package used before), and mpmath's polylogarithm.  Its
+Newton inversion and analytic heat capacity are checked against the
+bracketed root search and the Richardson-differenced energy they
+replaced.  The
 dense-grid moments use the substitution u = sqrt(x), which removes the
 sqrt(x) kink at the origin: a plain trapezoid on x converges like
 h^{3/2} there and would stall near 1e-7, far above the tolerances these
@@ -17,7 +20,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from xfermi import EXCLUSIVE, OccupancyModel
+from xfermi import EXCLUSIVE, OccupancyModel, density, energy_density
+from xfermi.numerics import BracketedRootSpec, BracketError, find_root
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -56,21 +60,80 @@ def energy_density_oracle(eta: float, model: OccupancyModel = EXCLUSIVE) -> floa
     return (2.0 / math.sqrt(math.pi)) * halfline_moment(1.5, eta, model)
 
 
-def polylog_moments(eta: float, model: OccupancyModel = EXCLUSIVE) -> tuple[float, float, float]:
-    """(n lambda^3, u, p) from mpmath's polylog at 30 digits.
+def polylog_moments(
+    eta: float, model: OccupancyModel = EXCLUSIVE
+) -> tuple[float, float, float, float]:
+    """(n lambda^3, u, p, dn/deta) from mpmath's polylog at 30 digits.
 
     Shift identity: n = (g/a) f_{3/2}(a e^eta), u = (3/2) (g/a) f_{5/2},
-    p = (g/a) f_{5/2}, with f_nu(w) = -Li_nu(-w); the classical model is
-    n = p = g e^eta, u = (3/2) g e^eta.
+    p = (g/a) f_{5/2}, dn/deta = (g/a) f_{1/2}, with f_nu(w) = -Li_nu(-w);
+    the classical model is n = p = dn/deta = g e^eta, u = (3/2) g e^eta.
     """
     g, a = model.weight, model.blocking
     with mpmath.workdps(30):
         if a == 0.0:
             n = g * mpmath.exp(eta)
-            return float(n), float(1.5 * n), float(n)
+            return float(n), float(1.5 * n), float(n), float(n)
         w = -mpmath.exp(mpmath.mpf(eta) + mpmath.log(a))
-        f32, f52 = (-mpmath.re(mpmath.polylog(nu, w)) * g / a for nu in (1.5, 2.5))
-        return float(f32), float(1.5 * f52), float(f52)
+        f12, f32, f52 = (-mpmath.re(mpmath.polylog(nu, w)) * g / a for nu in (0.5, 1.5, 2.5))
+        return float(f32), float(1.5 * f52), float(f52), float(f12)
+
+
+def polylog_heat(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """C/(N k_B) at fixed density, (15/4) f_{5/2}/f_{3/2} - (9/4) f_{3/2}/f_{1/2},
+    at 40 digits, where the two terms cancel to ~3/eta^2 of their size."""
+    with mpmath.workdps(40):
+        w = -mpmath.exp(mpmath.mpf(eta) + mpmath.log(model.blocking))
+        f12, f32, f52 = (-mpmath.re(mpmath.polylog(nu, w)) for nu in (0.5, 1.5, 2.5))
+        return float(3.75 * f52 / f32 - 2.25 * f32 / f12)
+
+
+def bracket_fugacity(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """eta with density(eta) = n lambda^3, by bracket doubling and brentq.
+
+    The route the package used before its Newton inversion: the bracket
+    grows by doubling away from the classical estimate ln(n lambda^3 / g),
+    then ``numerics.find_root`` closes it to 1e-12 in eta.
+    """
+
+    def residual(eta: float) -> float:
+        return density(eta, model) - n_lambda3
+
+    eta0 = math.log(n_lambda3 / model.weight)
+    r0 = residual(eta0)
+    if r0 == 0.0:
+        return eta0
+    sign = math.copysign(1.0, r0)  # +1: eta0 overshoots, so search below it
+    far, step = eta0, 1.0
+    for _ in range(200):
+        far -= sign * step
+        step *= 2.0
+        if sign * residual(far) <= 0.0:
+            break
+    else:
+        raise BracketError(f"no fugacity bracket {'above' if sign < 0 else 'below'} eta0")
+    return find_root(residual, BracketedRootSpec(*sorted((eta0, far)), 1e-12, 200))
+
+
+def richardson_heat(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """c/(k_B t) by centred differences of E/(N E_F) in t at step 1e-3 t,
+    refined once by Richardson.
+
+    The route the package used before its analytic heat capacity; each
+    E/(N E_F) inverts the density through ``bracket_fugacity``.  The
+    differences amplify the inversion error as 1/t^2.
+    """
+
+    def energy_per_particle(tt: float) -> float:
+        target = (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * tt**-1.5
+        return energy_density(bracket_fugacity(target, model), model) / target * tt
+
+    def slope(step: float) -> float:
+        above, below = energy_per_particle(t + step), energy_per_particle(t - step)
+        return (above - below) / (2.0 * step)
+
+    h = 1e-3 * t
+    return (4.0 * slope(0.5 * h) - slope(h)) / 3.0 / t
 
 
 def _log1p_exp(y: float) -> float:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import polylog_moments
-from xfermi import MODELS
-from xfermi.cli import main
+from xfermi import MODELS, eos
+from xfermi.cli import _HANDLERS, main
 
 # the CLI prints 10 significant digits
 CLI_REL = 1e-9
@@ -207,7 +207,14 @@ class TestExitCodes:
         assert "overflows" in err
 
     def test_failed_invariant_reports_numerics_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr("xfermi.eos.pressure", lambda eta, model: 1.0)
+        kernel = eos._moments
+
+        def corrupt_pressure(eta, model, rows=(0, 1, 2, 3)):
+            out = kernel(eta, model)
+            out[2] = 1.0
+            return out[list(rows)]
+
+        monkeypatch.setattr(eos, "_moments", corrupt_pressure)
         code, _, err = run_cli(capsys, "eos", "--eta", "0")
         assert code == 2
         assert err.startswith("xfermi: numerical failure: ")
@@ -275,6 +282,19 @@ class TestPhysicsOutput:
             value, provenance, _ = rows[("-30", quantity)]
             assert provenance == "quadrature"
             assert math.isclose(float(value), expected, rel_tol=CLI_REL)
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_config_tolerance_only_for_sommerfeld(self, capsys, tmp_path, command):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("rel-tol=1e-30\nabs-tol=1e-300\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert out == ""
+        if command == "sommerfeld":  # the one subcommand that reads them
+            assert code == 2
+        else:
+            assert code == 1
+            assert err.startswith("xfermi: usage error: ")
+            assert "--rel-tol" in err
 
     def test_landau_takes_no_quadrature_tolerance(self, capsys):
         code, _, err = run_cli(capsys, "landau", "--rel-tol", "1e-8")

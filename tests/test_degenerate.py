@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import polylog_heat, richardson_heat
 from xfermi import (
     EXCLUSIVE,
     STANDARD_FD,
     REFERENCE_A1,
     REFERENCE_A2,
     REFERENCE_HEAT_COEFFICIENT,
-    StepSizeError,
     ValidityWarning,
     chemical_potential_exact,
     chemical_potential_series,
@@ -246,9 +246,19 @@ class TestHeatCapacity:
     def test_reference_values_are_recorded(self):
         assert REFERENCE_HEAT_COEFFICIENT == {"exclusive": 5.55, "fd": 4.93}
 
-    def test_step_floor(self):
-        with pytest.raises(StepSizeError):
-            specific_heat_exact(0.02, relative_step=1e-7)
+    @pytest.mark.parametrize("t", [5e-5, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 10.0])
+    def test_analytic_heat_matches_polylog(self, t):
+        # the two routes of the library meet at k = eta + ln a = 40 (t ~ 0.025)
+        for model in (EXCLUSIVE, STANDARD_FD):
+            eta = chemical_potential_exact(t, model) / t
+            expected = polylog_heat(eta, model) / t
+            assert math.isclose(specific_heat_exact(t, model), expected, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("t", [0.01, 0.03, 0.1, 0.2])
+    def test_analytic_heat_matches_richardson_oracle(self, t):
+        for model in (EXCLUSIVE, STANDARD_FD):
+            expected = richardson_heat(t, model)
+            assert math.isclose(specific_heat_exact(t, model), expected, rel_tol=1e-6)
 
 
 class TestDegenerateThermodynamics:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import density_oracle, energy_density_oracle, polylog_moments, quad_moment
+from oracles import (
+    bracket_fugacity,
+    density_oracle,
+    energy_density_oracle,
+    polylog_moments,
+    quad_moment,
+)
 from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -25,7 +31,8 @@ from xfermi import (
     solve_point,
     virial_pressure,
 )
-from xfermi.eos import _moments
+from xfermi.eos import FugacityOverflowError, _moments
+from xfermi.numerics import RootConvergenceError
 
 ALL_MODELS = (EXCLUSIVE, STANDARD_FD, BOLTZMANN)
 BLOCKING_MODELS = (EXCLUSIVE, STANDARD_FD)
@@ -38,8 +45,9 @@ DOMAIN = settings(max_examples=80, deadline=None, derandomize=True, database=Non
 
 
 def assert_matches_polylog(eta, model):
-    got = (density(eta, model), energy_density(eta, model), pressure(eta, model))
-    for kind, value, exact in zip(KINDS, got, polylog_moments(eta, model)):
+    got = (density(eta, model), energy_density(eta, model), pressure(eta, model),
+           float(_moments(eta, model, [3])[0]))
+    for kind, value, exact in zip((*KINDS, "dn/deta"), got, polylog_moments(eta, model)):
         assert math.isclose(value, exact, rel_tol=POLYLOG_REL), (kind, eta, model.name)
 
 
@@ -193,6 +201,28 @@ class TestFugacityInversion:
         with pytest.raises(ValueError):
             solve_fugacity(bad)
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_newton_matches_bracket_oracle(self, model):
+        for n_lambda3 in np.geomspace(1e-6, 1e60, 23):
+            eta = solve_fugacity(float(n_lambda3), model)
+            expected = bracket_fugacity(float(n_lambda3), model)
+            assert abs(eta - expected) <= 1e-12 * max(1.0, abs(expected)), n_lambda3
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_density_residual_over_whole_domain(self, model):
+        # the bracket search gave up at n lambda^3 = 1e100, and the
+        # energy row overflowed the whole kernel call past ~1e186
+        for exponent in np.linspace(-300.0, 300.0, 121):
+            n_lambda3 = 10.0**exponent
+            eta = solve_fugacity(n_lambda3, model)
+            assert math.isclose(density(eta, model), n_lambda3, rel_tol=1e-12), n_lambda3
+
+    def test_newton_step_budget_is_a_numerics_error(self, monkeypatch):
+        # a slope that never lets the step shrink
+        monkeypatch.setattr("xfermi.eos._moments", lambda eta, model, rows: np.ones(2))
+        with pytest.raises(RootConvergenceError):
+            solve_fugacity(math.e)
+
 
 class TestVirialSeries:
     def test_quoted_values_at_tenth(self):
@@ -272,6 +302,18 @@ class TestSolvePoint:
             solve_point(EXCLUSIVE, eta=800.0)
         with pytest.raises(NumericsError, match="overflows"):
             pressure(709.5, BOLTZMANN)  # e^eta is finite, 2 e^eta is not
+
+    def test_overflow_is_judged_per_moment(self):
+        # 2 e^709 fits a double, 3 e^709 does not
+        assert density(709.0, BOLTZMANN) == 2.0 * math.exp(709.0)
+        assert pressure(709.0, BOLTZMANN) == 2.0 * math.exp(709.0)
+        with pytest.raises(FugacityOverflowError):
+            energy_density(709.0, BOLTZMANN)
+        # n ~ 1e300 needs eta ~ 1e200, where u ~ eta^{5/2} overflows
+        eta = solve_fugacity(1e300, EXCLUSIVE)
+        assert math.isclose(density(eta, EXCLUSIVE), 1e300, rel_tol=1e-12)
+        with pytest.raises(FugacityOverflowError):
+            energy_density(eta, EXCLUSIVE)
 
     def test_point_validation_rejects_inconsistent_pressure(self):
         with pytest.raises(ValueError, match="p = ") as failure:
