@@ -5,9 +5,10 @@ routes: dense fixed grids on the occupation law, adaptive QUADPACK
 (the route the package used before), and mpmath's polylogarithm.  Its
 Newton inversion and analytic heat capacity are checked against the
 bracketed root search and the Richardson-differenced energy they
-replaced.  The
-dense-grid moments use the substitution u = sqrt(x), which removes the
-sqrt(x) kink at the origin: a plain trapezoid on x converges like
+replaced.
+
+The dense-grid moments use the substitution u = sqrt(x), which removes
+the sqrt(x) kink at the origin: a plain trapezoid on x converges like
 h^{3/2} there and would stall near 1e-7, far above the tolerances these
 oracles are held to.
 """
