@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .degenerate import (
     chemical_potential_series,
     degeneracy_pressure,
     fermi_energy,
-    fermi_scale,
     heat_capacity_series_coefficient,
     mu_series_coefficients,
     sommerfeld_constants,
@@ -63,20 +61,18 @@ from .magnetism import (
     pauli_magnetization,
     small_field_series_factor,
 )
-from .numerics import NumericsError, QuadratureSpec
+from .numerics import NumericsError
 from .occupancy import (
     BOLTZMANN,
     EXCLUSIVE,
     MODELS,
     STANDARD_FD,
-    OccupancyModel,
     occupation,
     thermal_wavelength,
 )
 
 _LONG_HEADER = ["coord", "quantity", "value", "provenance", "statistics"]
-_FORMATS = ("csv", "json", "table")
-_CONFIG_KEYS = ("model", "format", "rel-tol", "abs-tol", "seed", "sweep-scale")
+_COMPARE_HEADER = ["quantity", "exclusive", "fd", "boltzmann", "provenance"]
 
 _CSV_FMT = "%.10g"
 _TABLE_FMT = "%.6g"
@@ -89,16 +85,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through main()
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunContext:
-    fmt: str
-    model: OccupancyModel
-    spec: QuadratureSpec | None  # None: let each routine use its own default
-    sweep: tuple[str, float, float, int] | None
-    sweep_scale: str
-    seed: int
 
 
 def _long(coord, quantity, value, provenance, statistics=None) -> list:
@@ -151,13 +137,14 @@ def _emit(fmt: str, meta: dict, header: list[str], records: list[list], out=None
 
 # ------------------------------------------------------------- resolution
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str) -> list[str]:
+    """The file's ``key=value`` lines as ``--key=value`` tokens for the parser."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    cfg: dict[str, str] = {}
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -165,46 +152,11 @@ def _load_config(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = value.strip()
-    return cfg
+        tokens.append(f"--{key.strip()}={value.strip()}")
+    return tokens
 
 
-def _resolve(args, cfg: dict, key: str, cast, fallback):
-    """Flag beats config file beats built-in default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError:
-            raise UsageError(f"bad config value for {key}: {cfg[key]!r}") from None
-    return fallback
-
-
-def _resolve_seed(args, cfg: dict) -> int:
-    flag = getattr(args, "seed", None)
-    if flag is not None:
-        return flag
-    if "seed" in cfg:
-        try:
-            return int(cfg["seed"])
-        except ValueError:
-            raise UsageError(f"bad config value for seed: {cfg['seed']!r}") from None
-    env = os.environ.get("XFERMI_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"XFERMI_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
-def _sweep_tuple(args) -> tuple[str, float, float, int] | None:
-    raw = getattr(args, "sweep", None)
+def _sweep_tuple(raw) -> tuple[str, float, float, int] | None:
     if raw is None:
         return None
     var, raw_start, raw_stop, raw_points = raw
@@ -217,72 +169,38 @@ def _sweep_tuple(args) -> tuple[str, float, float, int] | None:
     return var, start, stop, points
 
 
-def _context(args) -> RunContext:
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    fmt = _resolve(args, cfg, "format", str, "csv")
-    if fmt not in _FORMATS:
-        raise UsageError(f"unknown format {fmt!r} (choose from {', '.join(_FORMATS)})")
-    model_name = _resolve(args, cfg, "model", str, "exclusive")
-    if model_name not in MODELS:
-        raise UsageError(f"unknown model {model_name!r} (choose from {', '.join(MODELS)})")
-    if not hasattr(args, "rel_tol") and {"rel-tol", "abs-tol"} & cfg.keys():
-        raise UsageError(f"{args.command} takes no --rel-tol or --abs-tol (from --config)")
-    rel = _resolve(args, cfg, "rel-tol", float, None)
-    abs_tol = _resolve(args, cfg, "abs-tol", float, None)
-    if rel is None and abs_tol is None:
-        spec = None
-    else:
-        spec = QuadratureSpec(
-            rel if rel is not None else 1e-10,
-            abs_tol if abs_tol is not None else 1e-14,
-        )
-    scale = _resolve(args, cfg, "sweep-scale", str, "linear")
-    if scale not in ("linear", "log"):
-        raise UsageError(f"unknown sweep scale {scale!r}")
-    return RunContext(
-        fmt=fmt,
-        model=MODELS[model_name],
-        spec=spec,
-        sweep=_sweep_tuple(args),
-        sweep_scale=scale,
-        seed=_resolve_seed(args, cfg),
-    )
-
-
-def _coords(ctx: RunContext, var: str, scalar, default) -> list[float]:
+def _coords(args, var: str, scalar, default) -> list[float]:
     """Coordinate values for the command: one scalar, or the sweep grid."""
-    if ctx.sweep is None:
+    if args.sweep is None:
         if scalar is not None:
             return [float(scalar)]
         if default is None:
             raise UsageError(f"--{var} is required")
         return [float(default)]
-    svar, start, stop, points = ctx.sweep
+    svar, start, stop, points = args.sweep
     if svar != var:
         raise UsageError(f"this command sweeps over {var!r}, not {svar!r}")
     if scalar is not None:
         raise UsageError(f"--{var} conflicts with --sweep {var}")
-    if ctx.sweep_scale == "log":
+    if args.sweep_scale == "log":
         if start <= 0 or stop <= 0:
             raise UsageError("log sweeps need positive endpoints")
         return [float(v) for v in np.geomspace(start, stop, points)]
     return [float(v) for v in np.linspace(start, stop, points)]
 
 
-def _require_blocking(ctx: RunContext, what: str) -> None:
-    if ctx.model.blocking == 0.0:
+def _require_blocking(args, what: str) -> None:
+    if args.model.blocking == 0.0:
         raise UsageError(f"{what} needs a blocking model (exclusive or fd)")
 
 
 # -------------------------------------------------------------- commands
 
-def _cmd_occupation(args, ctx):
-    meta = {"command": "occupation", "model": ctx.model.name}
-    records = [
-        _long(x, "occupation", occupation(x, ctx.model), "closed-form")
-        for x in _coords(ctx, "x", args.x, 0.0)
+def _cmd_occupation(args, meta):
+    return [
+        _long(x, "occupation", occupation(x, args.model), "closed-form")
+        for x in _coords(args, "x", args.x, 0.0)
     ]
-    return meta, _LONG_HEADER, records
 
 
 def _point_rows(coord: float, point, eta_provenance: str) -> list[list]:
@@ -297,8 +215,7 @@ def _point_rows(coord: float, point, eta_provenance: str) -> list[list]:
     ]
 
 
-def _cmd_eos(args, ctx):
-    meta = {"command": "eos", "model": ctx.model.name}
+def _cmd_eos(args, meta):
     records: list[list] = []
     if args.si:
         if args.temperature is None:
@@ -309,8 +226,8 @@ def _cmd_eos(args, ctx):
         meta["temperature"] = args.temperature
         meta["mass"] = mass
         scale = constants.k_B * args.temperature / wavelength**3
-        for n_si in _coords(ctx, "density", args.density, None):
-            point = solve_point(ctx.model, n_lambda3=n_si * wavelength**3)
+        for n_si in _coords(args, "density", args.density, None):
+            point = solve_point(args.model, n_lambda3=n_si * wavelength**3)
             records += [
                 _long(n_si, "eta", point.eta, "quadrature"),
                 _long(n_si, "n_lambda3", point.n_lambda3, "quadrature"),
@@ -320,90 +237,86 @@ def _cmd_eos(args, ctx):
                 _long(n_si, "energy_density_joule_m3",
                       point.energy_density * scale, "quadrature"),
             ]
-        return meta, _LONG_HEADER, records
+        return records
     if args.eta is not None and args.n_lambda3 is not None:
         raise UsageError("give either --eta or --n-lambda3, not both")
-    sweep_var = ctx.sweep[0] if ctx.sweep else None
+    sweep_var = args.sweep[0] if args.sweep else None
     if args.n_lambda3 is not None or sweep_var == "n-lambda3":
-        for x in _coords(ctx, "n-lambda3", args.n_lambda3, None):
-            point = solve_point(ctx.model, n_lambda3=x)
+        for x in _coords(args, "n-lambda3", args.n_lambda3, None):
+            point = solve_point(args.model, n_lambda3=x)
             records += _point_rows(x, point, "quadrature")
     else:
-        for eta in _coords(ctx, "eta", args.eta, 0.0):
-            point = solve_point(ctx.model, eta=eta)
+        for eta in _coords(args, "eta", args.eta, 0.0):
+            point = solve_point(args.model, eta=eta)
             records += _point_rows(eta, point, "closed-form")
-    return meta, _LONG_HEADER, records
+    return records
 
 
-def _cmd_virial(args, ctx):
-    meta = {"command": "virial", "model": ctx.model.name}
+def _cmd_virial(args, meta):
     records: list[list] = []
-    for x in _coords(ctx, "n-lambda3", args.n_lambda3, 0.1):
-        point = solve_point(ctx.model, n_lambda3=x)
+    for x in _coords(args, "n-lambda3", args.n_lambda3, 0.1):
+        point = solve_point(args.model, n_lambda3=x)
         records += [
-            _long(x, "pv_over_nkt_series", virial_pressure(x, ctx.model), "series"),
+            _long(x, "pv_over_nkt_series", virial_pressure(x, args.model), "series"),
             _long(x, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"),
-            _long(x, "fugacity_series", fugacity_series(x, ctx.model), "series"),
+            _long(x, "fugacity_series", fugacity_series(x, args.model), "series"),
             _long(x, "fugacity", point.fugacity, "quadrature"),
         ]
-    return meta, _LONG_HEADER, records
+    return records
 
 
-def _cmd_fermi(args, ctx):
-    _require_blocking(ctx, "the Fermi scale")
-    meta = {"command": "fermi", "model": ctx.model.name}
+def _cmd_fermi(args, meta):
+    _require_blocking(args, "the Fermi scale")
     records: list[list] = []
     if args.si:
         constants = codata()
         mass = args.mass if args.mass is not None else constants.m_e
         meta["mass"] = mass
-        for n_si in _coords(ctx, "density", args.density, None):
+        for n_si in _coords(args, "density", args.density, None):
             # fermi_energy is a pure power law, so feeding an SI density
             # and scaling by hbar^2/m lands in joules
-            e_f = fermi_energy(n_si, ctx.model) * constants.hbar**2 / mass
+            e_f = fermi_energy(n_si, args.model) * constants.hbar**2 / mass
             records += [
                 _long(n_si, "fermi_energy_joule", e_f, "closed-form"),
                 _long(n_si, "fermi_energy_ev", e_f / constants.e_charge, "closed-form"),
                 _long(n_si, "fermi_temperature_kelvin", e_f / constants.k_B, "closed-form"),
                 _long(n_si, "degeneracy_pressure_pascal", 0.4 * n_si * e_f, "closed-form"),
             ]
-        return meta, _LONG_HEADER, records
-    for n in _coords(ctx, "density", args.density, 1.0):
-        scale = fermi_scale(n, ctx.model)
+        return records
+    for n in _coords(args, "density", args.density, 1.0):
+        e_f = fermi_energy(n, args.model)
         records += [
-            _long(n, "fermi_energy", scale.fermi_energy, "closed-form"),
-            _long(n, "fermi_temperature", scale.fermi_temperature, "closed-form"),
-            _long(n, "energy_per_particle", 0.6 * scale.fermi_energy, "closed-form"),
-            _long(n, "degeneracy_pressure",
-                  degeneracy_pressure(n, scale.fermi_energy), "closed-form"),
+            _long(n, "fermi_energy", e_f, "closed-form"),
+            _long(n, "fermi_temperature", e_f, "closed-form"),  # k_B = 1
+            _long(n, "energy_per_particle", 0.6 * e_f, "closed-form"),
+            _long(n, "degeneracy_pressure", degeneracy_pressure(n, e_f), "closed-form"),
         ]
-    return meta, _LONG_HEADER, records
+    return records
 
 
-def _cmd_sommerfeld(args, ctx):
-    _require_blocking(ctx, "the broadened-step moments")
-    a = ctx.model.blocking
-    result = sommerfeld_constants(a) if ctx.spec is None else sommerfeld_constants(a, ctx.spec)
+def _cmd_sommerfeld(args, meta):
+    _require_blocking(args, "the broadened-step moments")
+    a = args.model.blocking
+    result = sommerfeld_constants(a)
     records = [
         _long(a, "a1", result.a1, "quadrature"),
         _long(a, "a1_closed_form", result.closed_form_a1, "closed-form"),
         _long(a, "a2", result.a2, "quadrature"),
         _long(a, "a2_closed_form", result.closed_form_a2, "closed-form"),
     ]
-    if ctx.model is EXCLUSIVE:
+    if args.model is EXCLUSIVE:
         records += [
             _long(a, "a1_reference", REFERENCE_A1, "reference"),
             _long(a, "a2_reference", REFERENCE_A2, "reference"),
         ]
-    meta = {"command": "sommerfeld", "model": ctx.model.name}
-    return meta, _LONG_HEADER, records
+    return records
 
 
-def _cmd_mu_of_t(args, ctx):
-    _require_blocking(ctx, "the chemical-potential expansion")
-    model = ctx.model
+def _cmd_mu_of_t(args, meta):
+    _require_blocking(args, "the chemical-potential expansion")
+    model = args.model
     records: list[list] = []
-    for t in _coords(ctx, "t", args.t, 0.05):
+    for t in _coords(args, "t", args.t, 0.05):
         records += [
             _long(t, "mu_over_ef",
                   chemical_potential_exact(t, model), "quadrature"),
@@ -422,15 +335,14 @@ def _cmd_mu_of_t(args, ctx):
             _long(None, "curvature_reference",
                   9.0 * REFERENCE_A1**2 - REFERENCE_A2 / 2.0, "reference")
         )
-    meta = {"command": "mu-of-t", "model": model.name}
-    return meta, _LONG_HEADER, records
+    return records
 
 
-def _cmd_heat_capacity(args, ctx):
-    _require_blocking(ctx, "the heat-capacity expansion")
-    model = ctx.model
+def _cmd_heat_capacity(args, meta):
+    _require_blocking(args, "the heat-capacity expansion")
+    model = args.model
     records: list[list] = []
-    for t in _coords(ctx, "t", args.t, 0.02):
+    for t in _coords(args, "t", args.t, 0.02):
         records.append(
             _long(t, "heat_coefficient",
                   specific_heat_exact(t, model), "quadrature")
@@ -441,15 +353,13 @@ def _cmd_heat_capacity(args, ctx):
         _long(None, "heat_coefficient_reference",
               REFERENCE_HEAT_COEFFICIENT[model.name], "reference"),
     ]
-    meta = {"command": "heat-capacity", "model": model.name}
-    return meta, _LONG_HEADER, records
+    return records
 
 
-def _cmd_pauli(args, ctx):
-    eta = args.eta if args.eta is not None else 0.0
+def _cmd_pauli(args, meta):
     records: list[list] = []
-    for b in _coords(ctx, "field", args.field, 0.5):
-        result = pauli_magnetization(eta, b, ctx.model)
+    for b in _coords(args, "field", args.field, 0.5):
+        result = pauli_magnetization(args.eta, b, args.model)
         records += [
             _long(b, "n_up", result.n_up, "quadrature"),
             _long(b, "n_down", result.n_down, "quadrature"),
@@ -457,35 +367,35 @@ def _cmd_pauli(args, ctx):
             _long(b, "m_per_particle", result.per_particle, "quadrature"),
             _long(b, "tanh_field", math.tanh(b), "closed-form"),
         ]
-    meta = {"command": "pauli", "model": ctx.model.name, "eta": eta}
-    return meta, _LONG_HEADER, records
+    meta["eta"] = args.eta
+    return records
 
 
-def _cmd_landau(args, ctx):
-    x = args.n_lambda3 if args.n_lambda3 is not None else 0.1
+def _cmd_landau(args, meta):
+    x = args.n_lambda3
     if x <= 0:
         raise UsageError("n_lambda3 must be positive")
-    z = x / ctx.model.weight
+    z = x / args.model.weight
     records: list[list] = []
-    for s in _coords(ctx, "field", args.field, 0.5):
+    for s in _coords(args, "field", args.field, 0.5):
         if s <= 0:
             raise UsageError("field must be positive")
         records += [
-            _long(s, "partition_ratio", landau_partition_ratio(z, s, ctx.model), "series"),
+            _long(s, "partition_ratio", landau_partition_ratio(z, s, args.model), "series"),
             _long(s, "geometric_factor", geometric_level_factor(s), "closed-form"),
             _long(s, "small_field_factor", small_field_series_factor(s), "series"),
         ]
     records += [
-        _long(None, "chi_reduced", landau_susceptibility(x, ctx.model), "series"),
+        _long(None, "chi_reduced", landau_susceptibility(x, args.model), "series"),
         _long(None, "chi_leading_order", -1.0 / 3.0, "closed-form"),
     ]
-    meta = {"command": "landau", "model": ctx.model.name, "n_lambda3": x}
-    return meta, _LONG_HEADER, records
+    meta["n_lambda3"] = x
+    return records
 
 
-def _cmd_star(args, ctx):
+def _cmd_star(args, meta):
     comparison = compare_star_models()
-    records = [
+    return [
         _long(None, "k_nr_ratio", comparison.k_nr_ratio, "closed-form"),
         _long(None, "k_ur_ratio", comparison.k_ur_ratio, "closed-form"),
         _long(1.5, "xi1", comparison.nr_solution.xi1, "ode"),
@@ -497,18 +407,13 @@ def _cmd_star(args, ctx):
         _long(None, "limiting_mass_ratio_closed_form", math.sqrt(2.0), "closed-form"),
         _long(None, "limiting_mass_ratio_reference", REFERENCE_MASS_RATIO, "reference"),
     ]
-    meta = {"command": "star"}
-    return meta, _LONG_HEADER, records
 
 
-def _cmd_oracle(args, ctx):
-    _require_blocking(ctx, "ensemble enumeration")
-    model = ctx.model
-    levels = args.levels if args.levels is not None else 6
-    z = args.fugacity if args.fugacity is not None else 0.5
-    samples = args.samples if args.samples is not None else 100_000
-    rng = np.random.default_rng([ctx.seed, 0])
-    system = LevelSystem(tuple(rng.uniform(0.0, 5.0, levels)), model)
+def _cmd_oracle(args, meta):
+    _require_blocking(args, "ensemble enumeration")
+    model, z = args.model, args.fugacity
+    rng = np.random.default_rng([args.seed, 0])
+    system = LevelSystem(tuple(rng.uniform(0.0, 5.0, args.levels)), model)
     product = grand_partition_product(system, z)
     enumerated = grand_partition_enumerate(system, z)
     occ_enum = mean_occupancies_enumerate(system, z)
@@ -521,28 +426,20 @@ def _cmd_oracle(args, ctx):
         _long(None, "occupancy_gap",
               float(np.max(np.abs(occ_enum - occ_law))), "enumeration"),
     ]
-    for i in range(min(3, levels)):
+    for i in range(min(3, args.levels)):
         energy = system.energies[i]
-        mean, se = mc_occupancy(energy, z, samples, ctx.seed, model, stream=i + 1)
+        mean, se = mc_occupancy(energy, z, args.samples, args.seed, model, stream=i + 1)
         records += [
             _long(energy, "mc_occupancy", mean, "monte-carlo", se),
             _long(energy, "mc_z_score",
                   None if se == 0.0 else (mean - occ_law[i]) / se, "monte-carlo"),
         ]
-    meta = {
-        "command": "oracle",
-        "model": model.name,
-        "levels": levels,
-        "fugacity": z,
-        "samples": samples,
-        "seed": ctx.seed,
-    }
-    return meta, _LONG_HEADER, records
+    meta.update(levels=args.levels, fugacity=z, samples=args.samples, seed=args.seed)
+    return records
 
 
-def _cmd_compare(args, ctx):
-    at = args.at if args.at is not None else 0.0
-    n0 = args.density if args.density is not None else 1.0
+def _cmd_compare(args, meta):
+    at, n0 = args.at, args.density
     if n0 <= 0:
         raise UsageError("--density must be positive")
     models = (EXCLUSIVE, STANDARD_FD, BOLTZMANN)
@@ -564,9 +461,8 @@ def _cmd_compare(args, ctx):
             lambda m: None if m.blocking == 0 else fermi_energy(n0, m),
             "closed-form"),
     ]
-    header = ["quantity", "exclusive", "fd", "boltzmann", "provenance"]
-    meta = {"command": "compare", "at": at, "density": n0}
-    return meta, header, records
+    meta.update(at=at, density=n0)
+    return records
 
 
 _HANDLERS = {
@@ -588,20 +484,28 @@ _HANDLERS = {
 # --------------------------------------------------------------- parser
 
 def _build_parser() -> _Parser:
+    """Every flag, choice and default of every subcommand.
+
+    Coordinate flags that ``--sweep`` can replace default to None; the
+    handler supplies their default, so a flag given next to a sweep of
+    the same coordinate is caught as a conflict.
+    """
     base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
+    base.add_argument("--format", choices=("csv", "json", "table"), default="csv",
+                      help="output format (default %(default)s)")
     base.add_argument("--config", metavar="PATH",
-                      help="key=value file; flags override its entries")
+                      help="file of key=value lines, each read as the flag --key=value; "
+                           "flags on the command line override them")
 
     modeled = argparse.ArgumentParser(add_help=False)
-    modeled.add_argument("--model", choices=tuple(MODELS),
-                         help="occupancy model (default exclusive)")
+    modeled.add_argument("--model", choices=tuple(MODELS), default="exclusive",
+                         help="occupancy model (default %(default)s)")
 
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--sweep", nargs=4, metavar=("VAR", "START", "STOP", "POINTS"),
                        help="evaluate on a grid of the named coordinate")
-    sweep.add_argument("--sweep-scale", choices=("linear", "log"),
-                       help="grid spacing (default linear)")
+    sweep.add_argument("--sweep-scale", choices=("linear", "log"), default="linear",
+                       help="grid spacing (default %(default)s)")
 
     parser = _Parser(
         prog="xfermi",
@@ -635,10 +539,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--si", action="store_true", help="report in SI units")
     p.add_argument("--mass", type=float, help="particle mass in kg (default electron)")
 
-    p = sub.add_parser("sommerfeld", parents=[base, modeled],
-                       help="broadened-step moments A1, A2 vs their closed forms")
-    p.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
-    p.add_argument("--abs-tol", type=float, help="quadrature absolute tolerance")
+    sub.add_parser("sommerfeld", parents=[base, modeled],
+                   help="broadened-step moments A1, A2 vs their closed forms")
 
     p = sub.add_parser("mu-of-t", parents=[base, modeled, sweep],
                        help="chemical potential vs temperature at fixed density")
@@ -650,12 +552,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pauli", parents=[base, modeled, sweep],
                        help="spin magnetization at a reduced field")
-    p.add_argument("--eta", type=float, help="reduced chemical potential (default 0)")
+    p.add_argument("--eta", type=float, default=0.0,
+                   help="reduced chemical potential (default %(default)s)")
     p.add_argument("--field", type=float, help="reduced field mu_B B/kT (default 0.5)")
 
     p = sub.add_parser("landau", parents=[base, modeled, sweep],
                        help="orbital response, Landau levels summed in closed form")
-    p.add_argument("--n-lambda3", type=float, help="degeneracy parameter (default 0.1)")
+    p.add_argument("--n-lambda3", type=float, default=0.1,
+                   help="degeneracy parameter (default %(default)s)")
     p.add_argument("--field", type=float, help="reduced level spacing / 2 (default 0.5)")
 
     sub.add_parser("star", parents=[base],
@@ -663,28 +567,44 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", parents=[base, modeled],
                        help="cross-check closed forms against enumeration and Monte Carlo")
-    p.add_argument("--levels", type=int, help="number of orbital levels (default 6)")
-    p.add_argument("--fugacity", type=float, help="fugacity z (default 0.5)")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples (default 100000)")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--levels", type=int, default=6,
+                   help="number of orbital levels (default %(default)s)")
+    p.add_argument("--fugacity", type=float, default=0.5,
+                   help="fugacity z (default %(default)s)")
+    p.add_argument("--samples", type=int, default=100_000,
+                   help="Monte Carlo samples (default %(default)s)")
+    # a string default goes through type=int, so a bad XFERMI_SEED is a usage error
+    p.add_argument("--seed", type=int, default=os.environ.get("XFERMI_SEED") or "0",
                    help="RNG seed (default: XFERMI_SEED or 0)")
 
     p = sub.add_parser("compare", parents=[base],
                        help="one quantity per row across all occupancy models")
-    p.add_argument("--at", type=float,
-                   help="evaluation point: x for the occupation row, eta otherwise (default 0)")
-    p.add_argument("--density", type=float, help="density for the Fermi row (default 1)")
+    p.add_argument("--at", type=float, default=0.0,
+                   help="evaluation point: x for the occupation row, eta otherwise "
+                        "(default %(default)s)")
+    p.add_argument("--density", type=float, default=1.0,
+                   help="density for the Fermi row (default %(default)s)")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        ctx = _context(args)
-        meta, header, records = _HANDLERS[args.command](args, ctx)
-        _emit(ctx.fmt, meta, header, records)
+        if args.config:
+            # the file's flags go before the command line's, whose last occurrence wins
+            args = parser.parse_args(argv[:1] + _load_config(args.config) + argv[1:])
+        meta = {"command": args.command}
+        if "model" in args:
+            args.model = MODELS[args.model]
+            meta["model"] = args.model.name
+        if "sweep" in args:
+            args.sweep = _sweep_tuple(args.sweep)
+        records = _HANDLERS[args.command](args, meta)
+        header = _COMPARE_HEADER if args.command == "compare" else _LONG_HEADER
+        _emit(args.format, meta, header, records)
     except UsageError as exc:
         print(f"xfermi: usage error: {exc}", file=sys.stderr)
         return 1

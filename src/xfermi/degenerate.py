@@ -62,21 +62,6 @@ def fermi_density(e_f: float, model: OccupancyModel = EXCLUSIVE) -> float:
     return (2.0 / 3.0) * B_REDUCED * model.step_height * e_f**1.5
 
 
-@dataclass(frozen=True)
-class FermiScale:
-    """Characteristic scales of the degenerate gas at a given density."""
-
-    density: float
-    fermi_energy: float
-    fermi_temperature: float
-    model: OccupancyModel
-
-
-def fermi_scale(n: float, model: OccupancyModel = EXCLUSIVE) -> FermiScale:
-    e_f = fermi_energy(n, model)
-    return FermiScale(n, e_f, e_f, model)  # k_B = 1
-
-
 def ground_state_energy(n_particles: float, e_f: float) -> float:
     """Total T = 0 energy, E = (3/5) N E_F."""
     if n_particles <= 0 or e_f <= 0:
@@ -91,11 +76,7 @@ def degeneracy_pressure(n: float, e_f: float) -> float:
     return 0.4 * n * e_f
 
 
-def sommerfeld_moment(
-    order: int,
-    blocking: float = 2.0,
-    spec: QuadratureSpec = _MOMENT_SPEC,
-) -> float:
+def sommerfeld_moment(order: int, blocking: float = 2.0) -> float:
     """Moment A_k = Int x^k e^x/(e^x + a)^2 dx over the real line, by quadrature."""
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -109,8 +90,8 @@ def sommerfeld_moment(
         s = math.exp(0.5 * x) + a * math.exp(-0.5 * x)
         return 1.0 / (s * s)
 
-    positive = integrate_semi_infinite(lambda x: x**order * kernel(x), spec)
-    mirrored = integrate_semi_infinite(lambda y: y**order * kernel(-y), spec)
+    positive = integrate_semi_infinite(lambda x: x**order * kernel(x), _MOMENT_SPEC)
+    mirrored = integrate_semi_infinite(lambda y: y**order * kernel(-y), _MOMENT_SPEC)
     return positive + (-1.0) ** order * mirrored
 
 
@@ -140,11 +121,9 @@ class SommerfeldConstants:
     closed_form_a2: float
 
 
-def sommerfeld_constants(
-    blocking: float = 2.0, spec: QuadratureSpec = _MOMENT_SPEC
-) -> SommerfeldConstants:
-    a1 = sommerfeld_moment(1, blocking, spec)
-    a2 = sommerfeld_moment(2, blocking, spec)
+def sommerfeld_constants(blocking: float = 2.0) -> SommerfeldConstants:
+    a1 = sommerfeld_moment(1, blocking)
+    a2 = sommerfeld_moment(2, blocking)
     cf1 = sommerfeld_moment_closed_form(1, blocking)
     cf2 = sommerfeld_moment_closed_form(2, blocking)
     if abs(a1 - cf1) > 1e-10 or abs(a2 - cf2) > 1e-10:

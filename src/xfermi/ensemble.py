@@ -148,15 +148,6 @@ def mean_occupancies_enumerate(system: LevelSystem, fugacity: float) -> np.ndarr
     return weighted / total
 
 
-def mean_occupancy_enumerate(
-    system: LevelSystem, fugacity: float, level_index: int
-) -> float:
-    """Mean occupancy of one level, from the enumerated ensemble average."""
-    if not 0 <= level_index < len(system.energies):
-        raise IndexError(f"level index {level_index} out of range")
-    return float(mean_occupancies_enumerate(system, fugacity)[level_index])
-
-
 def mc_occupancy(
     energy: float,
     fugacity: float,

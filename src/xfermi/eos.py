@@ -224,7 +224,6 @@ class ThermoPoint:
     """One solved point of the reduced equation of state."""
 
     eta: float
-    fugacity: float
     n_lambda3: float
     energy_density: float
     pressure: float
@@ -233,10 +232,18 @@ class ThermoPoint:
     def __post_init__(self):
         if self.n_lambda3 <= 0 or self.energy_density <= 0 or self.pressure <= 0:
             raise ValueError("thermodynamic quantities must be positive")
-        if abs(self.fugacity - math.exp(self.eta)) > 1e-12 * self.fugacity:
-            raise ValueError("fugacity inconsistent with eta")
         if abs(self.pressure - 2.0 * self.energy_density / 3.0) > 1e-6 * self.pressure:
             raise InvariantError("pressure and energy density violate p = (2/3) u")
+
+    @property
+    def fugacity(self) -> float:
+        """z = e^eta; past eta ~ 709.78 it leaves the double range and raises."""
+        try:
+            return math.exp(self.eta)
+        except OverflowError:
+            raise FugacityOverflowError(
+                f"e^eta overflows a double at eta = {self.eta:g}"
+            ) from None
 
 
 def solve_point(
@@ -249,14 +256,9 @@ def solve_point(
         raise ValueError("give exactly one of eta or n_lambda3")
     if eta is None:
         eta = solve_fugacity(n_lambda3, model)
-    try:
-        fugacity = math.exp(eta)
-    except OverflowError:
-        raise FugacityOverflowError(f"e^eta overflows a double at eta = {eta:g}") from None
     n, u, p = _moments(eta, model, [0, 1, 2])
     return ThermoPoint(
         eta=float(eta),
-        fugacity=fugacity,
         n_lambda3=float(n),
         energy_density=float(u),
         pressure=float(p),

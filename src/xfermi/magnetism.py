@@ -31,6 +31,10 @@ from .occupancy import EXCLUSIVE, OccupancyModel
 MAX_DEGENERATE_LEVELS = 10**6
 _LEVEL_CHUNK = 1024
 
+# fields at which d(log Z)/ds is differenced (steps of 5% of s) before the s -> 0 fit
+_SUSCEPTIBILITY_S = np.array([0.2, 0.1, 0.05, 0.025])
+_RELATIVE_STEP = 0.05
+
 
 class ExtrapolationError(NumericsError):
     """The zero-field extrapolation did not settle."""
@@ -44,14 +48,12 @@ class LevelBudgetError(NumericsError):
 class MagnetizationResult:
     """Spin populations and magnetization, all per lambda^3 of volume.
 
-    ``magnetization`` is in units of mu_B; ``susceptibility`` is the
-    reduced combination chi kT / (mu_B^2 n) when one was computed.
+    ``magnetization`` is in units of mu_B.
     """
 
     n_up: float
     n_down: float
     magnetization: float
-    susceptibility: float | None = None
 
     @property
     def per_particle(self) -> float:
@@ -136,12 +138,7 @@ def small_field_series_factor(s: float) -> float:
     return 1.0 - s * s / 6.0
 
 
-def landau_susceptibility(
-    n_lambda3: float,
-    model: OccupancyModel = EXCLUSIVE,
-    s_values: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025),
-    relative_step: float = 0.05,
-) -> float:
+def landau_susceptibility(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced orbital susceptibility chi kT/(mu_B^2 n), extrapolated to B = 0.
 
     The fugacity is eliminated through the dilute relation
@@ -151,26 +148,23 @@ def landau_susceptibility(
     """
     if n_lambda3 <= 0:
         raise ValueError("n_lambda3 must be positive")
-    if len(s_values) < 2:
-        raise ValueError("need at least two s values to extrapolate")
     z = n_lambda3 / model.weight
 
     def d_ratio(s: float) -> float:
-        h = s * relative_step
+        h = s * _RELATIVE_STEP
         above = landau_partition_ratio(z, s + h, model)
         below = landau_partition_ratio(z, s - h, model)
         return (above - below) / (2.0 * h * s)
 
-    s_arr = np.asarray(s_values, dtype=float)
-    d_arr = np.array([d_ratio(s) for s in s_arr])
+    d_arr = np.array([d_ratio(s) for s in _SUSCEPTIBILITY_S])
 
     def fit_constant(svals: np.ndarray, dvals: np.ndarray) -> float:
         v = (svals / svals.max()) ** 2  # scaled to keep the Vandermonde sane
         coeffs = np.linalg.solve(np.vander(v, len(v)), dvals)
         return float(coeffs[-1])
 
-    chi = fit_constant(s_arr, d_arr)
-    check = fit_constant(s_arr[:-1], d_arr[:-1])
+    chi = fit_constant(_SUSCEPTIBILITY_S, d_arr)
+    check = fit_constant(_SUSCEPTIBILITY_S[:-1], d_arr[:-1])
     if abs(chi - check) > 0.05 * abs(chi):
         raise ExtrapolationError(
             f"zero-field extrapolation unstable: {chi!r} vs {check!r}"

@@ -1,4 +1,4 @@
-"""Occupation law and the reduced gas parameterization.
+"""Occupation law, occupancy models and the thermal wavelength.
 
 The whole package is built around a two-parameter mean occupancy per
 orbital,
@@ -124,55 +124,3 @@ def dos_coefficient(mass: float, constants: PhysicalConstants = REDUCED) -> floa
     if mass <= 0:
         raise ValueError("mass must be positive")
     return (2.0 * mass) ** 1.5 / (4.0 * math.pi**2 * constants.hbar**3)
-
-
-@dataclass(frozen=True)
-class GasParameters:
-    """Dimensional description of a gas, used at the unit-system boundary."""
-
-    mass: float
-    temperature: float
-    chemical_potential: float
-    volume: float = 1.0
-
-    def __post_init__(self):
-        if self.mass <= 0 or self.temperature <= 0 or self.volume <= 0:
-            raise ValueError("mass, temperature and volume must be positive")
-
-    def eta(self, constants: PhysicalConstants = REDUCED) -> float:
-        """Reduced chemical potential mu / (k_B T)."""
-        return self.chemical_potential / (constants.k_B * self.temperature)
-
-    def fugacity(self, constants: PhysicalConstants = REDUCED) -> float:
-        return math.exp(self.eta(constants))
-
-    def wavelength(self, constants: PhysicalConstants = REDUCED) -> float:
-        return thermal_wavelength(self.mass, self.temperature, constants)
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Dimensionless state: eta = mu/kT and the degeneracy parameter n lambda^3."""
-
-    eta: float
-    degeneracy_parameter: float
-
-    def __post_init__(self):
-        if self.degeneracy_parameter <= 0:
-            raise ValueError("degeneracy parameter must be positive")
-
-    @property
-    def fugacity(self) -> float:
-        return math.exp(self.eta)
-
-
-def reduced_state(
-    gas: GasParameters,
-    number_density: float,
-    constants: PhysicalConstants = REDUCED,
-) -> ReducedState:
-    """Collapse dimensional gas parameters onto the reduced description."""
-    if number_density <= 0:
-        raise ValueError("number density must be positive")
-    lam = gas.wavelength(constants)
-    return ReducedState(gas.eta(constants), number_density * lam**3)

@@ -4,15 +4,18 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import polylog_moments
-from xfermi import MODELS, eos
+from xfermi import MODELS, degenerate, eos
 from xfermi.cli import _HANDLERS, main
+from xfermi.numerics import QuadratureError
 
 # the CLI prints 10 significant digits
 CLI_REL = 1e-9
@@ -133,6 +136,73 @@ class TestConfigAndSeed:
         assert code == 1
         assert "shade" in err
 
+    def test_config_syntax_error_names_the_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n\nmodel fd\n")
+        code, _, err = run_cli(capsys, "occupation", "--config", str(cfg))
+        assert code == 1
+        assert f"{cfg}:3: expected key=value" in err
+
+    def test_config_keeps_negative_values(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta = -1.5\n")
+        code, out, _ = run_cli(capsys, "eos", "--config", str(cfg))
+        assert code == 0
+        assert ("-1.5", "eta") in long_rows(out)
+
+    # a config key is the flag of the same name, so a subcommand without
+    # that flag rejects it, as it would the flag itself
+    @pytest.mark.parametrize("command, line", [
+        ("occupation", "seed=5"),
+        ("eos", "seed=5"),
+        ("virial", "field=1"),
+        ("fermi", "t=0.1"),
+        ("sommerfeld", "sweep-scale=log"),
+        ("mu-of-t", "eta=1"),
+        ("heat-capacity", "samples=10"),
+        ("pauli", "n-lambda3=1"),
+        ("landau", "eta=1"),
+        ("star", "model=fd"),
+        ("star", "seed=5"),
+        ("star", "sweep-scale=log"),
+        ("oracle", "sweep-scale=log"),
+        ("compare", "model=fd"),
+    ])
+    def test_config_key_without_a_flag_fails(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: unrecognized arguments: --" + line)
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("eos", "format=xml", "argument --format: invalid choice: 'xml'"),
+        ("eos", "sweep-scale=cubic", "argument --sweep-scale: invalid choice: 'cubic'"),
+        ("oracle", "seed=abc", "argument --seed: invalid int value: 'abc'"),
+    ])
+    def test_bad_config_value_fails(self, capsys, tmp_path, command, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_config_seed_beats_environment(self, capsys, tmp_path, monkeypatch):
+        _, baseline, _ = run_cli(capsys, "oracle", "--samples", "2000", "--seed", "7")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=7\n")
+        monkeypatch.setenv("XFERMI_SEED", "99")
+        _, via_config, _ = run_cli(capsys, "oracle", "--samples", "2000", "--config", str(cfg))
+        assert via_config == baseline
+
+    def test_only_oracle_reads_the_seed_environment_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("XFERMI_SEED", "abc")
+        code, _, err = run_cli(capsys, "oracle", "--samples", "2000")
+        assert code == 1
+        assert "invalid int value: 'abc'" in err
+        code, _, err = run_cli(capsys, "eos", "--eta", "0")
+        assert (code, err) == (0, "")
+
     def test_seed_environment_variable(self, capsys, monkeypatch):
         _, baseline, _ = run_cli(capsys, "oracle", "--samples", "2000", "--seed", "7")
         monkeypatch.setenv("XFERMI_SEED", "7")
@@ -191,12 +261,14 @@ class TestExitCodes:
         assert code == 1
         assert "blocking" in err
 
-    def test_unattainable_tolerance_reports_numerics_failure(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sommerfeld", "--rel-tol", "1e-30", "--abs-tol", "1e-300"
-        )
-        assert code == 2
-        assert err
+    def test_unattainable_tolerance_reports_numerics_failure(self, capsys, monkeypatch):
+        def unattainable(order, blocking=2.0):
+            raise QuadratureError("tolerance not reached", 0.5, 1e-3)
+
+        monkeypatch.setattr(degenerate, "sommerfeld_moment", unattainable)
+        code, out, err = run_cli(capsys, "sommerfeld")
+        assert (code, out) == (2, "")
+        assert err.startswith("xfermi: numerical failure: tolerance not reached")
 
     @pytest.mark.parametrize("model", ["exclusive", "boltzmann"])
     def test_fugacity_overflow_reports_numerics_failure(self, capsys, model):
@@ -229,7 +301,8 @@ class TestExitCodes:
         assert "Landau levels" in err
 
     @pytest.mark.parametrize(
-        "command", ["eos", "virial", "mu-of-t", "heat-capacity", "pauli", "compare"]
+        "command",
+        ["eos", "virial", "mu-of-t", "heat-capacity", "pauli", "compare", "sommerfeld"],
     )
     def test_kernel_commands_take_no_quadrature_tolerance(self, capsys, command):
         code, _, err = run_cli(capsys, command, "--rel-tol", "1e-8")
@@ -288,13 +361,9 @@ class TestPhysicsOutput:
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("rel-tol=1e-30\nabs-tol=1e-300\n")
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
-        assert out == ""
-        if command == "sommerfeld":  # the one subcommand that reads them
-            assert code == 2
-        else:
-            assert code == 1
-            assert err.startswith("xfermi: usage error: ")
-            assert "--rel-tol" in err
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: ")
+        assert "--rel-tol" in err
 
     def test_landau_takes_no_quadrature_tolerance(self, capsys):
         code, _, err = run_cli(capsys, "landau", "--rel-tol", "1e-8")
@@ -327,3 +396,21 @@ class TestPhysicsOutput:
             -math.pi**2 / 12.0,
             rel_tol=1e-9,
         )
+
+
+def _readme_examples():
+    """The ``xfermi ...`` lines of the README's "Examples:" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("xfermi ")]
+
+
+def test_readme_has_examples():  # an empty parametrization would pass silently
+    assert len(_readme_examples()) >= 8
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_example_runs(capsys, line):
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert (code, err) == (0, "")
+    assert out

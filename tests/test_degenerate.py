@@ -20,7 +20,6 @@ from xfermi import (
     energy_density,
     fermi_density,
     fermi_energy,
-    fermi_scale,
     ground_state_energy,
     heat_capacity_series_coefficient,
     mu_series_coefficients,
@@ -63,12 +62,6 @@ class TestFermiScale:
             (2.0 / 3.0) * ground_state_energy(n, e_f),
             rel_tol=1e-15,
         )
-
-    def test_scale_bundle(self):
-        scale = fermi_scale(0.25, STANDARD_FD)
-        assert scale.fermi_temperature == scale.fermi_energy
-        assert scale.density == 0.25
-        assert scale.model is STANDARD_FD
 
     def test_validation(self):
         with pytest.raises(ValueError):

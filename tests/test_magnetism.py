@@ -142,5 +142,3 @@ class TestLandauSusceptibility:
     def test_validation(self):
         with pytest.raises(ValueError):
             landau_susceptibility(0.0)
-        with pytest.raises(ValueError):
-            landau_susceptibility(0.01, s_values=(0.1,))

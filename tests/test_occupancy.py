@@ -11,11 +11,9 @@ from xfermi.occupancy import (
     EXCLUSIVE,
     MODELS,
     STANDARD_FD,
-    GasParameters,
     OccupancyModel,
     dos_coefficient,
     occupation,
-    reduced_state,
     thermal_wavelength,
 )
 
@@ -172,24 +170,3 @@ class TestDosCoefficient:
         assert b * kt**1.5 * lam**3 == pytest.approx(
             2.0 / math.sqrt(math.pi), rel=1e-12
         )
-
-
-class TestReducedState:
-    def test_eta_and_fugacity(self):
-        gas = GasParameters(mass=1.0, temperature=2.0, chemical_potential=3.0)
-        assert gas.eta() == pytest.approx(1.5, rel=1e-15)
-        assert gas.fugacity() == pytest.approx(math.exp(1.5), rel=1e-15)
-
-    def test_reduced_state_degeneracy(self):
-        gas = GasParameters(mass=1.0, temperature=1.0, chemical_potential=0.0)
-        state = reduced_state(gas, number_density=0.3)
-        lam = thermal_wavelength(1.0, 1.0)
-        assert state.eta == 0.0
-        assert state.degeneracy_parameter == pytest.approx(0.3 * lam**3, rel=1e-15)
-        assert state.fugacity == pytest.approx(1.0, rel=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GasParameters(mass=0.0, temperature=1.0, chemical_potential=0.0)
-        with pytest.raises(ValueError):
-            GasParameters(mass=1.0, temperature=-2.0, chemical_potential=0.0)
