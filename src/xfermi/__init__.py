@@ -12,10 +12,7 @@ ODE integration).
 
 from .astro import (
     REFERENCE_MASS_RATIO,
-    LaneEmdenSolution,
-    PolytropeEOS,
     Regime,
-    StellarComparison,
     chandrasekhar_ratio,
     compare_star_models,
     degenerate_polytrope,
@@ -24,16 +21,14 @@ from .astro import (
     polytrope_index,
     white_dwarf_mass,
 )
-from .constants import REDUCED, PhysicalConstants, codata
+from .constants import REDUCED, codata
 from .degenerate import (
     REFERENCE_A1,
     REFERENCE_A2,
     REFERENCE_HEAT_COEFFICIENT,
-    SommerfeldConstants,
     chemical_potential_exact,
     chemical_potential_series,
     degeneracy_pressure,
-    energy_series_factor,
     fermi_density,
     fermi_energy,
     ground_state_energy,
@@ -51,7 +46,6 @@ from .degenerate import (
 )
 from .ensemble import (
     CapacityError,
-    GrandPartition,
     LevelSystem,
     grand_partition_enumerate,
     grand_partition_product,
@@ -69,9 +63,7 @@ from .eos import (
     virial_pressure,
 )
 from .magnetism import (
-    ExtrapolationError,
     LevelBudgetError,
-    MagnetizationResult,
     geometric_level_factor,
     landau_partition_ratio,
     landau_susceptibility,
@@ -79,14 +71,7 @@ from .magnetism import (
     pauli_populations,
     small_field_series_factor,
 )
-from .numerics import (
-    BracketedRootSpec,
-    NumericsError,
-    QuadratureSpec,
-    find_root,
-    integrate_ode,
-    integrate_semi_infinite,
-)
+from .numerics import NumericsError
 from .occupancy import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -94,30 +79,20 @@ from .occupancy import (
     STANDARD_FD,
     OccupancyModel,
     ValidityWarning,
-    dos_coefficient,
     occupation,
-    thermal_wavelength,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BOLTZMANN",
-    "BracketedRootSpec",
     "CapacityError",
     "EXCLUSIVE",
-    "ExtrapolationError",
-    "GrandPartition",
-    "LaneEmdenSolution",
     "LevelBudgetError",
     "LevelSystem",
     "MODELS",
-    "MagnetizationResult",
     "NumericsError",
     "OccupancyModel",
-    "PhysicalConstants",
-    "PolytropeEOS",
-    "QuadratureSpec",
     "REDUCED",
     "REFERENCE_A1",
     "REFERENCE_A2",
@@ -125,8 +100,6 @@ __all__ = [
     "REFERENCE_MASS_RATIO",
     "Regime",
     "STANDARD_FD",
-    "SommerfeldConstants",
-    "StellarComparison",
     "ThermoPoint",
     "ValidityWarning",
     "chandrasekhar_ratio",
@@ -137,21 +110,16 @@ __all__ = [
     "degeneracy_pressure",
     "degenerate_polytrope",
     "density",
-    "dos_coefficient",
     "energy_density",
-    "energy_series_factor",
     "eos_coefficient",
     "fermi_density",
     "fermi_energy",
-    "find_root",
     "fugacity_series",
     "geometric_level_factor",
     "grand_partition_enumerate",
     "grand_partition_product",
     "ground_state_energy",
     "heat_capacity_series_coefficient",
-    "integrate_ode",
-    "integrate_semi_infinite",
     "landau_partition_ratio",
     "landau_susceptibility",
     "lane_emden",
@@ -175,7 +143,6 @@ __all__ = [
     "sommerfeld_moment",
     "sommerfeld_moment_closed_form",
     "specific_heat_exact",
-    "thermal_wavelength",
     "virial_pressure",
     "white_dwarf_mass",
 ]

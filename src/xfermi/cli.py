@@ -8,7 +8,8 @@ cross-checks therefore sit side by side in the output.
 
 Output is deterministic: the same invocation (and, for ``oracle``, the
 same seed) produces byte-identical output, which the test suite relies
-on.  Exit codes: 0 success, 1 usage error, 2 numerical failure.
+on.  Exit codes: 0 success, 1 usage error, 2 numerical failure, 141
+(128 + SIGPIPE) when the reader of stdout goes away.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ def _cmd_landau(args, meta):
             _long(s, "small_field_factor", small_field_series_factor(s), "series"),
         ]
     records += [
-        _long(None, "chi_reduced", landau_susceptibility(x, args.model), "series"),
+        _long(None, "chi_reduced", landau_susceptibility(x, args.model), "quadrature"),
         _long(None, "chi_leading_order", -1.0 / 3.0, "closed-form"),
     ]
     meta["n_lambda3"] = x
@@ -605,6 +606,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         records = _HANDLERS[args.command](args, meta)
         header = _COMPARE_HEADER if args.command == "compare" else _LONG_HEADER
         _emit(args.format, meta, header, records)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away: send the unflushed rest to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"xfermi: usage error: {exc}", file=sys.stderr)
         return 1

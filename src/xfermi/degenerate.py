@@ -9,6 +9,9 @@ The low-T machinery rests on the moments of the thermally broadened step,
     A_k(a) = Int_{-inf}^{inf} x^k e^x / (e^x + a)^2 dx,
 
 which have closed forms A_0 = 1/a, A_1 = ln(a)/a, A_2 = ((ln a)^2 + pi^2/3)/a.
+Since e^x/(e^x + a)^2 = f(1 - f)(x - ln a)/a, with f the Fermi function,
+the numerical route to them is a sum over the Fermi-edge Gauss-Legendre
+nodes that the exact heat capacity also uses.
 Series below are written in the ratios R_k = A_k/A_0; the combinations
 R_2 - R_1^2 = pi^2/3 and (R_1^2 - R_2)/4 = -pi^2/12 are independent of the
 blocking parameter, which is why the linear specific-heat coefficient comes
@@ -25,14 +28,18 @@ import numpy as np
 
 from .constants import REDUCED
 from .eos import _GL_T, _GL_V, _moments, energy_density, pressure, solve_fugacity
-from .numerics import NumericsError, QuadratureSpec, integrate_semi_infinite
+from .numerics import NumericsError
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning, dos_coefficient
 
 # density-of-states coefficient in reduced units
 B_REDUCED = dos_coefficient(1.0, REDUCED)
 
-# moment quadrature needs to beat the 1e-10 closed-form cross-check
-_MOMENT_SPEC = QuadratureSpec(1e-12, 1e-15, 200)
+# the Fermi edge, y = x - k: 20 Gauss-Legendre panels of width 4 over [-40, 40],
+# weighted by f(1 - f) = 1/(4 cosh^2(y/2)), below e^{-40} outside; the step
+# moments use it at every blocking, the heat capacity past k = eta + ln a = 40
+_EDGE = 40.0
+_EDGE_Y = (4.0 * np.arange(-10.0, 10.0)[:, None] + 2.0 * (1.0 + _GL_T)).ravel()
+_EDGE_W = np.tile(2.0 * _GL_V, 20) / (2.0 * np.cosh(0.5 * _EDGE_Y)) ** 2
 
 # series are quoted to second order in t = kT/mu
 _SERIES_TRUST = 0.3
@@ -77,22 +84,18 @@ def degeneracy_pressure(n: float, e_f: float) -> float:
 
 
 def sommerfeld_moment(order: int, blocking: float = 2.0) -> float:
-    """Moment A_k = Int x^k e^x/(e^x + a)^2 dx over the real line, by quadrature."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    """Moment A_k = Int x^k e^x/(e^x + a)^2 dx over the real line, k = 0, 1, 2.
+
+    With x = y + ln a the kernel is f(1 - f)(y)/a, so A_k is the Fermi-edge
+    sum (1/a) Sum (y + ln a)^k w.  The window [-40, 40] drops ~40^k e^{-40},
+    which grows with k, so higher orders are refused like their closed forms.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError("step moments available for orders 0, 1, 2 only")
     a = float(blocking)
     if a <= 0:
         raise ValueError("blocking must be positive")
-
-    def kernel(x: float) -> float:
-        if abs(x) > 600.0:
-            return 0.0
-        s = math.exp(0.5 * x) + a * math.exp(-0.5 * x)
-        return 1.0 / (s * s)
-
-    positive = integrate_semi_infinite(lambda x: x**order * kernel(x), _MOMENT_SPEC)
-    mirrored = integrate_semi_infinite(lambda y: y**order * kernel(-y), _MOMENT_SPEC)
-    return positive + (-1.0) ** order * mirrored
+    return float(((_EDGE_Y + math.log(a)) ** order * _EDGE_W).sum() / a)
 
 
 def sommerfeld_moment_closed_form(order: int, blocking: float = 2.0) -> float:
@@ -228,13 +231,6 @@ def reduced_energy_per_particle(t: float, model: OccupancyModel = EXCLUSIVE) -> 
     """E/(N E_F) at fixed density and reduced temperature t = kT/E_F."""
     target, eta = _fixed_density(t, model)
     return energy_density(eta, model) / target * t
-
-
-# the Fermi edge past k = eta + ln a = 40: y = x - k on 20 Gauss-Legendre panels of
-# width 4 over [-40, 40], weighted by f(1 - f) = 1/(4 cosh^2(y/2)), below e^{-40} outside
-_EDGE = 40.0
-_EDGE_Y = (4.0 * np.arange(-10.0, 10.0)[:, None] + 2.0 * (1.0 + _GL_T)).ravel()
-_EDGE_W = np.tile(2.0 * _GL_V, 20) / (2.0 * np.cosh(0.5 * _EDGE_Y)) ** 2
 
 
 def specific_heat_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:

@@ -11,8 +11,9 @@ Each level's momentum integral is the density integral at eta = ln z -
 s(2n+1), and once a z e^{-s(2n+1)} <= 1/2 the fugacity expansion turns
 the remaining levels into geometric series, so the sum is evaluated in
 closed form; its small-z limit is the geometric factor 1/(2 sinh s).
-The zero-field susceptibility is extracted by differencing log Z in s and
-extrapolating s -> 0, and lands on chi kT/(mu_B^2 n) = -1/3.
+The level sum is a midpoint rule in s, so its s^2 term, and with it the
+zero-field susceptibility, is one dn/deta row of the moment kernel; the
+dilute limit is chi kT/(mu_B^2 n) = -1/3.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ from .occupancy import EXCLUSIVE, OccupancyModel
 # of this many levels (bounded memory), and at most this many in all
 MAX_DEGENERATE_LEVELS = 10**6
 _LEVEL_CHUNK = 1024
-
-# fields at which d(log Z)/ds is differenced (steps of 5% of s) before the s -> 0 fit
-_SUSCEPTIBILITY_S = np.array([0.2, 0.1, 0.05, 0.025])
-_RELATIVE_STEP = 0.05
-
-
-class ExtrapolationError(NumericsError):
-    """The zero-field extrapolation did not settle."""
 
 
 class LevelBudgetError(NumericsError):
@@ -139,34 +132,20 @@ def small_field_series_factor(s: float) -> float:
 
 
 def landau_susceptibility(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Reduced orbital susceptibility chi kT/(mu_B^2 n), extrapolated to B = 0.
+    """Reduced orbital susceptibility chi kT/(mu_B^2 n) at zero field.
 
     The fugacity is eliminated through the dilute relation
-    n lambda^3 = weight * z.  d(log Z)/ds is formed by centered
-    differences at each s, and the sequence is extrapolated to zero field
-    by an exact polynomial fit in s^2.  The dilute limit is -1/3.
+    n lambda^3 = weight * z.  The level sum 2s Sum_n density(ln z - s(2n+1))
+    is a midpoint rule of step 2s for Int_0^inf density(ln z - t) dt = p, so
+    Euler-Maclaurin gives
+
+        ratio(s) = p/(g z) - (s^2/6) (dn/deta)/(g z) + O(s^4),
+
+    up to terms of order e^{-pi^2/s}, all at eta = ln z.  Hence
+    chi = -(dn/deta)/(3 g z) = -(1/3) f_{1/2}(a z)/(a z), exactly -1/3 for
+    the classical model and the dilute limit of the others.
     """
     if n_lambda3 <= 0:
         raise ValueError("n_lambda3 must be positive")
     z = n_lambda3 / model.weight
-
-    def d_ratio(s: float) -> float:
-        h = s * _RELATIVE_STEP
-        above = landau_partition_ratio(z, s + h, model)
-        below = landau_partition_ratio(z, s - h, model)
-        return (above - below) / (2.0 * h * s)
-
-    d_arr = np.array([d_ratio(s) for s in _SUSCEPTIBILITY_S])
-
-    def fit_constant(svals: np.ndarray, dvals: np.ndarray) -> float:
-        v = (svals / svals.max()) ** 2  # scaled to keep the Vandermonde sane
-        coeffs = np.linalg.solve(np.vander(v, len(v)), dvals)
-        return float(coeffs[-1])
-
-    chi = fit_constant(_SUSCEPTIBILITY_S, d_arr)
-    check = fit_constant(_SUSCEPTIBILITY_S[:-1], d_arr[:-1])
-    if abs(chi - check) > 0.05 * abs(chi):
-        raise ExtrapolationError(
-            f"zero-field extrapolation unstable: {chi!r} vs {check!r}"
-        )
-    return chi
+    return -float(_moments(math.log(z), model, [3])[0]) / (3.0 * model.weight * z)

@@ -1,9 +1,14 @@
-"""Shared numerical kernels.
+"""Shared numerical kernels and the typed errors of the package.
 
-Three primitives used throughout the package: adaptive quadrature on the
-half line, bracketed root finding, and ODE integration up to a terminal
-event.  Everything here is a pure function of its arguments, so
-concurrent use needs no locking.
+Three primitives: adaptive quadrature on the half line, bracketed root
+finding, and ODE integration up to a terminal event.  The package itself
+uses only the last (``astro.lane_emden``); its moments, inversions and
+step moments run on fixed Gauss-Legendre nodes.  Quadrature and root
+finding stay as the independent routes of ``tests/oracles.py`` (QUADPACK
+step moments, bracketed fugacity search), and the benchmark's ``--trace``
+mode wraps them, and scipy's ``quad`` and ``brentq`` behind them, by name.
+Everything here is a pure function of its arguments, so concurrent use
+needs no locking.
 """
 
 from __future__ import annotations

@@ -199,9 +199,9 @@ def test_09_pauli_magnetization_saturation_law():
 
 
 def test_10_landau_susceptibility_reaches_dilute_limit():
-    """Zero-field extrapolation of the level sum gives chi kT/(mu_B^2 n)
-    within 1% of -1/3 for both models; the linearized level sum matches
-    the geometric factor 1/(2 sinh s) to 1e-10."""
+    """The closed form -(dn/deta)/(3 g z), the s^2 term of the level sum,
+    gives chi kT/(mu_B^2 n) within 1% of -1/3 for both models; the
+    linearized level sum matches the geometric factor 1/(2 sinh s) to 1e-10."""
     for model in (EXCLUSIVE, STANDARD_FD):
         chi = landau_susceptibility(0.01, model)
         assert math.isclose(chi, -1.0 / 3.0, rel_tol=0.01)

@@ -81,6 +81,21 @@ class TestBasics:
         assert completed.returncode == 0
         assert "0.6666666667" in completed.stdout
 
+    def test_subcommands_leave_scipy_unloaded(self):
+        # every subcommand but star (Lane-Emden on solve_ivp) runs without scipy
+        script = (
+            "import contextlib, io, sys\n"
+            "from xfermi.cli import _HANDLERS, main\n"
+            "for command in sorted(set(_HANDLERS) - {'star'}):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main([command]) == 0, command\n"
+            "    assert 'scipy' not in sys.modules, command\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (completed.returncode, completed.stderr) == (0, "")
+
 
 class TestFormats:
     def test_csv_and_json_agree(self, capsys):
@@ -251,6 +266,15 @@ class TestSweeps:
 
 
 class TestExitCodes:
+    def test_closed_pipe_exits_quietly(self):
+        # about 136 kB of rows, more than the pipe holds, so a write meets the closed end
+        argv = [sys.executable, "-m", "xfermi", "eos", "--sweep", "eta", "-1", "1", "400"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert child.stdout.readline() == b"# command=eos\n"
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (141, b"")
+
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "occupation", "--frequency", "3")
         assert code == 1
@@ -337,7 +361,7 @@ class TestPhysicsOutput:
         assert rows[("", "chi_leading_order")][0] == "-0.3333333333"
         chi = float(rows[("", "chi_reduced")][0])
         assert -0.34 < chi < -0.30
-        assert rows[("", "chi_reduced")][1] == "series"
+        assert rows[("", "chi_reduced")][1] == "quadrature"
         assert rows[("0.5", "partition_ratio")][1] == "series"
         assert {q for _, q in rows} == {
             "partition_ratio", "geometric_factor", "small_field_factor",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import polylog_heat, richardson_heat
+from oracles import polylog_heat, quad_step_moment, richardson_heat
 from xfermi import (
     EXCLUSIVE,
     STANDARD_FD,
@@ -87,14 +87,14 @@ class TestStepMoments:
         assert math.isclose(sommerfeld_moment(2, 1.0), math.pi**2 / 3.0, rel_tol=1e-10)
 
     def test_quadrature_against_closed_forms(self):
-        for a in (0.5, 1.0, 2.0):
+        # the Fermi-edge sums against adaptive QUADPACK and the closed forms
+        for a in (1e-3, 0.5, 1.0, 2.0, 3.0, 1e3):
             for order in (0, 1, 2):
-                assert math.isclose(
-                    sommerfeld_moment(order, a),
-                    sommerfeld_moment_closed_form(order, a),
-                    rel_tol=0,
-                    abs_tol=1e-10,
-                )
+                value = sommerfeld_moment(order, a)
+                # A_1(1) = 0, which the symmetric sum reaches to rounding
+                tol = {"rel_tol": 1e-13, "abs_tol": 1e-15 if (order, a) == (1, 1.0) else 0.0}
+                assert math.isclose(value, quad_step_moment(order, a), **tol)
+                assert math.isclose(value, sommerfeld_moment_closed_form(order, a), **tol)
 
     def test_constants_bundle_matches_quoted_values(self):
         constants = sommerfeld_constants()
@@ -107,6 +107,8 @@ class TestStepMoments:
             sommerfeld_moment(-1)
         with pytest.raises(ValueError):
             sommerfeld_moment(1, 0.0)
+        with pytest.raises(ValueError):
+            sommerfeld_moment(3)
         with pytest.raises(ValueError):
             sommerfeld_moment_closed_form(3)
 

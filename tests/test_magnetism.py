@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import density_oracle, landau_level_sum
+from oracles import density_oracle, extrapolated_susceptibility, landau_level_sum, polylog_moments
 from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
     STANDARD_FD,
-    ExtrapolationError,
     LevelBudgetError,
     density,
     geometric_level_factor,
@@ -138,6 +137,17 @@ class TestLandauSusceptibility:
     def test_response_is_diamagnetic(self):
         for n_lambda3 in (0.005, 0.02, 0.08):
             assert landau_susceptibility(n_lambda3, EXCLUSIVE) < 0.0
+
+    @pytest.mark.parametrize("n_lambda3", [1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3])
+    def test_closed_form_against_polylog_and_extrapolation(self, n_lambda3):
+        # -(1/3) f_{1/2}(a z)/(a z) at 30 digits, and the level sum differenced in
+        # the field and extrapolated to s -> 0; degenerate from n lambda^3 ~ 1 on
+        for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
+            chi = landau_susceptibility(n_lambda3, model)
+            z = n_lambda3 / model.weight
+            slope = polylog_moments(math.log(z), model)[3]
+            assert math.isclose(chi, -slope / (3.0 * model.weight * z), rel_tol=1e-13)
+            assert math.isclose(chi, extrapolated_susceptibility(n_lambda3, model), rel_tol=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
