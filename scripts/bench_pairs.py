@@ -8,10 +8,11 @@
 ``first-seed + i`` with the benchmark's default run length, the parent
 first on even i and the change first on odd i.  Each run's JSON result
 line is kept; per side the script records the median and quartiles of
-every end-to-end metric, and per metric how many pairs the change won.
-``--trace 1`` runs one traced pair instead and keeps the per-layer
-metrics.  Results for other workloads already in ``--out`` are kept, so
-one file collects all workloads.
+every end-to-end metric that the change checkout's ``BENCHMARK.json``
+declares, and per metric how many pairs the change won in the declared
+direction.  ``--trace 1`` runs one traced pair instead and keeps the
+per-layer metrics.  Results for other workloads already in ``--out`` are
+kept, so one file collects all workloads.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-# the end-to-end metrics of BENCHMARK.json, and which way is better
-HIGHER_IS_BETTER = {"ops_per_s": True, "latency_p50_ms": False, "latency_tail_ms": False,
-                    "setup_s": False, "peak_rss_mb": False}
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -46,9 +43,11 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarise(pairs: list[dict]) -> dict:
+def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Quartiles and change wins of each ``end_to_end`` metric of BENCHMARK.json."""
     out = {}
-    for metric, higher in HIGHER_IS_BETTER.items():
+    for spec in end_to_end:
+        metric, higher = spec["name"], spec["better"] == "higher"
         parent = [p["parent"]["result"]["metrics"][metric]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][metric]["value"] for p in pairs]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
@@ -83,7 +82,8 @@ def main() -> int:
     key = args.workload + (" traced" if args.trace else "")
     entry = {"pairs": pairs}
     if not args.trace:
-        entry["end_to_end"] = summarise(pairs)
+        declared = json.loads((args.change / "BENCHMARK.json").read_text())
+        entry["end_to_end"] = summarise(pairs, declared["end_to_end"])
     bench.setdefault("workloads", {})[key] = entry
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0

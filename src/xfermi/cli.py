@@ -88,10 +88,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _long(coord, quantity, value, provenance, statistics=None) -> list:
-    return [coord, quantity, value, provenance, statistics]
-
-
 # ---------------------------------------------------------------- output
 
 def _cell(value, fmt: str) -> str:
@@ -157,28 +153,22 @@ def _load_config(path: str) -> list[str]:
     return tokens
 
 
-def _sweep_tuple(raw) -> tuple[str, float, float, int] | None:
-    if raw is None:
-        return None
-    var, raw_start, raw_stop, raw_points = raw
+def _coords(args, var: str, default=None) -> list[float]:
+    """Values of the coordinate flag ``--var``: its one value, or the ``--sweep`` grid."""
+    scalar = getattr(args, var.replace("-", "_"))
+    if args.sweep is None:
+        if scalar is not None:
+            return [scalar]
+        if default is None:
+            raise UsageError(f"--{var} is required")
+        return [float(default)]
+    svar, raw_start, raw_stop, raw_points = args.sweep
     try:
         start, stop, points = float(raw_start), float(raw_stop), int(raw_points)
     except ValueError as exc:
         raise UsageError(f"bad --sweep argument: {exc}") from None
     if points < 2:
         raise UsageError("--sweep needs at least 2 points")
-    return var, start, stop, points
-
-
-def _coords(args, var: str, scalar, default) -> list[float]:
-    """Coordinate values for the command: one scalar, or the sweep grid."""
-    if args.sweep is None:
-        if scalar is not None:
-            return [float(scalar)]
-        if default is None:
-            raise UsageError(f"--{var} is required")
-        return [float(default)]
-    svar, start, stop, points = args.sweep
     if svar != var:
         raise UsageError(f"this command sweeps over {var!r}, not {svar!r}")
     if scalar is not None:
@@ -195,224 +185,183 @@ def _require_blocking(args, what: str) -> None:
         raise UsageError(f"{what} needs a blocking model (exclusive or fd)")
 
 
+def _refuse(args, flags: Sequence[str], reason: str) -> None:
+    """Usage error for the first of ``flags`` given, which this run would ignore."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is not None:
+            raise UsageError(f"--{flag} {reason}")
+
+
+def _si_mass(args, meta):
+    """CODATA constants and the particle mass of an --si run (default electron)."""
+    constants = codata()
+    meta["mass"] = constants.m_e if args.mass is None else args.mass
+    return constants, meta["mass"]
+
+
 # -------------------------------------------------------------- commands
+# Each handler yields rows (coord, quantity, value, provenance[, statistics]),
+# or the compare header's columns, and may add meta lines.
 
 def _cmd_occupation(args, meta):
-    return [
-        _long(x, "occupation", occupation(x, args.model), "closed-form")
-        for x in _coords(args, "x", args.x, 0.0)
-    ]
+    for x in _coords(args, "x", 0.0):
+        yield x, "occupation", occupation(x, args.model), "closed-form"
 
 
-def _point_rows(coord: float, point, eta_provenance: str) -> list[list]:
-    return [
-        _long(coord, "eta", point.eta, eta_provenance),
-        _long(coord, "fugacity", point.fugacity, eta_provenance),
-        _long(coord, "n_lambda3", point.n_lambda3, "quadrature"),
-        _long(coord, "energy_density", point.energy_density, "quadrature"),
-        _long(coord, "pressure", point.pressure, "quadrature"),
-        _long(coord, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"),
-        _long(coord, "u_per_particle", point.energy_density / point.n_lambda3, "quadrature"),
-    ]
+def _point_rows(coord: float, point, eta_provenance: str):
+    yield coord, "eta", point.eta, eta_provenance
+    yield coord, "fugacity", point.fugacity, eta_provenance
+    yield coord, "n_lambda3", point.n_lambda3, "quadrature"
+    yield coord, "energy_density", point.energy_density, "quadrature"
+    yield coord, "pressure", point.pressure, "quadrature"
+    yield coord, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"
+    yield coord, "u_per_particle", point.energy_density / point.n_lambda3, "quadrature"
 
 
 def _cmd_eos(args, meta):
-    records: list[list] = []
     if args.si:
+        _refuse(args, ("eta", "n-lambda3"), "does not apply with --si")
         if args.temperature is None:
             raise UsageError("--si needs --temperature (kelvin)")
-        constants = codata()
-        mass = args.mass if args.mass is not None else constants.m_e
-        wavelength = thermal_wavelength(mass, args.temperature, constants)
-        meta["temperature"] = args.temperature
-        meta["mass"] = mass
-        scale = constants.k_B * args.temperature / wavelength**3
-        for n_si in _coords(args, "density", args.density, None):
+        meta["temperature"] = temperature = args.temperature
+        constants, mass = _si_mass(args, meta)
+        wavelength = thermal_wavelength(mass, temperature, constants)
+        scale = constants.k_B * temperature / wavelength**3
+        for n_si in _coords(args, "density"):
             point = solve_point(args.model, n_lambda3=n_si * wavelength**3)
-            records += [
-                _long(n_si, "eta", point.eta, "quadrature"),
-                _long(n_si, "n_lambda3", point.n_lambda3, "quadrature"),
-                _long(n_si, "chemical_potential_joule",
-                      point.eta * constants.k_B * args.temperature, "quadrature"),
-                _long(n_si, "pressure_pascal", point.pressure * scale, "quadrature"),
-                _long(n_si, "energy_density_joule_m3",
-                      point.energy_density * scale, "quadrature"),
-            ]
-        return records
-    if args.eta is not None and args.n_lambda3 is not None:
+            mu = point.eta * constants.k_B * temperature
+            yield n_si, "eta", point.eta, "quadrature"
+            yield n_si, "n_lambda3", point.n_lambda3, "quadrature"
+            yield n_si, "chemical_potential_joule", mu, "quadrature"
+            yield n_si, "pressure_pascal", point.pressure * scale, "quadrature"
+            yield n_si, "energy_density_joule_m3", point.energy_density * scale, "quadrature"
+        return
+    _refuse(args, ("density", "temperature", "mass"), "needs --si")
+    if args.n_lambda3 is None and (args.sweep or [None])[0] != "n-lambda3":
+        for eta in _coords(args, "eta", 0.0):
+            yield from _point_rows(eta, solve_point(args.model, eta=eta), "closed-form")
+    elif args.eta is not None:
         raise UsageError("give either --eta or --n-lambda3, not both")
-    sweep_var = args.sweep[0] if args.sweep else None
-    if args.n_lambda3 is not None or sweep_var == "n-lambda3":
-        for x in _coords(args, "n-lambda3", args.n_lambda3, None):
-            point = solve_point(args.model, n_lambda3=x)
-            records += _point_rows(x, point, "quadrature")
     else:
-        for eta in _coords(args, "eta", args.eta, 0.0):
-            point = solve_point(args.model, eta=eta)
-            records += _point_rows(eta, point, "closed-form")
-    return records
+        for x in _coords(args, "n-lambda3"):
+            yield from _point_rows(x, solve_point(args.model, n_lambda3=x), "quadrature")
 
 
 def _cmd_virial(args, meta):
-    records: list[list] = []
-    for x in _coords(args, "n-lambda3", args.n_lambda3, 0.1):
+    for x in _coords(args, "n-lambda3", 0.1):
         point = solve_point(args.model, n_lambda3=x)
-        records += [
-            _long(x, "pv_over_nkt_series", virial_pressure(x, args.model), "series"),
-            _long(x, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"),
-            _long(x, "fugacity_series", fugacity_series(x, args.model), "series"),
-            _long(x, "fugacity", point.fugacity, "quadrature"),
-        ]
-    return records
+        yield x, "pv_over_nkt_series", virial_pressure(x, args.model), "series"
+        yield x, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"
+        yield x, "fugacity_series", fugacity_series(x, args.model), "series"
+        yield x, "fugacity", point.fugacity, "quadrature"
 
 
 def _cmd_fermi(args, meta):
     _require_blocking(args, "the Fermi scale")
-    records: list[list] = []
     if args.si:
-        constants = codata()
-        mass = args.mass if args.mass is not None else constants.m_e
-        meta["mass"] = mass
-        for n_si in _coords(args, "density", args.density, None):
+        constants, mass = _si_mass(args, meta)
+        for n_si in _coords(args, "density"):
             # fermi_energy is a pure power law, so feeding an SI density
             # and scaling by hbar^2/m lands in joules
             e_f = fermi_energy(n_si, args.model) * constants.hbar**2 / mass
-            records += [
-                _long(n_si, "fermi_energy_joule", e_f, "closed-form"),
-                _long(n_si, "fermi_energy_ev", e_f / constants.e_charge, "closed-form"),
-                _long(n_si, "fermi_temperature_kelvin", e_f / constants.k_B, "closed-form"),
-                _long(n_si, "degeneracy_pressure_pascal", 0.4 * n_si * e_f, "closed-form"),
-            ]
-        return records
-    for n in _coords(args, "density", args.density, 1.0):
+            yield n_si, "fermi_energy_joule", e_f, "closed-form"
+            yield n_si, "fermi_energy_ev", e_f / constants.e_charge, "closed-form"
+            yield n_si, "fermi_temperature_kelvin", e_f / constants.k_B, "closed-form"
+            yield n_si, "degeneracy_pressure_pascal", 0.4 * n_si * e_f, "closed-form"
+        return
+    _refuse(args, ("mass",), "needs --si")
+    for n in _coords(args, "density", 1.0):
         e_f = fermi_energy(n, args.model)
-        records += [
-            _long(n, "fermi_energy", e_f, "closed-form"),
-            _long(n, "fermi_temperature", e_f, "closed-form"),  # k_B = 1
-            _long(n, "energy_per_particle", 0.6 * e_f, "closed-form"),
-            _long(n, "degeneracy_pressure", degeneracy_pressure(n, e_f), "closed-form"),
-        ]
-    return records
+        yield n, "fermi_energy", e_f, "closed-form"
+        yield n, "fermi_temperature", e_f, "closed-form"  # k_B = 1
+        yield n, "energy_per_particle", 0.6 * e_f, "closed-form"
+        yield n, "degeneracy_pressure", degeneracy_pressure(n, e_f), "closed-form"
 
 
 def _cmd_sommerfeld(args, meta):
     _require_blocking(args, "the broadened-step moments")
     a = args.model.blocking
     result = sommerfeld_constants(a)
-    records = [
-        _long(a, "a1", result.a1, "quadrature"),
-        _long(a, "a1_closed_form", result.closed_form_a1, "closed-form"),
-        _long(a, "a2", result.a2, "quadrature"),
-        _long(a, "a2_closed_form", result.closed_form_a2, "closed-form"),
-    ]
+    yield a, "a1", result.a1, "quadrature"
+    yield a, "a1_closed_form", result.closed_form_a1, "closed-form"
+    yield a, "a2", result.a2, "quadrature"
+    yield a, "a2_closed_form", result.closed_form_a2, "closed-form"
     if args.model is EXCLUSIVE:
-        records += [
-            _long(a, "a1_reference", REFERENCE_A1, "reference"),
-            _long(a, "a2_reference", REFERENCE_A2, "reference"),
-        ]
-    return records
+        yield a, "a1_reference", REFERENCE_A1, "reference"
+        yield a, "a2_reference", REFERENCE_A2, "reference"
 
 
 def _cmd_mu_of_t(args, meta):
     _require_blocking(args, "the chemical-potential expansion")
     model = args.model
-    records: list[list] = []
-    for t in _coords(args, "t", args.t, 0.05):
-        records += [
-            _long(t, "mu_over_ef",
-                  chemical_potential_exact(t, model), "quadrature"),
-            _long(t, "mu_over_ef_series",
-                  chemical_potential_series(t, model), "series"),
-        ]
+    for t in _coords(args, "t", 0.05):
+        yield t, "mu_over_ef", chemical_potential_exact(t, model), "quadrature"
+        yield t, "mu_over_ef_series", chemical_potential_series(t, model), "series"
     slope, curvature = mu_series_coefficients(model)
-    records += [
-        _long(None, "slope_coefficient", slope, "closed-form"),
-        _long(None, "curvature_coefficient", curvature, "closed-form"),
-    ]
+    yield None, "slope_coefficient", slope, "closed-form"
+    yield None, "curvature_coefficient", curvature, "closed-form"
     if model is EXCLUSIVE:
         # quoted second-order constant, kept for comparison with the
         # closed form above (which is -pi^2/12)
-        records.append(
-            _long(None, "curvature_reference",
-                  9.0 * REFERENCE_A1**2 - REFERENCE_A2 / 2.0, "reference")
-        )
-    return records
+        yield (None, "curvature_reference",
+               9.0 * REFERENCE_A1**2 - REFERENCE_A2 / 2.0, "reference")
 
 
 def _cmd_heat_capacity(args, meta):
     _require_blocking(args, "the heat-capacity expansion")
     model = args.model
-    records: list[list] = []
-    for t in _coords(args, "t", args.t, 0.02):
-        records.append(
-            _long(t, "heat_coefficient",
-                  specific_heat_exact(t, model), "quadrature")
-        )
-    records += [
-        _long(None, "heat_coefficient_limit",
-              heat_capacity_series_coefficient(model), "closed-form"),
-        _long(None, "heat_coefficient_reference",
-              REFERENCE_HEAT_COEFFICIENT[model.name], "reference"),
-    ]
-    return records
+    for t in _coords(args, "t", 0.02):
+        yield t, "heat_coefficient", specific_heat_exact(t, model), "quadrature"
+    yield (None, "heat_coefficient_limit",
+           heat_capacity_series_coefficient(model), "closed-form")
+    yield (None, "heat_coefficient_reference",
+           REFERENCE_HEAT_COEFFICIENT[model.name], "reference")
 
 
 def _cmd_pauli(args, meta):
-    records: list[list] = []
-    for b in _coords(args, "field", args.field, 0.5):
-        result = pauli_magnetization(args.eta, b, args.model)
-        records += [
-            _long(b, "n_up", result.n_up, "quadrature"),
-            _long(b, "n_down", result.n_down, "quadrature"),
-            _long(b, "magnetization", result.magnetization, "quadrature"),
-            _long(b, "m_per_particle", result.per_particle, "quadrature"),
-            _long(b, "tanh_field", math.tanh(b), "closed-form"),
-        ]
     meta["eta"] = args.eta
-    return records
+    for b in _coords(args, "field", 0.5):
+        result = pauli_magnetization(args.eta, b, args.model)
+        yield b, "n_up", result.n_up, "quadrature"
+        yield b, "n_down", result.n_down, "quadrature"
+        yield b, "magnetization", result.magnetization, "quadrature"
+        yield b, "m_per_particle", result.per_particle, "quadrature"
+        yield b, "tanh_field", math.tanh(b), "closed-form"
 
 
 def _cmd_landau(args, meta):
     x = args.n_lambda3
     if x <= 0:
         raise UsageError("n_lambda3 must be positive")
+    meta["n_lambda3"] = x
     z = x / args.model.weight
-    records: list[list] = []
-    for s in _coords(args, "field", args.field, 0.5):
+    for s in _coords(args, "field", 0.5):
         if s <= 0:
             raise UsageError("field must be positive")
-        records += [
-            _long(s, "partition_ratio", landau_partition_ratio(z, s, args.model), "series"),
-            _long(s, "geometric_factor", geometric_level_factor(s), "closed-form"),
-            _long(s, "small_field_factor", small_field_series_factor(s), "series"),
-        ]
-    records += [
-        _long(None, "chi_reduced", landau_susceptibility(x, args.model), "quadrature"),
-        _long(None, "chi_leading_order", -1.0 / 3.0, "closed-form"),
-    ]
-    meta["n_lambda3"] = x
-    return records
+        yield s, "partition_ratio", landau_partition_ratio(z, s, args.model), "series"
+        yield s, "geometric_factor", geometric_level_factor(s), "closed-form"
+        yield s, "small_field_factor", small_field_series_factor(s), "series"
+    yield None, "chi_reduced", landau_susceptibility(x, args.model), "quadrature"
+    yield None, "chi_leading_order", -1.0 / 3.0, "closed-form"
 
 
 def _cmd_star(args, meta):
     comparison = compare_star_models()
-    return [
-        _long(None, "k_nr_ratio", comparison.k_nr_ratio, "closed-form"),
-        _long(None, "k_ur_ratio", comparison.k_ur_ratio, "closed-form"),
-        _long(1.5, "xi1", comparison.nr_solution.xi1, "ode"),
-        _long(1.5, "mass_integral", comparison.nr_solution.mass_integral, "ode"),
-        _long(3.0, "xi1", comparison.ur_solution.xi1, "ode"),
-        _long(3.0, "mass_integral", comparison.ur_solution.mass_integral, "ode"),
-        _long(None, "nr_mass_ratio", comparison.nr_mass_ratio, "ode"),
-        _long(None, "limiting_mass_ratio", comparison.limiting_mass_ratio, "ode"),
-        _long(None, "limiting_mass_ratio_closed_form", math.sqrt(2.0), "closed-form"),
-        _long(None, "limiting_mass_ratio_reference", REFERENCE_MASS_RATIO, "reference"),
-    ]
+    yield None, "k_nr_ratio", comparison.k_nr_ratio, "closed-form"
+    yield None, "k_ur_ratio", comparison.k_ur_ratio, "closed-form"
+    for solution in (comparison.nr_solution, comparison.ur_solution):
+        yield solution.index, "xi1", solution.xi1, "ode"
+        yield solution.index, "mass_integral", solution.mass_integral, "ode"
+    yield None, "nr_mass_ratio", comparison.nr_mass_ratio, "ode"
+    yield None, "limiting_mass_ratio", comparison.limiting_mass_ratio, "ode"
+    yield None, "limiting_mass_ratio_closed_form", math.sqrt(2.0), "closed-form"
+    yield None, "limiting_mass_ratio_reference", REFERENCE_MASS_RATIO, "reference"
 
 
 def _cmd_oracle(args, meta):
     _require_blocking(args, "ensemble enumeration")
     model, z = args.model, args.fugacity
+    meta.update(levels=args.levels, fugacity=z, samples=args.samples, seed=args.seed)
     rng = np.random.default_rng([args.seed, 0])
     system = LevelSystem(tuple(rng.uniform(0.0, 5.0, args.levels)), model)
     product = grand_partition_product(system, z)
@@ -421,49 +370,36 @@ def _cmd_oracle(args, meta):
     occ_law = np.array(
         [occupation(e - math.log(z), model) for e in system.energies]
     )
-    records = [
-        _long(None, "log_partition_gap",
-              abs(product.log_value - math.log(enumerated)), "enumeration"),
-        _long(None, "occupancy_gap",
-              float(np.max(np.abs(occ_enum - occ_law))), "enumeration"),
-    ]
-    for i in range(min(3, args.levels)):
-        energy = system.energies[i]
+    yield (None, "log_partition_gap",
+           abs(product.log_value - math.log(enumerated)), "enumeration")
+    yield (None, "occupancy_gap",
+           float(np.max(np.abs(occ_enum - occ_law))), "enumeration")
+    for i, energy in enumerate(system.energies[:3]):
         mean, se = mc_occupancy(energy, z, args.samples, args.seed, model, stream=i + 1)
-        records += [
-            _long(energy, "mc_occupancy", mean, "monte-carlo", se),
-            _long(energy, "mc_z_score",
-                  None if se == 0.0 else (mean - occ_law[i]) / se, "monte-carlo"),
-        ]
-    meta.update(levels=args.levels, fugacity=z, samples=args.samples, seed=args.seed)
-    return records
+        yield energy, "mc_occupancy", mean, "monte-carlo", se
+        yield (energy, "mc_z_score",
+               None if se == 0.0 else (mean - occ_law[i]) / se, "monte-carlo")
 
 
 def _cmd_compare(args, meta):
     at, n0 = args.at, args.density
     if n0 <= 0:
         raise UsageError("--density must be positive")
-    models = (EXCLUSIVE, STANDARD_FD, BOLTZMANN)
-
-    def row(quantity: str, fn, provenance: str) -> list:
-        return [quantity, *(fn(m) for m in models), provenance]
-
-    records = [
-        row("occupation", lambda m: occupation(at, m), "closed-form"),
-        row("density", lambda m: density(at, m), "quadrature"),
-        row("energy_density", lambda m: energy_density(at, m), "quadrature"),
-        row("pressure", lambda m: pressure(at, m), "quadrature"),
-        row("virial_coefficient",
-            lambda m: m.blocking / (m.weight * 4.0 * math.sqrt(2.0)), "closed-form"),
-        row("heat_coefficient",
-            lambda m: None if m.blocking == 0 else heat_capacity_series_coefficient(m),
-            "closed-form"),
-        row("fermi_energy",
-            lambda m: None if m.blocking == 0 else fermi_energy(n0, m),
-            "closed-form"),
-    ]
     meta.update(at=at, density=n0)
-    return records
+    for quantity, fn, provenance in (
+        ("occupation", lambda m: occupation(at, m), "closed-form"),
+        ("density", lambda m: density(at, m), "quadrature"),
+        ("energy_density", lambda m: energy_density(at, m), "quadrature"),
+        ("pressure", lambda m: pressure(at, m), "quadrature"),
+        ("virial_coefficient",
+         lambda m: m.blocking / (m.weight * 4.0 * math.sqrt(2.0)), "closed-form"),
+        ("heat_coefficient",
+         lambda m: None if m.blocking == 0 else heat_capacity_series_coefficient(m),
+         "closed-form"),
+        ("fermi_energy",
+         lambda m: None if m.blocking == 0 else fermi_energy(n0, m), "closed-form"),
+    ):
+        yield quantity, *(fn(m) for m in (EXCLUSIVE, STANDARD_FD, BOLTZMANN)), provenance
 
 
 _HANDLERS = {
@@ -601,10 +537,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "model" in args:
             args.model = MODELS[args.model]
             meta["model"] = args.model.name
-        if "sweep" in args:
-            args.sweep = _sweep_tuple(args.sweep)
-        records = _HANDLERS[args.command](args, meta)
         header = _COMPARE_HEADER if args.command == "compare" else _LONG_HEADER
+        # all rows before the first byte, so an error leaves stdout empty
+        records = [[*row] + [None] * (len(header) - len(row))
+                   for row in _HANDLERS[args.command](args, meta)]
         _emit(args.format, meta, header, records)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except BrokenPipeError:

@@ -21,10 +21,6 @@ import numpy as np
 
 from .constants import REDUCED, PhysicalConstants
 
-# beyond this the law is replaced by its asymptotic branches
-_ASYMPTOTIC_X = 700.0
-
-
 class ValidityWarning(UserWarning):
     """A result was requested outside its series' trusted range."""
 
@@ -62,46 +58,20 @@ MODELS: dict[str, OccupancyModel] = {
 }
 
 
-def _occupation_scalar(x: float, model: OccupancyModel) -> float:
-    g = model.weight
-    a = model.blocking
-    if a == 0.0:
-        if x <= -709.0:  # exp overflows; the classical law genuinely diverges
-            return math.inf
-        return g * math.exp(-x)
-    if x <= -_ASYMPTOTIC_X:
-        return g / a
-    if x >= 0.0:
-        w = math.exp(-x)  # <= 1, underflows harmlessly to 0 for x >~ 745
-        return g * w / (1.0 + a * w)
-    return g / (math.exp(x) + a)
-
-
 def occupation(x, model: OccupancyModel = EXCLUSIVE):
     """Mean occupancy at reduced energy x = (eps - mu)/kT.
 
-    Accepts scalars or arrays.  Stable over the whole double range:
-    beyond |x| = 700 the asymptotic branches weight*exp(-x) and
-    weight/blocking are used directly.
+    Accepts scalars (returning a float) or arrays.  Stable over the whole
+    double range: with w = e^{-|x|} <= 1 the law is weight*w/(1 + blocking*w)
+    for x >= 0 and weight/(w + blocking) below.  Only the classical law
+    weight*e^{-x} overflows, to inf, once it leaves the double range.
     """
-    if np.ndim(x) == 0:
-        return _occupation_scalar(float(x), model)
-    arr = np.asarray(x, dtype=float)
-    g = model.weight
-    a = model.blocking
-    out = np.empty_like(arr)
-    if a == 0.0:
-        with np.errstate(over="ignore"):
-            out[...] = g * np.exp(-arr)
-        return out
-    deep = arr <= -_ASYMPTOTIC_X
-    pos = arr >= 0.0
-    mid = ~(deep | pos)
-    out[deep] = g / a
-    w = np.exp(-arr[pos])
-    out[pos] = g * w / (1.0 + a * w)
-    out[mid] = g / (np.exp(arr[mid]) + a)
-    return out
+    x = np.asarray(x, dtype=float)
+    g, a = model.weight, model.blocking
+    w = np.exp(-np.abs(x))
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.where(x >= 0.0, g * w / (1.0 + a * w), g / (w + a))
+    return float(out) if out.ndim == 0 else out
 
 
 def thermal_wavelength(

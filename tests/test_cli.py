@@ -48,6 +48,27 @@ def long_rows(text):
     return {(row[0], row[1]): tuple(row[2:]) for row in data}
 
 
+def _table_cell(value):
+    """A csv, json or table cell as the table prints it (6 significant digits)."""
+    if value in ("", None):
+        return ""
+    try:
+        return "%.6g" % float(value)
+    except ValueError:
+        return value
+
+
+# every subcommand under each model it accepts; oracle with fewer samples
+_MODEL_RUNS = [
+    (command, model)
+    for command in sorted(_HANDLERS)
+    for model in ((None,) if command in ("star", "compare") else sorted(MODELS))
+    if not (model == "boltzmann" and command in
+            ("fermi", "sommerfeld", "mu-of-t", "heat-capacity", "oracle"))
+]
+_FAST_ARGS = {"oracle": ("--samples", "2000")}
+
+
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
     monkeypatch.delenv("XFERMI_SEED", raising=False)
@@ -108,6 +129,30 @@ class TestFormats:
             coord = "" if row["coord"] is None else f"{row['coord']:.10g}"
             value, _, _ = csv_rows[(coord, row["quantity"])]
             assert float(value) == row["value"]
+
+    @pytest.mark.parametrize("command, model", _MODEL_RUNS)
+    def test_formats_print_the_same_rows(self, capsys, command, model):
+        argv = [command, *_FAST_ARGS.get(command, ())] + (["--model", model] if model else [])
+        _, csv_out, _ = run_cli(capsys, *argv)
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        _, table_out, _ = run_cli(capsys, *argv, "--format", "table")
+        _, header, data = parse_csv(csv_out)
+        payload = json.loads(json_out)
+        assert data and all(list(row) == header for row in payload["rows"])
+        lines = table_out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.split()[:2] == header[:2])
+        widths = [len(dashes) for dashes in lines[start + 1].split("  ")]
+        edges = np.cumsum([0] + [w + 2 for w in widths])
+        table = [[line[a:b].strip() for a, b in zip(edges, edges[1:])]
+                 for line in lines[start + 2:]]
+        keys = [i for i, name in enumerate(header) if name in ("coord", "quantity", "provenance")]
+
+        def key(row):
+            return tuple(_table_cell(row[i]) for i in keys)
+
+        expected = [key(row) for row in data]
+        assert [key([row[name] for name in header]) for row in payload["rows"]] == expected
+        assert [key(row) for row in table] == expected
 
     def test_table_format(self, capsys):
         _, out, _ = run_cli(capsys, "eos", "--eta", "0", "--format", "table")
@@ -274,6 +319,22 @@ class TestExitCodes:
             child.stdout.close()
             _, err = child.communicate(timeout=60)
         assert (child.returncode, err) == (141, b"")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eos", "--density", "1e25"], "--density"),
+        (["eos", "--eta", "1", "--sweep", "n-lambda3", "0.1", "1", "3"], "--eta"),
+        (["eos", "--si", "--eta", "1", "--density", "1e25", "--temperature", "300"], "--eta"),
+        (["eos", "--si", "--n-lambda3", "1", "--density", "1e25", "--temperature", "300"],
+         "--n-lambda3"),
+        (["eos", "--eta", "1", "--temperature", "300", "--mass", "1"], "--temperature"),
+        (["eos", "--mass", "1"], "--mass"),
+        (["fermi", "--density", "2", "--mass", "1"], "--mass"),
+    ])
+    def test_ignored_flag_is_refused(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: ")
+        assert flag in err
 
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "occupation", "--frequency", "3")

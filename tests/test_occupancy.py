@@ -57,9 +57,11 @@ class TestStability:
 
     def test_boltzmann_divergence(self):
         assert occupation(-800.0, BOLTZMANN) == math.inf
-        assert occupation(-700.0, BOLTZMANN) == pytest.approx(
-            2.0 * math.exp(700.0), rel=1e-15
-        )
+        # 2 e^{-x} stays finite up to x = -ln(DBL_MAX / 2) = -709.09
+        grid = [-700.0, -709.0, -709.05]
+        expected = [2.0 * math.exp(-x) for x in grid]
+        assert [occupation(x, BOLTZMANN) for x in grid] == pytest.approx(expected, rel=1e-15)
+        assert occupation(np.array(grid), BOLTZMANN) == pytest.approx(expected, rel=1e-15)
 
     def test_no_nans_across_the_double_range(self):
         grid = np.array([-1e15, -750.0, -36.0, -1.0, 0.0, 1.0, 36.0, 750.0, 1e15])
