@@ -195,6 +195,8 @@ def _refuse(args, flags: Sequence[str], reason: str) -> None:
 def _si_mass(args, meta):
     """CODATA constants and the particle mass of an --si run (default electron)."""
     constants = codata()
+    if args.mass is not None and not (args.mass > 0 and math.isfinite(args.mass)):
+        raise UsageError("--mass must be positive and finite")
     meta["mass"] = constants.m_e if args.mass is None else args.mass
     return constants, meta["mass"]
 
@@ -371,7 +373,7 @@ def _cmd_oracle(args, meta):
         [occupation(e - math.log(z), model) for e in system.energies]
     )
     yield (None, "log_partition_gap",
-           abs(product.log_value - math.log(enumerated)), "enumeration")
+           abs(product.log_value - enumerated.log_value), "enumeration")
     yield (None, "occupancy_gap",
            float(np.max(np.abs(occ_enum - occ_law))), "enumeration")
     for i, energy in enumerate(system.energies[:3]):

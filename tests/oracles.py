@@ -7,7 +7,9 @@ Newton inversion and analytic heat capacity are checked against the
 bracketed root search and the Richardson-differenced energy they
 replaced, its closed-form Landau susceptibility against the level sum
 differenced in the field and extrapolated to zero, and its Fermi-edge
-step moments against adaptive QUADPACK.
+step moments against adaptive QUADPACK.  Its block-wise enumeration of
+level configurations is checked against the tag-by-tag enumeration it
+replaced.
 
 The dense-grid moments use the substitution u = sqrt(x), which removes
 the sqrt(x) kink at the origin: a plain trapezoid on x converges like
@@ -25,6 +27,7 @@ from scipy import integrate
 
 from xfermi import (
     EXCLUSIVE,
+    LevelSystem,
     NumericsError,
     OccupancyModel,
     density,
@@ -321,3 +324,38 @@ def lane_emden_rk4(
         xi += step
         theta, phi = end
     raise RuntimeError(f"theta has no zero before xi = {horizon:g}")
+
+
+# configuration tags: 0 empty, 1 spin-up, 2 spin-down, 3 doubly occupied
+_OCCUPANCY_OF_TAG = np.array([0.0, 1.0, 1.0, 2.0])
+_TAG_CHUNK = 1 << 20
+
+
+def _config_chunks(n_levels: int, radix: int):
+    total = radix**n_levels
+    shape = (radix,) * n_levels
+    for start in range(0, total, _TAG_CHUNK):
+        idx = np.arange(start, min(start + _TAG_CHUNK, total))
+        yield np.array(np.unravel_index(idx, shape))  # (levels, block)
+
+
+def enumerate_by_tags(system: LevelSystem, z: float) -> tuple[float, float, np.ndarray]:
+    """Partition sum and per-level occupancy-weighted sums, tag by tag.
+
+    Every configuration index is unravelled into one state tag per level,
+    and its weight is built from those tags.  Returns (log of the largest
+    configuration weight, sums scaled by that weight), as
+    ``xfermi.ensemble._enumerate_sums`` does.
+    """
+    energies = np.asarray(system.energies)[:, None]
+    log_z = math.log(z)
+    full = _OCCUPANCY_OF_TAG[system.radix - 1]
+    shift = float(np.maximum(0.0, full * (log_z - energies)).sum())
+    total = 0.0
+    weighted = np.zeros(len(system.energies))
+    for tags in _config_chunks(len(system.energies), system.radix):
+        occ = _OCCUPANCY_OF_TAG[tags]
+        w = np.exp(log_z * occ.sum(axis=0) - (energies * occ).sum(axis=0) - shift)
+        total += float(w.sum())
+        weighted += (occ * w).sum(axis=1)
+    return shift, total, weighted

@@ -329,6 +329,8 @@ class TestExitCodes:
         (["eos", "--eta", "1", "--temperature", "300", "--mass", "1"], "--temperature"),
         (["eos", "--mass", "1"], "--mass"),
         (["fermi", "--density", "2", "--mass", "1"], "--mass"),
+        (["fermi", "--si", "--density", "1e28", "--mass", "-1"], "--mass"),
+        (["fermi", "--si", "--density", "1e28", "--mass", "0"], "--mass"),
     ])
     def test_ignored_flag_is_refused(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -464,6 +466,15 @@ class TestPhysicsOutput:
         rows = long_rows(out)
         z_scores = [v for (_, q), v in rows.items() if q == "mc_z_score"]
         assert z_scores and all(v == ("", "monte-carlo", "") for v in z_scores)
+
+    def test_oracle_log_partition_gap_at_huge_fugacity(self, capsys):
+        # Z itself overflows at z = 1e200; ln Z does not
+        code, out, _ = run_cli(capsys, "oracle", "--fugacity", "1e200", "--samples", "1000")
+        assert code == 0
+        rows = long_rows(out)
+        gap = float(rows[("", "log_partition_gap")][0])
+        ln_z = 6.0 * math.log(1e200)  # 6 exclusive levels, each about ln z
+        assert math.isfinite(gap) and gap <= 1e-15 * ln_z
 
     def test_sommerfeld_reports_both_routes(self, capsys):
         _, out, _ = run_cli(capsys, "sommerfeld")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import enumerate_by_tags
 from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -12,6 +13,7 @@ from xfermi import (
     CapacityError,
     LevelSystem,
     grand_partition_enumerate,
+    ensemble,
     grand_partition_product,
     mc_occupancy,
     mean_occupancies_enumerate,
@@ -27,14 +29,14 @@ class TestExactSmallSystems:
             product = grand_partition_product(system, 1.0)
             assert math.isclose(product.value, expected, rel_tol=1e-14)
             assert math.isclose(product.log_value, math.log(expected), rel_tol=1e-14)
-            assert math.isclose(
-                grand_partition_enumerate(system, 1.0), expected, rel_tol=1e-13
-            )
+            enumerated = grand_partition_enumerate(system, 1.0)
+            assert math.isclose(enumerated.value, expected, rel_tol=1e-13)
+            assert math.isclose(enumerated.log_value, math.log(expected), rel_tol=1e-13)
 
     def test_two_level_partition_by_hand(self):
         # eps = (0, ln 2), z = 1: (1 + 2)(1 + 2/2) = 6
         system = LevelSystem((0.0, math.log(2.0)), EXCLUSIVE)
-        assert math.isclose(grand_partition_enumerate(system, 1.0), 6.0, rel_tol=1e-13)
+        assert math.isclose(grand_partition_enumerate(system, 1.0).value, 6.0, rel_tol=1e-13)
 
     def test_single_level_occupancy_values(self):
         # eps = 1, z = 1/2
@@ -61,7 +63,9 @@ class TestExactSmallSystems:
         g, a = model.weight, model.blocking
         by_hand = (g / a) * (800.0 + math.log(a * z) + math.log1p(a * z * math.exp(-1.0)))
         assert math.isclose(product.log_value, by_hand, rel_tol=1e-14)
-        assert grand_partition_enumerate(system, z) == math.inf
+        enumerated = grand_partition_enumerate(system, z)
+        assert enumerated.value == math.inf
+        assert math.isclose(enumerated.log_value, by_hand, rel_tol=1e-14)
         assert np.max(np.abs(mean_occupancies_enumerate(system, z) - law)) <= 1e-12
         for energy, exact in ((-800.0, law[0]), (800.0, law[2])):  # states certain
             mean, err = mc_occupancy(energy, z, samples=1_000, seed=1, model=model)
@@ -89,7 +93,7 @@ class TestRouteAgreement:
             for model in (EXCLUSIVE, STANDARD_FD):
                 system, z = self._random_system(rng, model)
                 log_product = grand_partition_product(system, z).log_value
-                log_enumerated = math.log(grand_partition_enumerate(system, z))
+                log_enumerated = grand_partition_enumerate(system, z).log_value
                 assert abs(log_product - log_enumerated) <= 1e-12
 
     def test_occupancies_match_law(self, rng):
@@ -106,13 +110,41 @@ class TestRouteAgreement:
             first = tuple(rng.uniform(0.0, 5.0, size=3))
             second = tuple(rng.uniform(0.0, 5.0, size=3))
             z = 0.7
-            log_union = math.log(
-                grand_partition_enumerate(LevelSystem(first + second, model), z)
+            log_union = grand_partition_enumerate(
+                LevelSystem(first + second, model), z
+            ).log_value
+            log_parts = (
+                grand_partition_enumerate(LevelSystem(first, model), z).log_value
+                + grand_partition_enumerate(LevelSystem(second, model), z).log_value
             )
-            log_parts = math.log(
-                grand_partition_enumerate(LevelSystem(first, model), z)
-            ) + math.log(grand_partition_enumerate(LevelSystem(second, model), z))
             assert abs(log_union - log_parts) <= 1e-11
+
+
+class TestBlockEnumeration:
+    """Block-wise enumeration against the tag-by-tag route it replaced."""
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    @pytest.mark.parametrize("z", [1e-3, 0.7, 30.0, 1e200])
+    def test_matches_tag_by_tag_enumeration(self, rng, model, z):
+        for n_levels in range(1, 10):
+            system = LevelSystem(tuple(rng.uniform(0.0, 5.0, n_levels)), model)
+            shift, total, weighted = enumerate_by_tags(system, z)
+            log_z = shift + math.log(total)
+            # either route's ln(total) is off by a few ulps of 1, which is
+            # relative only where |ln Z| >= 1
+            gap = abs(grand_partition_enumerate(system, z).log_value - log_z)
+            assert gap <= 2e-15 * max(1.0, abs(log_z))
+            occupancies = mean_occupancies_enumerate(system, z)
+            assert np.max(np.abs(occupancies - weighted / total)) <= 1e-15
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    def test_many_blocks_match_one(self, rng, monkeypatch, model):
+        system = LevelSystem(tuple(rng.uniform(0.0, 5.0, 6)), model)
+        log_z = grand_partition_enumerate(system, 0.7).log_value
+        occupancies = mean_occupancies_enumerate(system, 0.7)
+        monkeypatch.setattr(ensemble, "_CHUNK", 16)  # blocks of two levels
+        assert abs(grand_partition_enumerate(system, 0.7).log_value - log_z) <= 1e-15
+        assert np.max(np.abs(mean_occupancies_enumerate(system, 0.7) - occupancies)) <= 1e-15
 
 
 class TestValidation:
@@ -150,6 +182,9 @@ class TestValidation:
             mc_occupancy(1.0, 0.5, samples=0, seed=1)
         with pytest.raises(ValueError):
             mc_occupancy(1.0, 0.5, samples=10, seed=-1)
+        for energy in (math.nan, -math.inf):  # no state probabilities
+            with pytest.raises(ValueError):
+                mc_occupancy(energy, 0.5, samples=10, seed=1)
 
 
 class TestMonteCarlo:
