@@ -22,11 +22,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
-from .numerics import integrate_ode
+from .numerics import NumericsError
 from .occupancy import EXCLUSIVE, STANDARD_FD, OccupancyModel
 
 REFERENCE_MASS_RATIO = 1.6  # quoted limiting-mass enhancement, cf. exact sqrt(2)
+
+# order and per-step truncation bound of the Taylor steps; a bound of 2^-56
+# in place of 1e-20 lets the mass integral drift by 1.6e-13 (at n = 0.14)
+_ORDER = 24
+_STEP_EPS = 1e-20
+_SURFACE_TOL = 2.0**-56  # theta' tail at the surface, relative to theta'
+_ULP = 2.0**-52
+_MAX_STEPS = 300  # n in [0, 4.9) needs at most about 60
 
 
 class Regime(Enum):
@@ -85,25 +94,110 @@ class LaneEmdenSolution:
 def lane_emden(index: float) -> LaneEmdenSolution:
     """Integrate the Lane-Emden equation out to the first zero of theta.
 
-    Starts just off center, at xi = 1e-3, with the series
-    theta = 1 - xi^2/6 + n xi^4/120 to sidestep the coordinate
-    singularity; theta is clamped at zero inside the right-hand side so
-    the fractional power stays real where the solver steps past the zero.
+    Taylor series of the equation itself, on plain floats.  Near the centre
+    theta is a series in u = xi^2, so the coordinate singularity needs no
+    offset.  Off centre, at xi = a, the series of
+    xi theta'' + 2 theta' + xi theta^n = 0 gives the coefficients of theta
+    one by one, with theta^n from J.C.P. Miller's power recurrence.  Each
+    step of the order-24 series is as long as its last two terms allow for
+    a 1e-20 truncation (Jorba and Zou, Exp. Math. 14 (2005) 99), and at
+    most half the way to the zero of the tangent line: for non-integer n,
+    theta^n has a branch point at the surface.  Once the theta' series has
+    converged at that zero, Newton on the local polynomial gives xi_1 and
+    theta'(xi_1).  Raises :class:`NumericsError` if the surface is not
+    located within ``_MAX_STEPS`` steps.
     """
     if not 0.0 <= index < 4.9:
         raise ValueError("polytropic index must lie in [0, 4.9)")
-    xi0 = 1e-3
-    theta0 = 1.0 - xi0**2 / 6.0 + index * xi0**4 / 120.0
-    slope0 = -xi0 / 3.0 + index * xi0**3 / 30.0
+    weights = _miller_weights(index)
+    centre = _centre_series(weights)
+    # first step in u; theta >= 1 - u/6 >= 1/2 up to u = 3 for every n >= 0
+    u = min(_step_length(centre), 3.0)
+    a = math.sqrt(u)
+    theta, dtheta_du = _horner(centre, u)
+    slope = 2.0 * a * dtheta_du
+    for _ in range(_MAX_STEPS):
+        reach = -theta / slope  # zero of the tangent line
+        t = _local_series(a, reach, theta, slope, index, weights)
+        # the theta' tail at the tangent zero, (K-1)|t_{K-1}| + K|t_K| over
+        # reach, against |theta'|; or the round-off floor: a step that short
+        # cannot move xi
+        tail = (_ORDER - 1) * abs(t[-2]) + _ORDER * abs(t[-1])
+        if tail <= _SURFACE_TOL * theta or reach <= _ULP * a:
+            xi1, slope = _surface(a, reach, t)
+            return LaneEmdenSolution(index, xi1, -(xi1**2) * slope)
+        s = min(_step_length(t), 0.5)
+        theta, slope = _horner(t, s)
+        slope /= reach
+        a += s * reach
+    raise NumericsError(
+        f"Lane-Emden n = {index!r}: surface not located within {_MAX_STEPS} steps"
+    )
 
-    def rhs(xi: float, y: tuple[float, float]) -> tuple[float, float]:
-        theta, phi = y
-        return phi, -max(theta, 0.0) ** index - 2.0 * phi / xi
 
-    terminus = integrate_ode(rhs, xi0, (theta0, slope0), lambda xi, y: y[0], xi0 + 500.0)
-    xi1 = terminus.time
-    slope = terminus.state[1]
-    return LaneEmdenSolution(index, xi1, -(xi1**2) * slope)
+def _miller_weights(n: float) -> list[list[float]]:
+    """Row k holds (n+1) j - k for j = 1..k, the weights of Miller's recurrence
+    p_k = sum_j ((n+1) j - k) t_j p_{k-j} / (k t_0) for p = t^n."""
+    return [[(n + 1.0) * j - k for j in range(1, k + 1)] for k in range(_ORDER + 1)]
+
+
+def _extend_power(p: list[float], t: list[float], weights: list[list[float]]) -> None:
+    """Append p_k of t^n from t_0..t_k and p_0..p_{k-1}."""
+    k = len(p)
+    p.append(sum(map(mul, map(mul, weights[k], t[1:]), reversed(p))) / (k * t[0]))
+
+
+def _centre_series(weights: list[list[float]]) -> list[float]:
+    """theta = sum c_k u^k with u = xi^2: 2(k+1)(2k+3) c_{k+1} = -[theta^n]_k."""
+    c, p = [1.0], [1.0]
+    for k in range(_ORDER):
+        if k:
+            _extend_power(p, c, weights)
+        c.append(-p[k] / (2.0 * (k + 1) * (2 * k + 3)))
+    return c
+
+
+def _local_series(
+    a: float, r: float, theta: float, slope: float, n: float, weights: list[list[float]]
+) -> list[float]:
+    """Scaled coefficients t_k r^k of theta in s = (xi - a)/r, from the series
+    of xi theta'' + 2 theta' + xi theta^n = 0; the scale r keeps them finite
+    however near the surface a lies."""
+    rho, r2 = r / a, r * r
+    t, p = [theta, slope * r], [theta**n]
+    for k in range(_ORDER - 1):
+        if k:
+            _extend_power(p, t, weights)
+        lower = p[k] + rho * p[k - 1] if k else p[0]
+        t.append(-(rho * t[k + 1] + r2 * lower / ((k + 1) * (k + 2))))
+    return t
+
+
+def _step_length(t: list[float]) -> float:
+    """Longest h at which each of the last two terms stays below the truncation bound."""
+    return min((_STEP_EPS / abs(t[k])) ** (1.0 / k) if t[k] else math.inf
+               for k in (_ORDER - 1, _ORDER))
+
+
+def _horner(t: list[float], h: float) -> tuple[float, float]:
+    """The polynomial sum t_k h^k and its derivative at h."""
+    value, derivative = t[-1], 0.0
+    for coefficient in reversed(t[:-1]):
+        derivative = derivative * h + value
+        value = value * h + coefficient
+    return value, derivative
+
+
+def _surface(a: float, r: float, t: list[float]) -> tuple[float, float]:
+    """xi_1 and theta'(xi_1), Newton on the local polynomial in s = (xi - a)/r from s = 1."""
+    s = 1.0
+    for _ in range(8):
+        value, slope = _horner(t, s)
+        change = value / slope
+        s -= change
+        if abs(change) <= _ULP * s:
+            break
+    return a + s * r, _horner(t, s)[1] / r
 
 
 def white_dwarf_mass(
@@ -119,8 +213,10 @@ def white_dwarf_mass(
     with m_2 the Lane-Emden mass integral.  At gamma = 4/3 the density
     exponent vanishes and the mass is the limiting mass.
     """
-    if coefficient <= 0 or central_density <= 0 or gravity <= 0:
-        raise ValueError("coefficient, central_density and gravity must be positive")
+    if not all(0.0 < v < math.inf for v in (coefficient, central_density, gravity)):
+        raise ValueError(
+            "coefficient, central_density and gravity must be positive and finite"
+        )
     n = polytrope_index(gamma)
     if solution is None:
         solution = lane_emden(n)

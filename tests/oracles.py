@@ -9,7 +9,8 @@ replaced, its closed-form Landau susceptibility against the level sum
 differenced in the field and extrapolated to zero, and its Fermi-edge
 step moments against adaptive QUADPACK.  Its block-wise enumeration of
 level configurations is checked against the tag-by-tag enumeration it
-replaced.
+replaced, and its Taylor-series Lane-Emden solution against a fixed-step
+RK4 march and mpmath's ODE solver.
 
 The dense-grid moments use the substitution u = sqrt(x), which removes
 the sqrt(x) kink at the origin: a plain trapezoid on x converges like
@@ -324,6 +325,33 @@ def lane_emden_rk4(
         xi += step
         theta, phi = end
     raise RuntimeError(f"theta has no zero before xi = {horizon:g}")
+
+
+def lane_emden_mp(index: float, dps: int = 30) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """First zero xi_1 and mass integral -xi_1^2 theta'(xi_1) on ``mpmath.odefun``.
+
+    Starts at xi = 1e-6 from the three-term series.  The zero is approached
+    from inside only: beyond xi_1 theta^n is complex, and at xi_1 it has a
+    branch point where the series solver's steps shrink without end, so a
+    root search that brackets xi_1 would stall there.  Since
+    theta'' = -theta^n - 2 theta'/xi >= -1 while 0 < theta <= 1, the
+    parabola theta + theta' h - h^2/2 stays below theta, and a step to its
+    zero never passes xi_1.  Once near, the steps shrink quadratically.
+    """
+    with mpmath.workdps(dps):
+        n = mpmath.mpf(index)
+        xi = mpmath.mpf("1e-6")
+        theta = 1 - xi**2 / 6 + n * xi**4 / 120
+        phi = -xi / 3 + n * xi**3 / 30
+        solution = mpmath.odefun(
+            lambda x, y: [y[1], -(y[0] ** n) - 2 * y[1] / x], xi, [theta, phi]
+        )
+        while True:
+            h = 2 * theta / (mpmath.sqrt(phi**2 + 2 * theta) - phi)
+            if h <= 16 * mpmath.eps * xi:
+                return xi, -(xi**2) * phi
+            xi += h
+            theta, phi = solution(xi)
 
 
 # configuration tags: 0 empty, 1 spin-up, 2 spin-down, 3 doubly occupied

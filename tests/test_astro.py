@@ -8,7 +8,9 @@ from xfermi import (
     EXCLUSIVE,
     REFERENCE_MASS_RATIO,
     STANDARD_FD,
+    NumericsError,
     Regime,
+    astro,
     chandrasekhar_ratio,
     compare_star_models,
     degenerate_polytrope,
@@ -19,8 +21,22 @@ from xfermi import (
     polytrope_index,
     white_dwarf_mass,
 )
+from xfermi.numerics import integrate_ode
 
-from oracles import lane_emden_rk4
+from oracles import lane_emden_mp, lane_emden_rk4
+
+# xi_1 and the mass integral from oracles.lane_emden_mp at 30 digits
+MP_LANE_EMDEN = {
+    0.05: (2.476699807041617626388, 4.752296384473232502335),
+    0.3: (2.622678703068363724934, 4.152924811863144165813),
+    0.5: (2.752698054064987853153, 3.788651184884005725859),
+    1.5: (3.653753736219122424609, 2.714055120108645719025),
+    2.5: (5.355275459010779459909, 2.18719956551707895322),
+    2.57: (5.530820375323685236563, 2.160638171186132023465),
+    3.0: (6.896848619376960375455, 2.018235950966228402813),
+    3.5: (9.535805344244850444105, 1.890557093443116393909),
+    4.5: (31.83646324469428526438, 1.737798867666032348873),
+}
 
 
 class TestEosCoefficients:
@@ -61,14 +77,49 @@ class TestLaneEmden:
     def test_analytic_index_zero(self):
         # theta = 1 - xi^2/6: first zero sqrt(6), mass integral 2 sqrt(6)
         solution = lane_emden(0.0)
-        assert math.isclose(solution.xi1, math.sqrt(6.0), abs_tol=1e-6)
-        assert math.isclose(solution.mass_integral, 2.0 * math.sqrt(6.0), abs_tol=1e-6)
+        assert math.isclose(solution.xi1, math.sqrt(6.0), rel_tol=1e-14)
+        assert math.isclose(solution.mass_integral, 2.0 * math.sqrt(6.0), rel_tol=1e-14)
 
     def test_analytic_index_one(self):
         # theta = sin(xi)/xi: first zero pi, mass integral pi
         solution = lane_emden(1.0)
-        assert math.isclose(solution.xi1, math.pi, abs_tol=1e-6)
-        assert math.isclose(solution.mass_integral, math.pi, abs_tol=1e-6)
+        assert math.isclose(solution.xi1, math.pi, rel_tol=1e-14)
+        assert math.isclose(solution.mass_integral, math.pi, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("index", sorted(MP_LANE_EMDEN))
+    def test_matches_mpmath_literals(self, index):
+        xi1, mass_integral = MP_LANE_EMDEN[index]
+        solution = lane_emden(index)
+        assert math.isclose(solution.xi1, xi1, rel_tol=1e-14)
+        # below n = 1 theta^n bends hardest at the branch point on the surface
+        mass_tol = 1e-14 if index >= 1.0 else 1e-11
+        assert math.isclose(solution.mass_integral, mass_integral, rel_tol=mass_tol)
+
+    def test_matches_mpmath_oracle(self):
+        xi1, mass_integral = lane_emden_mp(3.0)
+        solution = lane_emden(3.0)
+        assert math.isclose(solution.xi1, float(xi1), rel_tol=1e-14)
+        assert math.isclose(solution.mass_integral, float(mass_integral), rel_tol=1e-14)
+
+    def test_near_the_index_limit_matches_dop853(self):
+        # n = 4.89: xi_1 is about 155, forty times the n = 1.5 radius
+        index, xi0 = 4.89, 1e-3
+
+        def rhs(xi, y):
+            return y[1], -max(y[0], 0.0) ** index - 2.0 * y[1] / xi
+
+        start = (1.0 - xi0**2 / 6.0 + index * xi0**4 / 120.0, -xi0 / 3.0 + index * xi0**3 / 30.0)
+        terminus = integrate_ode(rhs, xi0, start, lambda xi, y: y[0], 500.0)
+        solution = lane_emden(index)
+        assert math.isclose(solution.xi1, terminus.time, rel_tol=1e-10)
+        assert math.isclose(
+            solution.mass_integral, -(terminus.time**2) * terminus.state[1], rel_tol=1e-10
+        )
+
+    def test_step_cap_raises_numerics_error(self, monkeypatch):
+        monkeypatch.setattr(astro, "_MAX_STEPS", 2)
+        with pytest.raises(NumericsError, match="surface not located within 2 steps"):
+            lane_emden(1.5)
 
     def test_published_values(self):
         three_halves = lane_emden(1.5)
@@ -128,10 +179,16 @@ class TestMassFormula:
             {"coefficient": 0.0, "central_density": 1.0},
             {"coefficient": 1.0, "central_density": -1.0},
             {"coefficient": 1.0, "central_density": 1.0, "gravity": 0.0},
+            {"coefficient": math.nan, "central_density": 1.0},
+            {"coefficient": math.inf, "central_density": 1.0},
+            {"coefficient": 1.0, "central_density": math.nan},
+            {"coefficient": 1.0, "central_density": math.inf},
+            {"coefficient": 1.0, "central_density": 1.0, "gravity": math.nan},
+            {"coefficient": 1.0, "central_density": 1.0, "gravity": math.inf},
         ],
     )
     def test_positivity_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive and finite"):
             white_dwarf_mass(gamma=4.0 / 3.0, **kwargs)
 
 
@@ -139,6 +196,10 @@ class TestOccupancyConsequences:
     def test_limiting_mass_ratio_is_sqrt_two(self):
         ratio = chandrasekhar_ratio()
         assert math.isclose(ratio, math.sqrt(2.0), rel_tol=1e-10)
+
+    def test_non_finite_central_density_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            chandrasekhar_ratio(central_density=math.nan)
 
     def test_ratio_independent_of_density_and_gravity(self):
         baseline = chandrasekhar_ratio()

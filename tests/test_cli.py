@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import polylog_moments
-from xfermi import MODELS, degenerate, eos
+from xfermi import MODELS, astro, degenerate, eos
 from xfermi.cli import _HANDLERS, main
 from xfermi.numerics import QuadratureError
 
@@ -103,11 +103,10 @@ class TestBasics:
         assert "0.6666666667" in completed.stdout
 
     def test_subcommands_leave_scipy_unloaded(self):
-        # every subcommand but star (Lane-Emden on solve_ivp) runs without scipy
         script = (
             "import contextlib, io, sys\n"
             "from xfermi.cli import _HANDLERS, main\n"
-            "for command in sorted(set(_HANDLERS) - {'star'}):\n"
+            "for command in sorted(_HANDLERS):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main([command]) == 0, command\n"
             "    assert 'scipy' not in sys.modules, command\n"
@@ -378,6 +377,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("xfermi: numerical failure: ")
         assert "p = (2/3) u" in err
+
+    def test_lane_emden_step_cap_reports_numerics_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(astro, "_MAX_STEPS", 2)
+        code, out, err = run_cli(capsys, "star")
+        assert (code, out) == (2, "")
+        assert err.startswith("xfermi: numerical failure: Lane-Emden n = 1.5: surface not")
 
     def test_level_budget_reports_numerics_failure(self, capsys):
         # about 1.5e9 degenerate Landau levels at z = 5
