@@ -1,0 +1,187 @@
+"""Run a fixed list of ``python -m xfermi`` invocations in two checkouts and
+report each one whose stdout or exit code differs.
+
+    python3 scripts/cli_diff.py --parent ../parent --change .
+
+``--parent`` and ``--change`` are source checkouts, each with its own
+``src/``.  Every invocation runs in the checkout's directory with
+``PYTHONPATH=<checkout>/src`` and ``XFERMI_SEED`` unset.  The list covers
+the help texts, every subcommand under each model it accepts in csv, json
+and table, linear and log sweeps, both ``--si`` modes, refused flags and
+numerical failures.  Stderr is not compared: it carries warnings with
+source line numbers.  Exits 1 if any invocation differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shlex
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SUBCOMMANDS = ("occupation", "eos", "virial", "fermi", "sommerfeld", "mu-of-t",
+               "heat-capacity", "pauli", "landau", "star", "oracle", "compare")
+MODELS = ("exclusive", "fd", "boltzmann")
+NO_MODEL = ("star", "compare")
+BLOCKING_ONLY = ("fermi", "sommerfeld", "mu-of-t", "heat-capacity", "oracle")
+FORMATS = ("csv", "json", "table")
+
+# one coordinate flag per subcommand, and the ends of each one's domain
+POINTS = """
+occupation --x -800
+occupation --x 800
+eos --eta -700
+eos --eta 708 --model boltzmann
+eos --eta 1e6
+eos --n-lambda3 1e-300
+eos --n-lambda3 1e200 --model fd
+virial --n-lambda3 3
+fermi --density 1e-300
+fermi --density 1e180
+mu-of-t --t 1e-205
+mu-of-t --t 0.35
+heat-capacity --t 1e-205
+heat-capacity --t 10 --model fd
+pauli --eta 20 --field 0
+landau --n-lambda3 3 --field 5e-3
+oracle --levels 10 --seed 11 --fugacity 1.7
+oracle --levels 12 --model fd --samples 1000
+oracle --fugacity 1e200
+compare --at 30 --density 5
+"""
+
+SWEEPS = """
+occupation --sweep x -5 5 11
+eos --sweep eta -5 5 9 --model fd
+eos --sweep n-lambda3 0.01 10 7 --sweep-scale log
+virial --sweep n-lambda3 0.01 1 5 --sweep-scale log --format table
+fermi --sweep density 0.1 10 5 --sweep-scale log --format json
+mu-of-t --sweep t 0.01 0.5 6
+heat-capacity --sweep t 1e-4 0.5 6 --sweep-scale log --model fd
+pauli --sweep field 0 2 5
+landau --sweep field 0.05 2 5 --sweep-scale log
+"""
+
+SI = """
+eos --si --density 1e25 --temperature 300
+eos --si --density 1e28 --temperature 1e4 --mass 1.67e-27 --format json
+eos --si --sweep density 1e20 1e30 4 --sweep-scale log --temperature 300
+fermi --si --density 1e28
+fermi --si --density 1e28 --mass 1.67e-27 --model fd --format table
+fermi --si --sweep density 1e20 1e30 4 --sweep-scale log
+"""
+
+# usage errors: exit 1, empty stdout
+REFUSED = """
+occupation --frequency 3
+star --model fd
+eos --density 1e25
+eos --eta 1 --n-lambda3 1
+eos --eta 1 --sweep n-lambda3 0.1 1 3
+eos --si --eta 1 --density 1e25 --temperature 300
+eos --si --n-lambda3 1 --density 1e25 --temperature 300
+eos --si --density 1e25
+eos --eta 1 --temperature 300 --mass 1
+eos --mass 1
+eos --si --density 1e25 --temperature 300 --mass 0
+fermi --density 2 --mass 1
+fermi --si --density 1e28 --mass -1
+fermi --si --density 1e28 --mass 0
+fermi --density 1 --model boltzmann
+sommerfeld --model boltzmann
+mu-of-t --model boltzmann
+eos --rel-tol 1e-8
+occupation --x 1 --sweep x 0 1 3
+occupation --sweep x 0 1 1
+occupation --sweep x 0 one 3
+occupation --sweep eta 0 1 3
+occupation --sweep x 0 1 3 --sweep-scale log
+landau --n-lambda3 0
+landau --field -1
+compare --density 0
+oracle --levels 20
+oracle --samples 0
+oracle --seed x
+eos --config /nonexistent/xfermi.cfg
+"""
+
+# numerical failures (exit 2), and the non-finite or out-of-range inputs
+# at the edges of the closed forms
+FAILURES = """
+eos --eta 800
+eos --eta 800 --model boltzmann
+eos --n-lambda3 1e300
+virial --n-lambda3 1e300
+eos --si --density 1e300 --temperature 1
+landau --n-lambda3 10 --field 1e-9
+mu-of-t --t 1e-250
+heat-capacity --t 1e-250
+mu-of-t --t 1e300
+fermi --density nan
+fermi --density inf
+fermi --density 1e300
+fermi --density 1e308
+fermi --si --density nan
+fermi --si --density 1e300
+compare --density nan
+compare --density 1e308
+eos --eta nan
+pauli --field nan
+"""
+
+
+def invocations() -> list[list[str]]:
+    runs = [[], ["--version"], ["--help"]]
+    for command in SUBCOMMANDS:
+        runs.append([command, "--help"])
+        models = [None] if command in NO_MODEL else [
+            m for m in MODELS if not (m == "boltzmann" and command in BLOCKING_ONLY)]
+        for model in models:
+            for fmt in FORMATS:
+                runs.append([command, "--format", fmt]
+                            + ([] if model is None else ["--model", model]))
+    for block in (POINTS, SWEEPS, SI, REFUSED, FAILURES):
+        runs += [shlex.split(line) for line in block.strip().splitlines()]
+    return runs
+
+
+def run(checkout: Path, argv: list[str]) -> tuple[int, str]:
+    env = {k: v for k, v in os.environ.items() if k != "XFERMI_SEED"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    done = subprocess.run([sys.executable, "-m", "xfermi", *argv], cwd=checkout, env=env,
+                          capture_output=True, text=True, timeout=600)
+    return done.returncode, done.stdout
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args()
+    parent, change = args.parent.resolve(), args.change.resolve()
+
+    def both(argv):
+        return run(parent, argv), run(change, argv)
+
+    runs = invocations()
+    differ = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for argv, ((code_p, out_p), (code_c, out_c)) in zip(runs, pool.map(both, runs)):
+            if (code_p, out_p) == (code_c, out_c):
+                continue
+            differ += 1
+            print(f"xfermi {shlex.join(argv)}: exit {code_p} -> {code_c}")
+            diff = difflib.unified_diff(out_p.splitlines(), out_c.splitlines(),
+                                        "parent", "change", lineterm="", n=0)
+            for line in list(diff)[:12]:
+                print(f"    {line}")
+    print(f"cli_diff: {differ} of {len(runs)} invocations differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

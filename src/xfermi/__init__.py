@@ -13,9 +13,7 @@ ODE integration).
 from .astro import (
     REFERENCE_MASS_RATIO,
     Regime,
-    chandrasekhar_ratio,
     compare_star_models,
-    degenerate_polytrope,
     eos_coefficient,
     lane_emden,
     polytrope_index,
@@ -102,13 +100,11 @@ __all__ = [
     "STANDARD_FD",
     "ThermoPoint",
     "ValidityWarning",
-    "chandrasekhar_ratio",
     "chemical_potential_exact",
     "chemical_potential_series",
     "codata",
     "compare_star_models",
     "degeneracy_pressure",
-    "degenerate_polytrope",
     "density",
     "energy_density",
     "eos_coefficient",

@@ -62,20 +62,6 @@ def eos_coefficient(model: OccupancyModel, regime: Regime) -> float:
     return 0.25 * packing ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class PolytropeEOS:
-    coefficient: float
-    gamma: float
-
-    @property
-    def index(self) -> float:
-        return polytrope_index(self.gamma)
-
-
-def degenerate_polytrope(model: OccupancyModel, regime: Regime) -> PolytropeEOS:
-    return PolytropeEOS(eos_coefficient(model, regime), regime.gamma)
-
-
 def polytrope_index(gamma: float) -> float:
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1 for a finite polytropic index")
@@ -232,31 +218,6 @@ def white_dwarf_mass(
     )
 
 
-def chandrasekhar_ratio(
-    central_density: float = 1.0,
-    gravity: float = 1.0,
-) -> float:
-    """Limiting-mass ratio, double-blocked over standard occupancy.
-
-    Runs the full pipeline (EOS coefficient -> Lane-Emden -> mass
-    formula) for both occupation laws at gamma = 4/3; the K-ratio of
-    2^{1/3} propagates as K^{3/2} to exactly sqrt(2).
-    """
-    gamma = Regime.ULTRA_RELATIVISTIC.gamma
-    solution = lane_emden(polytrope_index(gamma))
-    masses = [
-        white_dwarf_mass(
-            eos_coefficient(model, Regime.ULTRA_RELATIVISTIC),
-            central_density,
-            gamma,
-            gravity,
-            solution,
-        )
-        for model in (EXCLUSIVE, STANDARD_FD)
-    ]
-    return masses[0] / masses[1]
-
-
 @dataclass(frozen=True)
 class StellarComparison:
     """Side-by-side consequences of halving the occupancy step height."""
@@ -270,27 +231,18 @@ class StellarComparison:
 
 
 def compare_star_models() -> StellarComparison:
-    k_nr = [
-        eos_coefficient(m, Regime.NON_RELATIVISTIC) for m in (EXCLUSIVE, STANDARD_FD)
-    ]
-    k_ur = [
-        eos_coefficient(m, Regime.ULTRA_RELATIVISTIC) for m in (EXCLUSIVE, STANDARD_FD)
-    ]
-    nr_solution = lane_emden(1.5)
-    ur_solution = lane_emden(3.0)
-    nr_masses = [
-        white_dwarf_mass(k, 1.0, Regime.NON_RELATIVISTIC.gamma, 1.0, nr_solution)
-        for k in k_nr
-    ]
-    ur_masses = [
-        white_dwarf_mass(k, 1.0, Regime.ULTRA_RELATIVISTIC.gamma, 1.0, ur_solution)
-        for k in k_ur
-    ]
-    return StellarComparison(
-        k_nr_ratio=k_nr[0] / k_nr[1],
-        k_ur_ratio=k_ur[0] / k_ur[1],
-        nr_solution=nr_solution,
-        ur_solution=ur_solution,
-        nr_mass_ratio=nr_masses[0] / nr_masses[1],
-        limiting_mass_ratio=ur_masses[0] / ur_masses[1],
-    )
+    """Both occupation laws through the whole pipeline, EOS coefficient ->
+    Lane-Emden -> mass formula, at unit central density and G = 1.
+
+    The K ratios 2^{2/3} and 2^{1/3} propagate as K^{3/2} to mass ratios of
+    2 and, at gamma = 4/3 where the density drops out, exactly sqrt(2).
+    """
+    k_ratios, solutions, mass_ratios = [], [], []
+    for regime, index in ((Regime.NON_RELATIVISTIC, 1.5), (Regime.ULTRA_RELATIVISTIC, 3.0)):
+        k = [eos_coefficient(m, regime) for m in (EXCLUSIVE, STANDARD_FD)]
+        solution = lane_emden(index)
+        masses = [white_dwarf_mass(c, 1.0, regime.gamma, 1.0, solution) for c in k]
+        k_ratios.append(k[0] / k[1])
+        solutions.append(solution)
+        mass_ratios.append(masses[0] / masses[1])
+    return StellarComparison(*k_ratios, *solutions, *mass_ratios)

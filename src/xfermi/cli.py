@@ -35,6 +35,7 @@ from .degenerate import (
     chemical_potential_series,
     degeneracy_pressure,
     fermi_energy,
+    ground_state_energy,
     heat_capacity_series_coefficient,
     mu_series_coefficients,
     sommerfeld_constants,
@@ -269,14 +270,15 @@ def _cmd_fermi(args, meta):
             yield n_si, "fermi_energy_joule", e_f, "closed-form"
             yield n_si, "fermi_energy_ev", e_f / constants.e_charge, "closed-form"
             yield n_si, "fermi_temperature_kelvin", e_f / constants.k_B, "closed-form"
-            yield n_si, "degeneracy_pressure_pascal", 0.4 * n_si * e_f, "closed-form"
+            yield (n_si, "degeneracy_pressure_pascal",
+                   degeneracy_pressure(n_si, e_f), "closed-form")
         return
     _refuse(args, ("mass",), "needs --si")
     for n in _coords(args, "density", 1.0):
         e_f = fermi_energy(n, args.model)
         yield n, "fermi_energy", e_f, "closed-form"
         yield n, "fermi_temperature", e_f, "closed-form"  # k_B = 1
-        yield n, "energy_per_particle", 0.6 * e_f, "closed-form"
+        yield n, "energy_per_particle", ground_state_energy(1.0, e_f), "closed-form"
         yield n, "degeneracy_pressure", degeneracy_pressure(n, e_f), "closed-form"
 
 

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import REDUCED
-from .eos import _GL_T, _GL_V, _moments, energy_density, pressure, solve_fugacity
+from .eos import (
+    _GL_T,
+    _GL_V,
+    FugacityOverflowError,
+    _moments,
+    energy_density,
+    pressure,
+    solve_fugacity,
+)
 from .numerics import NumericsError
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning, dos_coefficient
 
@@ -50,6 +58,18 @@ REFERENCE_A2 = 1.88516
 REFERENCE_HEAT_COEFFICIENT = {"exclusive": 5.55, "fd": 4.93}
 
 
+def _positive(what: str, *values: float) -> None:
+    if not all(0.0 < v < math.inf for v in values):
+        raise ValueError(f"{what} must be positive and finite")
+
+
+def _finite(value: float, what: str) -> float:
+    """``value``, unless it overflowed to inf."""
+    if value == math.inf:
+        raise NumericsError(f"{what} overflows a double")
+    return value
+
+
 def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Fermi energy at number density n (reduced units).
 
@@ -57,30 +77,31 @@ def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     single-occupancy gas (s = 1) sits 2^{2/3} above the standard gas
     (s = 2) at equal density.
     """
-    if n <= 0:
-        raise ValueError("density must be positive")
-    return 0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0)
+    _positive("density", n)
+    return _finite(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
+                   f"the Fermi energy at density {n!r}")
 
 
 def fermi_density(e_f: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Inverse of :func:`fermi_energy`: density of the filled Fermi sea."""
-    if e_f <= 0:
-        raise ValueError("Fermi energy must be positive")
-    return (2.0 / 3.0) * B_REDUCED * model.step_height * e_f**1.5
+    _positive("Fermi energy", e_f)
+    try:
+        n = (2.0 / 3.0) * B_REDUCED * model.step_height * e_f**1.5
+    except OverflowError:
+        n = math.inf
+    return _finite(n, f"the density at Fermi energy {e_f!r}")
 
 
 def ground_state_energy(n_particles: float, e_f: float) -> float:
     """Total T = 0 energy, E = (3/5) N E_F."""
-    if n_particles <= 0 or e_f <= 0:
-        raise ValueError("particle number and Fermi energy must be positive")
-    return 0.6 * n_particles * e_f
+    _positive("particle number and Fermi energy", n_particles, e_f)
+    return _finite(0.6 * n_particles * e_f, "the ground-state energy")
 
 
 def degeneracy_pressure(n: float, e_f: float) -> float:
     """T = 0 pressure, P = (2/5) n E_F."""
-    if n <= 0 or e_f <= 0:
-        raise ValueError("density and Fermi energy must be positive")
-    return 0.4 * n * e_f
+    _positive("density and Fermi energy", n, e_f)
+    return _finite(0.4 * n * e_f, "the degeneracy pressure")
 
 
 def sommerfeld_moment(order: int, blocking: float = 2.0) -> float:
@@ -93,24 +114,16 @@ def sommerfeld_moment(order: int, blocking: float = 2.0) -> float:
     if order not in (0, 1, 2):
         raise ValueError("step moments available for orders 0, 1, 2 only")
     a = float(blocking)
-    if a <= 0:
-        raise ValueError("blocking must be positive")
+    _positive("blocking", a)
     return float(((_EDGE_Y + math.log(a)) ** order * _EDGE_W).sum() / a)
 
 
 def sommerfeld_moment_closed_form(order: int, blocking: float = 2.0) -> float:
-    """Closed forms of the step moments for orders 0..2."""
+    """Closed forms of the step moments for orders 0..2, A_k = R_k / a."""
     a = float(blocking)
-    if a <= 0:
-        raise ValueError("blocking must be positive")
-    ln_a = math.log(a)
-    if order == 0:
-        return 1.0 / a
-    if order == 1:
-        return ln_a / a
-    if order == 2:
-        return (ln_a**2 + math.pi**2 / 3.0) / a
-    raise ValueError("closed forms available for orders 0, 1, 2 only")
+    if order not in (0, 1, 2):
+        raise ValueError("closed forms available for orders 0, 1, 2 only")
+    return (1.0, *_moment_ratios(a))[order] / a
 
 
 @dataclass(frozen=True)
@@ -137,10 +150,10 @@ def sommerfeld_constants(blocking: float = 2.0) -> SommerfeldConstants:
     return SommerfeldConstants(blocking, a1, a2, cf1, cf2)
 
 
-def _moment_ratios(model: OccupancyModel) -> tuple[float, float]:
+def _moment_ratios(blocking: float) -> tuple[float, float]:
     """R_1 = A_1/A_0 = ln(a) and R_2 = A_2/A_0 = (ln a)^2 + pi^2/3."""
-    model.step_height  # rejects blocking = 0
-    ln_a = math.log(model.blocking)
+    _positive("blocking", blocking)
+    ln_a = math.log(blocking)
     return ln_a, ln_a**2 + math.pi**2 / 3.0
 
 
@@ -153,46 +166,43 @@ def _warn_series(t: float) -> None:
         )
 
 
+def _series_factor(p: float, t: float, model: OccupancyModel) -> float:
+    """Sommerfeld bracket 1 + p R1 t + (1/2) p (p - 1) R2 t^2 of a moment
+    that grows like mu^p, t = kT/mu."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    _warn_series(t)
+    r1, r2 = _moment_ratios(model.blocking)
+    return 1.0 + p * r1 * t + 0.5 * p * (p - 1.0) * r2 * t * t
+
+
 def number_series_factor(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Bracketed low-T series factor of the particle number, t = kT/mu.
 
     N = (2/3) b V s mu^{3/2} [1 + (3/2) R1 t + (3/8) R2 t^2]; for the
     single-occupancy gas the bracket reads 1 + 3 A1 t + (3/4) A2 t^2.
+    The energy, (2/5) b V s mu^{5/2}, carries the same bracket at p = 5/2.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    _warn_series(t)
-    r1, r2 = _moment_ratios(model)
-    return 1.0 + 1.5 * r1 * t + 0.375 * r2 * t * t
+    return _series_factor(1.5, t, model)
 
 
-def energy_series_factor(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Bracketed low-T series factor of the total energy, t = kT/mu.
-
-    E = (2/5) b V s mu^{5/2} [1 + (5/2) R1 t + (15/8) R2 t^2]; for the
-    single-occupancy gas the bracket reads 1 + 5 A1 t + (15/4) A2 t^2.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    _warn_series(t)
-    r1, r2 = _moment_ratios(model)
-    return 1.0 + 2.5 * r1 * t + 1.875 * r2 * t * t
+def _series_moment(p: float, eta: float, model: OccupancyModel) -> float:
+    """(2 / (p sqrt(pi))) s eta^p times the bracket at t = 1/eta; p = 3/2 is
+    n lambda^3, p = 5/2 is u."""
+    if eta <= 0:
+        raise ValueError("the low-temperature series needs eta > 0")
+    factor = _series_factor(p, 1.0 / eta, model)
+    return 2.0 / (p * math.sqrt(math.pi)) * model.step_height * eta**p * factor
 
 
 def series_density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Series route to n lambda^3 at large eta (quadrature route: eos.density)."""
-    if eta <= 0:
-        raise ValueError("the low-temperature series needs eta > 0")
-    factor = number_series_factor(1.0 / eta, model)
-    return (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * eta**1.5 * factor
+    return _series_moment(1.5, eta, model)
 
 
 def series_energy_density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Series route to u at large eta (quadrature route: eos.energy_density)."""
-    if eta <= 0:
-        raise ValueError("the low-temperature series needs eta > 0")
-    factor = energy_series_factor(1.0 / eta, model)
-    return (4.0 / (5.0 * math.sqrt(math.pi))) * model.step_height * eta**2.5 * factor
+    return _series_moment(2.5, eta, model)
 
 
 def mu_series_coefficients(model: OccupancyModel = EXCLUSIVE) -> tuple[float, float]:
@@ -201,7 +211,7 @@ def mu_series_coefficients(model: OccupancyModel = EXCLUSIVE) -> tuple[float, fl
     Inverting the number series order by order gives c1 = -R1 and
     c2 = (R1^2 - R2)/4 = -pi^2/12 for every blocking parameter.
     """
-    r1, r2 = _moment_ratios(model)
+    r1, r2 = _moment_ratios(model.blocking)
     return -r1, 0.25 * (r1 * r1 - r2)
 
 
@@ -216,9 +226,13 @@ def chemical_potential_series(t: float, model: OccupancyModel = EXCLUSIVE) -> fl
 
 def _fixed_density(t: float, model: OccupancyModel) -> tuple[float, float]:
     """n lambda^3 of a gas held at fixed density, at temperature t = kT/E_F, and its eta."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    target = (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
+    _positive("t", t)
+    try:
+        target = (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
+    except OverflowError:
+        raise FugacityOverflowError(
+            f"n lambda^3 at fixed density overflows a double at t = {t!r}"
+        ) from None
     return target, solve_fugacity(target, model)
 
 
@@ -256,7 +270,7 @@ def specific_heat_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
 
 def heat_capacity_series_coefficient(model: OccupancyModel = EXCLUSIVE) -> float:
     """Closed-form linear coefficient (3/2)(R2 - R1^2); equals pi^2/2 always."""
-    r1, r2 = _moment_ratios(model)
+    r1, r2 = _moment_ratios(model.blocking)
     return 1.5 * (r2 - r1 * r1)
 
 

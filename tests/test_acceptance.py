@@ -24,7 +24,6 @@ from xfermi import (
     STANDARD_FD,
     LevelSystem,
     Regime,
-    chandrasekhar_ratio,
     chemical_potential_exact,
     compare_star_models,
     degeneracy_pressure,
@@ -48,6 +47,7 @@ from xfermi import (
     sommerfeld_constants,
     specific_heat_exact,
     virial_pressure,
+    white_dwarf_mass,
 )
 from xfermi.cli import main
 
@@ -221,11 +221,14 @@ def test_11_stellar_structure_pipeline(capsys):
     xi1, _ = lane_emden_rk4(3.0, step=1e-4)
     assert math.isclose(lane_emden(3.0).xi1, xi1, rel_tol=1e-5)
 
-    baseline = chandrasekhar_ratio()
-    assert math.isclose(baseline, math.sqrt(2.0), rel_tol=1e-10)
-    assert math.isclose(chandrasekhar_ratio(central_density=100.0), baseline, rel_tol=1e-8)
-
     comparison = compare_star_models()
+    assert math.isclose(comparison.limiting_mass_ratio, math.sqrt(2.0), rel_tol=1e-10)
+    k_ur = eos_coefficient(EXCLUSIVE, Regime.ULTRA_RELATIVISTIC)
+    assert math.isclose(
+        white_dwarf_mass(k_ur, 100.0, 4.0 / 3.0, solution=comparison.ur_solution),
+        white_dwarf_mass(k_ur, 1.0, 4.0 / 3.0, solution=comparison.ur_solution),
+        rel_tol=1e-8,
+    )
     assert math.isclose(comparison.k_nr_ratio, 2.0 ** (2.0 / 3.0), rel_tol=1e-10)
     assert math.isclose(comparison.k_ur_ratio, 2.0 ** (1.0 / 3.0), rel_tol=1e-10)
     assert math.isclose(comparison.nr_mass_ratio, 2.0, rel_tol=1e-10)

@@ -15,7 +15,6 @@ import pytest
 from oracles import polylog_moments
 from xfermi import MODELS, astro, degenerate, eos
 from xfermi.cli import _HANDLERS, main
-from xfermi.numerics import QuadratureError
 
 # the CLI prints 10 significant digits
 CLI_REL = 1e-9
@@ -348,13 +347,42 @@ class TestExitCodes:
         assert "blocking" in err
 
     def test_unattainable_tolerance_reports_numerics_failure(self, capsys, monkeypatch):
-        def unattainable(order, blocking=2.0):
-            raise QuadratureError("tolerance not reached", 0.5, 1e-3)
+        # the edge sum 1e-9 off its closed form, beyond the 1e-10 agreement check
+        closed_form = degenerate.sommerfeld_moment_closed_form
 
-        monkeypatch.setattr(degenerate, "sommerfeld_moment", unattainable)
+        def off_by_1e9(order, blocking=2.0):
+            return closed_form(order, blocking) + 1e-9
+
+        monkeypatch.setattr(degenerate, "sommerfeld_moment", off_by_1e9)
         code, out, err = run_cli(capsys, "sommerfeld")
         assert (code, out) == (2, "")
-        assert err.startswith("xfermi: numerical failure: tolerance not reached")
+        assert err.startswith("xfermi: numerical failure: ")
+        assert "disagree" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fermi", "--density", "nan"],
+        ["fermi", "--density", "inf"],
+        ["fermi", "--si", "--density", "nan"],
+        ["compare", "--density", "nan"],
+    ])
+    def test_non_finite_density_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: ")
+        assert "positive and finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fermi", "--density", "1e308"],
+        ["fermi", "--si", "--density", "1e300"],
+        ["compare", "--density", "1e308"],
+        ["mu-of-t", "--t", "1e-250"],
+        ["heat-capacity", "--t", "1e-250"],
+    ])
+    def test_overflow_reports_numerics_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("xfermi: numerical failure: ")
+        assert "overflows a double" in err
 
     @pytest.mark.parametrize("model", ["exclusive", "boltzmann"])
     def test_fugacity_overflow_reports_numerics_failure(self, capsys, model):

@@ -9,6 +9,7 @@ from oracles import polylog_heat, quad_step_moment, richardson_heat
 from xfermi import (
     EXCLUSIVE,
     STANDARD_FD,
+    NumericsError,
     REFERENCE_A1,
     REFERENCE_A2,
     REFERENCE_HEAT_COEFFICIENT,
@@ -33,6 +34,10 @@ from xfermi import (
     sommerfeld_moment_closed_form,
     specific_heat_exact,
 )
+from xfermi import degenerate
+from xfermi.eos import FugacityOverflowError
+
+NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
 
 class TestFermiScale:
@@ -73,6 +78,48 @@ class TestFermiScale:
         with pytest.raises(ValueError):
             degeneracy_pressure(1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
+    def test_fermi_energy_needs_positive_finite_density(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fermi_energy(bad)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
+    def test_fermi_density_needs_positive_finite_energy(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fermi_density(bad)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
+    def test_ground_state_energy_needs_positive_finite_inputs(self, bad):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ground_state_energy(*args)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
+    def test_degeneracy_pressure_needs_positive_finite_inputs(self, bad):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                degeneracy_pressure(*args)
+
+    @pytest.mark.parametrize("call", [
+        lambda: fermi_energy(1e308),  # 6 pi^2 n overflows
+        lambda: fermi_energy(1e308, STANDARD_FD),
+        lambda: fermi_density(1e206),  # E_F^{3/2} overflows
+        lambda: ground_state_energy(1e300, 1e10),
+        lambda: degeneracy_pressure(1e300, 1e10),
+    ], ids=["fermi_energy", "fermi_energy_fd", "fermi_density", "ground_state_energy",
+            "degeneracy_pressure"])
+    def test_overflow_is_a_numerics_error(self, call):
+        with pytest.raises(NumericsError, match="overflows a double"):
+            call()
+
+    def test_largest_values_below_overflow(self):
+        n = 1e300
+        e_f = fermi_energy(n)
+        assert math.isclose(e_f, 0.5 * (6.0 * math.pi**2 * n) ** (2.0 / 3.0), rel_tol=1e-15)
+        assert math.isclose(fermi_density(1e200), 1e300 * (2.0 / 3.0) * degenerate.B_REDUCED,
+                            rel_tol=1e-14)
+        assert math.isclose(degeneracy_pressure(1e300, 1e8), 4e307, rel_tol=1e-15)
+
 
 class TestStepMoments:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
@@ -111,6 +158,26 @@ class TestStepMoments:
             sommerfeld_moment(3)
         with pytest.raises(ValueError):
             sommerfeld_moment_closed_form(3)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
+    @pytest.mark.parametrize("route", [
+        lambda a: sommerfeld_moment(1, a),
+        lambda a: sommerfeld_moment_closed_form(1, a),
+        sommerfeld_constants,
+    ], ids=["moment", "closed_form", "constants"])
+    def test_blocking_must_be_positive_and_finite(self, route, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            route(bad)
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        closed_form = degenerate.sommerfeld_moment_closed_form
+
+        def off_by_1e9(order, blocking=2.0):
+            return closed_form(order, blocking) + 1e-9
+
+        monkeypatch.setattr(degenerate, "sommerfeld_moment", off_by_1e9)
+        with pytest.raises(NumericsError, match="disagree"):
+            sommerfeld_constants()
 
 
 class TestSeriesFactors:
@@ -254,6 +321,31 @@ class TestHeatCapacity:
         for model in (EXCLUSIVE, STANDARD_FD):
             expected = richardson_heat(t, model)
             assert math.isclose(specific_heat_exact(t, model), expected, rel_tol=1e-6)
+
+
+class TestFixedDensityRange:
+    """t^{-3/2} n lambda^3 leaves the double range below t ~ 1.6e-206."""
+
+    @pytest.mark.parametrize("fn", [
+        chemical_potential_exact,
+        specific_heat_exact,
+        reduced_energy_per_particle,
+        pressure_over_degenerate,
+    ])
+    def test_tiny_t_is_a_fugacity_overflow(self, fn):
+        with pytest.raises(FugacityOverflowError, match="t = 1e-250"):
+            fn(1e-250)
+
+    def test_just_above_the_overflow(self):
+        for model in (EXCLUSIVE, STANDARD_FD):
+            assert math.isclose(chemical_potential_exact(1e-205, model), 1.0, rel_tol=1e-13)
+            assert math.isclose(specific_heat_exact(1e-205, model), math.pi**2 / 2.0,
+                                rel_tol=1e-13)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
+    def test_t_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            chemical_potential_exact(bad)
 
 
 class TestDegenerateThermodynamics:
