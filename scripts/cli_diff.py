@@ -51,6 +51,8 @@ landau --n-lambda3 3 --field 5e-3
 oracle --levels 10 --seed 11 --fugacity 1.7
 oracle --levels 12 --model fd --samples 1000
 oracle --fugacity 1e200
+oracle --levels 15
+oracle --samples 65537
 compare --at 30 --density 5
 """
 
@@ -114,6 +116,7 @@ eos --config /nonexistent/xfermi.cfg
 FAILURES = """
 eos --eta 800
 eos --eta 800 --model boltzmann
+eos --eta -800
 eos --n-lambda3 1e300
 virial --n-lambda3 1e300
 eos --si --density 1e300 --temperature 1
@@ -121,6 +124,7 @@ landau --n-lambda3 10 --field 1e-9
 mu-of-t --t 1e-250
 heat-capacity --t 1e-250
 mu-of-t --t 1e300
+heat-capacity --t 1e300
 fermi --density nan
 fermi --density inf
 fermi --density 1e300
@@ -130,6 +134,7 @@ fermi --si --density 1e300
 compare --density nan
 compare --density 1e308
 eos --eta nan
+occupation --x nan
 pauli --field nan
 """
 

@@ -233,6 +233,8 @@ def _fixed_density(t: float, model: OccupancyModel) -> tuple[float, float]:
         raise FugacityOverflowError(
             f"n lambda^3 at fixed density overflows a double at t = {t!r}"
         ) from None
+    if target == 0.0:
+        raise NumericsError(f"n lambda^3 at fixed density underflows a double at t = {t!r}")
     return target, solve_fugacity(target, model)
 
 

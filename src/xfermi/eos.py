@@ -232,7 +232,8 @@ class ThermoPoint:
     def __post_init__(self):
         if self.n_lambda3 <= 0 or self.energy_density <= 0 or self.pressure <= 0:
             raise ValueError("thermodynamic quantities must be positive")
-        if abs(self.pressure - 2.0 * self.energy_density / 3.0) > 1e-6 * self.pressure:
+        # u / 3 first: 2 u overflows a double before u does
+        if abs(self.pressure - 2.0 * (self.energy_density / 3.0)) > 1e-6 * self.pressure:
             raise InvariantError("pressure and energy density violate p = (2/3) u")
 
     @property
@@ -257,6 +258,8 @@ def solve_point(
     if eta is None:
         eta = solve_fugacity(n_lambda3, model)
     n, u, p = _moments(eta, model, [0, 1, 2])
+    if min(n, u, p) == 0.0:  # e^eta below the double range
+        raise NumericsError(f"a moment underflows a double at eta = {eta:g}")
     return ThermoPoint(
         eta=float(eta),
         n_lambda3=float(n),

@@ -59,6 +59,8 @@ def pauli_populations(
 ) -> tuple[float, float]:
     """Spin populations (up, down) per lambda^3, up being the species
     raised by the field.  Exchanging the field sign swaps them exactly."""
+    if not math.isfinite(b_red):
+        raise ValueError("the field must be finite")
     up, down = 0.5 * _moments(np.array([eta - b_red, eta + b_red]), model, [0])[0]
     return float(up), float(down)
 

@@ -65,8 +65,11 @@ def occupation(x, model: OccupancyModel = EXCLUSIVE):
     double range: with w = e^{-|x|} <= 1 the law is weight*w/(1 + blocking*w)
     for x >= 0 and weight/(w + blocking) below.  Only the classical law
     weight*e^{-x} overflows, to inf, once it leaves the double range.
+    NaN is refused with ``ValueError``; x = +-inf gives the limits.
     """
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("x must not be nan")
     g, a = model.weight, model.blocking
     w = np.exp(-np.abs(x))
     with np.errstate(over="ignore", divide="ignore"):

@@ -9,8 +9,9 @@ replaced, its closed-form Landau susceptibility against the level sum
 differenced in the field and extrapolated to zero, and its Fermi-edge
 step moments against adaptive QUADPACK.  Its block-wise enumeration of
 level configurations is checked against the tag-by-tag enumeration it
-replaced, and its Taylor-series Lane-Emden solution against a fixed-step
-RK4 march and mpmath's ODE solver.
+replaced, its threshold-counting Monte Carlo against numpy's
+``Generator.choice`` on the same stream, and its Taylor-series Lane-Emden
+solution against a fixed-step RK4 march and mpmath's ODE solver.
 
 The dense-grid moments use the substitution u = sqrt(x), which removes
 the sqrt(x) kink at the origin: a plain trapezoid on x converges like
@@ -387,3 +388,27 @@ def enumerate_by_tags(system: LevelSystem, z: float) -> tuple[float, float, np.n
         total += float(w.sum())
         weighted += (occ * w).sum(axis=1)
     return shift, total, weighted
+
+
+def mc_by_choice(
+    energy: float,
+    fugacity: float,
+    samples: int,
+    seed: int,
+    model: OccupancyModel = EXCLUSIVE,
+    stream: int = 0,
+) -> tuple[float, float]:
+    """Mean occupancy of one level and its standard error, from an array of
+    ``samples`` states drawn by ``Generator.choice`` on the stream that
+    ``xfermi.ensemble.mc_occupancy`` uses for (seed, stream)."""
+    radix = 4 if model.blocking == 1.0 else 3
+    y = math.log(fugacity) - energy
+    log_weights = np.array([0.0, y, y, 2.0 * y][:radix])
+    weights = np.exp(log_weights - log_weights.max())
+    rng = np.random.default_rng([seed, stream])
+    states = rng.choice(radix, samples, p=weights / weights.sum())
+    occupancies = _OCCUPANCY_OF_TAG[states]
+    mean = float(occupancies.sum()) / samples
+    if samples == 1:
+        return mean, math.inf
+    return mean, float(occupancies.std(ddof=1)) / math.sqrt(samples)

@@ -384,6 +384,36 @@ class TestExitCodes:
         assert err.startswith("xfermi: numerical failure: ")
         assert "overflows a double" in err
 
+    @pytest.mark.parametrize("argv, coordinate", [
+        (["eos", "--eta", "-800"], "eta = -800"),
+        (["mu-of-t", "--t", "1e300"], "t = 1e+300"),
+        (["heat-capacity", "--t", "1e300"], "t = 1e+300"),
+    ])
+    def test_underflow_reports_numerics_failure(self, capsys, argv, coordinate):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("xfermi: numerical failure: ")
+        assert "underflows a double" in err
+        assert coordinate in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["occupation", "--x", "nan"], "x must not be nan"),
+        (["pauli", "--field", "nan"], "field must be finite"),
+    ])
+    def test_nan_coordinate_is_a_usage_error(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: ")
+        assert name in err
+
+    def test_largest_classical_point(self, capsys):
+        # n and u fit a double at eta = 708 although 2 u does not
+        code, out, _ = run_cli(capsys, "eos", "--eta", "708", "--model", "boltzmann")
+        assert code == 0
+        rows = long_rows(out)
+        assert float(rows[("708", "n_lambda3")][0]) == pytest.approx(6.0468e307, rel=1e-4)
+        assert float(rows[("708", "energy_density")][0]) == pytest.approx(9.0701e307, rel=1e-4)
+
     @pytest.mark.parametrize("model", ["exclusive", "boltzmann"])
     def test_fugacity_overflow_reports_numerics_failure(self, capsys, model):
         code, out, err = run_cli(capsys, "eos", "--eta", "800", "--model", model)

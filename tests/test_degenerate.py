@@ -336,6 +336,17 @@ class TestFixedDensityRange:
         with pytest.raises(FugacityOverflowError, match="t = 1e-250"):
             fn(1e-250)
 
+    @pytest.mark.parametrize("fn", [
+        chemical_potential_exact,
+        specific_heat_exact,
+        reduced_energy_per_particle,
+        pressure_over_degenerate,
+    ])
+    def test_huge_t_is_an_underflow(self, fn):
+        # t^{-3/2} underflows to 0 above t ~ 1e216
+        with pytest.raises(NumericsError, match="underflows a double at t = 1e\\+300"):
+            fn(1e300)
+
     def test_just_above_the_overflow(self):
         for model in (EXCLUSIVE, STANDARD_FD):
             assert math.isclose(chemical_potential_exact(1e-205, model), 1.0, rel_tol=1e-13)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import enumerate_by_tags
+from oracles import enumerate_by_tags, mc_by_choice
 from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -146,6 +146,33 @@ class TestBlockEnumeration:
         assert abs(grand_partition_enumerate(system, 0.7).log_value - log_z) <= 1e-15
         assert np.max(np.abs(mean_occupancies_enumerate(system, 0.7) - occupancies)) <= 1e-15
 
+    @pytest.mark.parametrize("model, n_levels", [(EXCLUSIVE, 10), (EXCLUSIVE, 11),
+                                                 (STANDARD_FD, 10)])
+    @pytest.mark.parametrize("z", [1e-3, 0.7, 30.0, 1e200])
+    def test_partial_sums_carry_through_many_prefix_levels(
+        self, rng, monkeypatch, model, n_levels, z
+    ):
+        system = LevelSystem(tuple(rng.uniform(0.0, 5.0, n_levels)), model)
+        monkeypatch.setattr("oracles._TAG_CHUNK", 1 << 16)
+        shift, total, weighted = enumerate_by_tags(system, z)
+        log_z = shift + math.log(total)
+        # blocks of four levels: six to seven prefix levels pass their sums up
+        monkeypatch.setattr(ensemble, "_CHUNK", system.radix**4)
+        gap = abs(grand_partition_enumerate(system, z).log_value - log_z)
+        assert gap <= 2e-15 * max(1.0, abs(log_z))
+        occupancies = mean_occupancies_enumerate(system, z)
+        assert np.max(np.abs(occupancies - weighted / total)) <= 1e-15
+
+    @pytest.mark.parametrize("model, n_levels", [(EXCLUSIVE, 15), (STANDARD_FD, 12)])
+    @pytest.mark.parametrize("z", [1e-3, 0.7, 30.0, 1e200])
+    def test_capacity_matches_product(self, rng, model, n_levels, z):
+        system = LevelSystem(tuple(rng.uniform(0.0, 5.0, n_levels)), model)
+        log_z = grand_partition_product(system, z).log_value
+        gap = abs(grand_partition_enumerate(system, z).log_value - log_z)
+        assert gap <= 2e-15 * max(1.0, abs(log_z))
+        law = occupation(np.asarray(system.energies) - math.log(z), model)
+        assert np.max(np.abs(mean_occupancies_enumerate(system, z) - law)) <= 1e-15
+
 
 class TestValidation:
     def test_too_many_levels(self):
@@ -178,8 +205,9 @@ class TestValidation:
             grand_partition_enumerate(system, z)
 
     def test_mc_argument_validation(self):
-        with pytest.raises(ValueError):
-            mc_occupancy(1.0, 0.5, samples=0, seed=1)
+        for samples in (0, 10.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="samples"):
+                mc_occupancy(1.0, 0.5, samples=samples, seed=1)
         with pytest.raises(ValueError):
             mc_occupancy(1.0, 0.5, samples=10, seed=-1)
         for energy in (math.nan, -math.inf):  # no state probabilities
@@ -212,6 +240,17 @@ class TestMonteCarlo:
         assert first == second
         other_stream = mc_occupancy(1.0, 0.5, 5_000, seed=7, stream=4)
         assert other_stream != first
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    @pytest.mark.parametrize("samples", [1] + [
+        ensemble._DRAW_CHUNK + k for k in (-1, 0, 1, 2 * ensemble._DRAW_CHUNK + 7)])
+    def test_counts_reproduce_generator_choice(self, model, samples):
+        # the draws straddle zero to three chunk boundaries
+        for energy, z in ((0.0, 1.0), (1.5, 0.5), (3.0, 1.8)):
+            mean, err = mc_occupancy(energy, z, samples, seed=20240817, model=model, stream=2)
+            expected_mean, expected_err = mc_by_choice(energy, z, samples, 20240817, model, 2)
+            assert mean == expected_mean
+            assert math.isclose(err, expected_err, rel_tol=1e-12)
 
     def test_single_sample_has_infinite_error(self):
         _, err = mc_occupancy(1.0, 0.5, samples=1, seed=0)

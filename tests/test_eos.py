@@ -308,6 +308,19 @@ class TestSolvePoint:
         with pytest.raises(NumericsError, match="overflows"):
             pressure(709.5, BOLTZMANN)  # e^eta is finite, 2 e^eta is not
 
+    def test_largest_classical_point(self):
+        # 2 u overflows a double at eta = 708, while n, u and p do not
+        point = solve_point(BOLTZMANN, eta=708.0)
+        assert point.n_lambda3 == point.pressure == 2.0 * math.exp(708.0)
+        assert point.energy_density == 3.0 * math.exp(708.0)
+
+    def test_underflow_is_a_numerics_error(self):
+        # n = g e^eta leaves the double range below eta ~ -745
+        assert solve_point(EXCLUSIVE, eta=-744.0).n_lambda3 > 0.0
+        for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
+            with pytest.raises(NumericsError, match="underflows a double at eta = -800"):
+                solve_point(model, eta=-800.0)
+
     def test_overflow_is_judged_per_moment(self):
         # 2 e^709 fits a double, 3 e^709 does not
         assert density(709.0, BOLTZMANN) == 2.0 * math.exp(709.0)

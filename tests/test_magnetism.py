@@ -75,6 +75,11 @@ class TestPauliMagnetization:
         result = pauli_magnetization(0.0, 30.0)
         assert result.per_particle > 0.999
 
+    @pytest.mark.parametrize("field", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_is_refused_by_name(self, field):
+        with pytest.raises(ValueError, match="field must be finite"):
+            pauli_magnetization(0.0, field)
+
 
 class TestLandauLevelSum:
     def test_linearized_sum_reproduces_geometric_factor(self):

@@ -63,6 +63,15 @@ class TestStability:
         assert [occupation(x, BOLTZMANN) for x in grid] == pytest.approx(expected, rel=1e-15)
         assert occupation(np.array(grid), BOLTZMANN) == pytest.approx(expected, rel=1e-15)
 
+    def test_nan_is_refused_and_infinities_are_limits(self):
+        for x in (math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(ValueError, match="nan"):
+                occupation(x, EXCLUSIVE)
+        for model in (EXCLUSIVE, STANDARD_FD):
+            assert occupation(math.inf, model) == 0.0
+            assert occupation(-math.inf, model) == model.step_height
+        assert occupation(-math.inf, BOLTZMANN) == math.inf
+
     def test_no_nans_across_the_double_range(self):
         grid = np.array([-1e15, -750.0, -36.0, -1.0, 0.0, 1.0, 36.0, 750.0, 1e15])
         for model in (EXCLUSIVE, STANDARD_FD):
