@@ -7,9 +7,11 @@ report each one whose stdout or exit code differs.
 ``src/``.  Every invocation runs in the checkout's directory with
 ``PYTHONPATH=<checkout>/src`` and ``XFERMI_SEED`` unset.  The list covers
 the help texts, every subcommand under each model it accepts in csv, json
-and table, linear and log sweeps, both ``--si`` modes, refused flags and
-numerical failures.  Stderr is not compared: it carries warnings with
-source line numbers.  Exits 1 if any invocation differs, else 0.
+and table, linear and log sweeps, both ``--si`` modes, refused flags,
+numerical failures, both sides of the joins of the inversion's start table,
+and negative values spelled with an exponent or as ``-inf``.  Stderr is not
+compared: it carries warnings with source line numbers.  Exits 1 if any
+invocation differs, else 0.
 """
 
 from __future__ import annotations
@@ -66,6 +68,38 @@ mu-of-t --sweep t 0.01 0.5 6
 heat-capacity --sweep t 1e-4 0.5 6 --sweep-scale log --model fd
 pauli --sweep field 0 2 5
 landau --sweep field 0.05 2 5 --sweep-scale log
+"""
+
+# both sides of the two joins of the inversion's start table, at
+# n lambda^3 a/g = e^-2 and e^4.5 (mu-of-t and heat-capacity: t = 3.13787
+# and 0.0411806 for either model), and one sweep across all three pieces
+JOINS = """
+eos --n-lambda3 0.1353352 --format json
+eos --n-lambda3 0.1353353 --format json
+eos --n-lambda3 90.01713 --format json
+eos --n-lambda3 90.01714 --format json
+eos --n-lambda3 0.2706705 --model fd --format json
+eos --n-lambda3 0.2706706 --model fd --format json
+eos --n-lambda3 180.0342 --model fd --format json
+eos --n-lambda3 180.0343 --model fd --format json
+mu-of-t --t 3.13787
+mu-of-t --t 3.13788
+mu-of-t --t 0.0411805
+mu-of-t --t 0.0411806
+mu-of-t --t 3.13787 --model fd
+mu-of-t --t 3.13788 --model fd
+mu-of-t --t 0.0411805 --model fd
+mu-of-t --t 0.0411806 --model fd
+heat-capacity --t 3.13787
+heat-capacity --t 3.13788
+heat-capacity --t 0.0411805
+heat-capacity --t 0.0411806
+heat-capacity --t 3.13787 --model fd
+heat-capacity --t 3.13788 --model fd
+heat-capacity --t 0.0411805 --model fd
+heat-capacity --t 0.0411806 --model fd
+eos --sweep n-lambda3 1e-3 1e4 29 --sweep-scale log
+eos --sweep n-lambda3 1e-3 1e4 29 --sweep-scale log --model fd
 """
 
 SI = """
@@ -138,6 +172,15 @@ occupation --x nan
 pauli --field nan
 """
 
+# negative values in exponent or inf spelling, given as their own token;
+# these differ from a parent whose parser took them for flags (exit 1)
+NEGATIVE = """
+eos --eta -1e3
+occupation --x -inf
+pauli --field -1e-3
+eos --sweep eta -1e1 -5e0 3
+"""
+
 
 def invocations() -> list[list[str]]:
     runs = [[], ["--version"], ["--help"]]
@@ -149,7 +192,7 @@ def invocations() -> list[list[str]]:
             for fmt in FORMATS:
                 runs.append([command, "--format", fmt]
                             + ([] if model is None else ["--model", model]))
-    for block in (POINTS, SWEEPS, SI, REFUSED, FAILURES):
+    for block in (POINTS, JOINS, SWEEPS, SI, REFUSED, FAILURES, NEGATIVE):
         runs += [shlex.split(line) for line in block.strip().splitlines()]
     return runs
 

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -85,6 +86,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # every token that parses as a negative float is a value, never a flag;
+        # argparse's own test misses -1e3 and -inf
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # argparse would exit(2); route through main()
         raise UsageError(message)
 

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .numerics import NumericsError, RootConvergenceError
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
@@ -155,27 +156,80 @@ def pressure(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     return float(_moments(eta, model, [2])[0])
 
 
-# Newton on ln n reaches the 1e-13 step within 5 kernel calls for every
-# n lambda^3 from 1e-300 to 1e300; the cap only stops a runaway iteration
+# Newton's start is k(nu), the inverse of n_FD(k) = -Li_{3/2}(-e^k) = nu, on
+# three Chebyshev pieces of ln nu: k - ln nu in nu below the first join, k in
+# ln nu up to the second, and k/k0 in k0^{-2} above it, with k0 the T = 0 step.
+# It is within 1e-15 max(1, |k|) of the 30-digit inverse, so the first Newton
+# step already meets the 1e-13 stop.
+# generated by scripts/fermi_tables.py from mpmath; rerun it, do not edit
+_INVERSE_JOINS = (-2.0, 4.5)
+_INVERSE_DILUTE = np.array([
+    0.023890239642897795, 0.023878963863634594, -1.1264366022017697e-05,
+    1.1401722722095794e-08, -1.1509552348071074e-11, 8.907132284755656e-15,
+    -1.4454884129123275e-18,
+])
+_INVERSE_MIDDLE = np.array([
+    6.36482251429062, 11.403149973942538, 4.347598499954668,
+    1.6167055535414823, 0.42335810921618583, 0.0780054980781539,
+    0.012058596611515775, 0.0029533630601877533, 0.0007876324609460746,
+    -2.097915161035849e-05, -9.251709592599216e-05, -8.174901722984306e-06,
+    1.6486470123571865e-05, 5.7238459653615695e-06, -1.7543760133562316e-06,
+    -1.6541932426684717e-06, -1.3495860652732866e-07, 2.9922268606035216e-07,
+    1.2462740334934762e-07, -2.0931181968403156e-08, -3.318642540239442e-08,
+    -7.170307367042168e-09, 4.406436578187966e-09, 3.081006319906347e-09,
+    1.9903952161003763e-10, -5.68440684085821e-10, -2.5089656597843796e-10,
+    2.4608491020121538e-11, 6.082974180050707e-11, 1.7579431187091456e-11,
+    -5.892320847255511e-12, -5.766005690856122e-12, -9.40502824430854e-13,
+    8.180853536318374e-13, 4.897677708960905e-13, 1.436441068245975e-14,
+    -9.307568504114731e-14, -3.6431577138942515e-14, 5.63343149673967e-15,
+    9.331245055636315e-15, 2.167389566035946e-15, -1.126510588491798e-15,
+    -8.375179906493538e-16,
+])
+_INVERSE_DEGENERATE = np.array([
+    0.9993012862187629, -0.000699158769376679, -4.4648505991912487e-07,
+    -1.5126471486275426e-09, -1.6126210009696453e-11, -4.2068752899242654e-13,
+    -2.3011971519252727e-14, -1.837524915249244e-15, -5.253809050880134e-17,
+    3.75198924574822e-17,
+])
+_K0_SCALE = (0.75 * math.sqrt(math.pi)) ** (2.0 / 3.0)
+
+
+def _fd_inverse(log_nu: float) -> float:
+    """k with n_FD(k) = e^log_nu, from the Chebyshev tables."""
+    low, high = _INVERSE_JOINS
+    if log_nu < low:
+        return log_nu + float(chebval(2.0 * math.exp(log_nu - low) - 1.0, _INVERSE_DILUTE))
+    if log_nu < high:
+        return float(chebval((2.0 * log_nu - low - high) / (high - low), _INVERSE_MIDDLE))
+    # k0 = (3 sqrt(pi)/4 nu)^{2/3} from the cube root of e^{log_nu/2}, which keeps
+    # the rounding of log_nu/1.5 (4e-14 of k0 at log_nu = 690) out of k0
+    k0 = _K0_SCALE * float(np.cbrt(math.exp(0.5 * log_nu))) ** 4
+    x = 2.0 * math.exp((high - log_nu) / 0.75) - 1.0  # 2 (k0 at the join / k0)^2 - 1
+    return k0 * float(chebval(x, _INVERSE_DEGENERATE))
+
+
+# Newton from the tabled start confirms the root with one kernel call for
+# every n lambda^3 from 1e-300 to 1e300; the cap only stops a runaway iteration
 _NEWTON_STEPS = 50
 
 
 def solve_fugacity(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Invert the density integral: eta such that density(eta) = n lambda^3.
 
-    Newton on ln n(eta), with dn/deta from the moment kernel.  It starts
-    from the classical eta = ln(n lambda^3 / g), or from the T = 0 step
-    (3 sqrt(pi)/4 n lambda^3 a/g)^{2/3} - ln a once n lambda^3 a/g > 1.
-    ln n is concave in eta, so after the first step the iterates rise
-    monotonically to the root.
+    Newton on ln n(eta), with dn/deta from the moment kernel.  Through the
+    shift identity eta = k - ln a, where k inverts the Fermi integral at
+    nu = n lambda^3 a/g; it starts from the tabled k(nu) of ``_fd_inverse``,
+    close enough that the first step is the confirming one.  The classical
+    model (a = 0) starts from its exact eta = ln(n lambda^3 / g).
     """
     if not (n_lambda3 > 0 and math.isfinite(n_lambda3)):
         raise ValueError("n_lambda3 must be positive and finite")
-    a = model.blocking
+    g, a = model.weight, model.blocking
     target = math.log(n_lambda3)
-    eta = target - math.log(model.weight)
-    if a > 0.0 and eta + math.log(a) > 0.0:
-        eta = math.exp((eta + math.log(0.75 * math.sqrt(math.pi) * a)) / 1.5) - math.log(a)
+    if a > 0.0:
+        eta = _fd_inverse(target + math.log(a / g)) - math.log(a)
+    else:
+        eta = target - math.log(g)
     for _ in range(_NEWTON_STEPS):
         n, slope = _moments(eta, model, [0, 3])
         step = float((target - math.log(n)) * n / slope)

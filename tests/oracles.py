@@ -7,11 +7,13 @@ Newton inversion and analytic heat capacity are checked against the
 bracketed root search and the Richardson-differenced energy they
 replaced, its closed-form Landau susceptibility against the level sum
 differenced in the field and extrapolated to zero, and its Fermi-edge
-step moments against adaptive QUADPACK.  Its block-wise enumeration of
-level configurations is checked against the tag-by-tag enumeration it
-replaced, its threshold-counting Monte Carlo against numpy's
-``Generator.choice`` on the same stream, and its Taylor-series Lane-Emden
-solution against a fixed-step RK4 march and mpmath's ODE solver.
+step moments against adaptive QUADPACK.  The Chebyshev start of its
+inversion is checked against the 30-digit inverse of mpmath's polylog.
+Its block-wise enumeration of level configurations is checked against
+the tag-by-tag enumeration it replaced, its threshold-counting Monte
+Carlo against numpy's ``Generator.choice`` on the same stream, and its
+Taylor-series Lane-Emden solution against a fixed-step RK4 march and
+mpmath's ODE solver.
 
 The dense-grid moments use the substitution u = sqrt(x), which removes
 the sqrt(x) kink at the origin: a plain trapezoid on x converges like
@@ -98,6 +100,23 @@ def polylog_moments(
         w = -mpmath.exp(mpmath.mpf(eta) + mpmath.log(a))
         f12, f32, f52 = (-mpmath.re(mpmath.polylog(nu, w)) * g / a for nu in (0.5, 1.5, 2.5))
         return float(f32), float(1.5 * f52), float(f52), float(f12)
+
+
+def polylog_inverse(log_nu: float, start: float) -> float:
+    """k with -Li_{3/2}(-e^k) = e^log_nu at 30 digits, the inverse Fermi integral.
+
+    Newton on ln n_FD from ``start`` until the step is below
+    1e-25 max(1, |k|); ln n_FD is concave in k, so it converges from any start.
+    """
+    with mpmath.workdps(30):
+        k, target = mpmath.mpf(start), mpmath.mpf(log_nu)
+        for _ in range(100):
+            n = -mpmath.re(mpmath.polylog(1.5, -mpmath.exp(k)))
+            step = (target - mpmath.log(n)) * n / -mpmath.re(mpmath.polylog(0.5, -mpmath.exp(k)))
+            k += step
+            if abs(step) < 1e-25 * max(1, abs(k)):
+                return float(k)
+    raise RuntimeError(f"no 30-digit inverse at ln nu = {log_nu!r}")
 
 
 def polylog_heat(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:

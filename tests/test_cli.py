@@ -406,6 +406,21 @@ class TestExitCodes:
         assert err.startswith("xfermi: usage error: ")
         assert name in err
 
+    # a value token that parses as a float is read as a value in any
+    # spelling, the same as the form argparse always took
+    @pytest.mark.parametrize("argv, same_as, exit_code", [
+        (["eos", "--eta", "-1e3"], ["eos", "--eta=-1e3"], 2),  # n underflows
+        (["occupation", "--x", "-inf"], ["occupation", "--x=-inf"], 0),
+        (["pauli", "--field", "-1e-3"], ["pauli", "--field", "-0.001"], 0),
+        (["eos", "--sweep", "eta", "-1e1", "-5e0", "3"],
+         ["eos", "--sweep", "eta", "-10", "-5", "3"], 0),
+    ])
+    def test_negative_values_in_exponent_and_inf_spelling(self, capsys, argv, same_as,
+                                                          exit_code):
+        result = run_cli(capsys, *argv)
+        assert result[0] == exit_code
+        assert result == run_cli(capsys, *same_as)
+
     def test_largest_classical_point(self, capsys):
         # n and u fit a double at eta = 708 although 2 u does not
         code, out, _ = run_cli(capsys, "eos", "--eta", "708", "--model", "boltzmann")

@@ -11,6 +11,7 @@ from oracles import (
     bracket_fugacity,
     density_oracle,
     energy_density_oracle,
+    polylog_inverse,
     polylog_moments,
     quad_moment,
 )
@@ -31,6 +32,7 @@ from xfermi import (
     solve_point,
     virial_pressure,
 )
+from xfermi import eos
 from xfermi.eos import FugacityOverflowError, _moments
 from xfermi.numerics import RootConvergenceError
 
@@ -217,11 +219,46 @@ class TestFugacityInversion:
             eta = solve_fugacity(n_lambda3, model)
             assert math.isclose(density(eta, model), n_lambda3, rel_tol=1e-12), n_lambda3
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_one_kernel_call_per_inversion(self, model, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return _moments(*args, **kwargs)
+
+        monkeypatch.setattr(eos, "_moments", counted)
+        points = list(np.geomspace(1e-300, 1e300, 601))
+        if model.blocking > 0:  # n lambda^3 = nu g/a at both joins of the table, and each side
+            points += [nu * model.weight / model.blocking * side
+                       for nu in np.exp(eos._INVERSE_JOINS) for side in (1 - 1e-9, 1.0, 1 + 1e-9)]
+        for n_lambda3 in points:
+            calls.clear()
+            solve_fugacity(float(n_lambda3), model)
+            assert len(calls) == 1, (n_lambda3, calls)
+
     def test_newton_step_budget_is_a_numerics_error(self, monkeypatch):
         # a slope that never lets the step shrink
         monkeypatch.setattr("xfermi.eos._moments", lambda eta, model, rows: np.ones(2))
         with pytest.raises(RootConvergenceError):
             solve_fugacity(math.e)
+
+
+class TestInverseTable:
+    """The Chebyshev start of the inversion against the 30-digit inverse."""
+
+    LOW, HIGH = eos._INVERSE_JOINS
+    # ln nu: each piece twice or more, and both sides of each join
+    POINTS = (-700.0, -300.0, -100.0, -40.0, -10.0, -5.0, -3.0, LOW - 1e-9,
+              LOW, LOW + 1e-9, -1.5, -1.0, -0.5, 0.0, 1.0, 2.5, 3.5, 4.0, HIGH - 1e-9,
+              HIGH, HIGH + 1e-9, 5.0, 6.0, 8.0, 12.0, 20.0, 50.0, 100.0, 300.0, 690.0)
+
+    def test_start_is_within_1e_14_of_mpmath(self):
+        # 1e-14 max(1, |k|) leaves a factor 10 to Newton's 1e-13 stop
+        for log_nu in self.POINTS:
+            guess = eos._fd_inverse(log_nu)
+            exact = polylog_inverse(log_nu, guess)
+            assert abs(guess - exact) <= 1e-14 * max(1.0, abs(exact)), (log_nu, guess, exact)
 
 
 class TestVirialSeries:
