@@ -9,7 +9,8 @@ report each one whose stdout or exit code differs.
 the help texts, every subcommand under each model it accepts in csv, json
 and table, linear and log sweeps, both ``--si`` modes, refused flags,
 numerical failures, both sides of the joins of the inversion's start table,
-and negative values spelled with an exponent or as ``-inf``.  Stderr is not
+points solved from the inversion's own kernel call, and negative values
+spelled with an exponent or as ``-inf``.  Stderr is not
 compared: it carries warnings with source line numbers.  Exits 1 if any
 invocation differs, else 0.
 """
@@ -172,6 +173,30 @@ occupation --x nan
 pauli --field nan
 """
 
+# points solved in one kernel call: the smallest subnormal n lambda^3 (its
+# density underflows in the kernel; exit 1 -> 2 against a parent that took
+# log(0)), the heat capacity on both sides of k = eta + ln a = 40 (t =
+# 0.0249871502 for either model), where the energy row is or is not
+# requested, and sweeps of n lambda^3 over the whole range that fits a double
+ONE_CALL = """
+eos --n-lambda3 5e-324
+eos --n-lambda3 5e-324 --model fd
+eos --n-lambda3 5e-324 --model boltzmann
+heat-capacity --t 0.02
+heat-capacity --t 0.02498715
+heat-capacity --t 0.02498716
+heat-capacity --t 0.03
+heat-capacity --t 0.02 --model fd
+heat-capacity --t 0.02498715 --model fd
+heat-capacity --t 0.02498716 --model fd
+heat-capacity --t 0.03 --model fd
+heat-capacity --sweep t 0.02 0.03 41
+eos --sweep n-lambda3 0.01 10 200
+eos --sweep n-lambda3 1e-300 1e4 39 --sweep-scale log
+eos --sweep n-lambda3 1e-300 1e4 39 --sweep-scale log --model fd
+eos --sweep n-lambda3 1e-300 1e300 61 --sweep-scale log --model boltzmann
+"""
+
 # negative values in exponent or inf spelling, given as their own token;
 # these differ from a parent whose parser took them for flags (exit 1)
 NEGATIVE = """
@@ -192,7 +217,7 @@ def invocations() -> list[list[str]]:
             for fmt in FORMATS:
                 runs.append([command, "--format", fmt]
                             + ([] if model is None else ["--model", model]))
-    for block in (POINTS, JOINS, SWEEPS, SI, REFUSED, FAILURES, NEGATIVE):
+    for block in (POINTS, JOINS, ONE_CALL, SWEEPS, SI, REFUSED, FAILURES, NEGATIVE):
         runs += [shlex.split(line) for line in block.strip().splitlines()]
     return runs
 

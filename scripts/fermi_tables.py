@@ -1,7 +1,12 @@
-"""Chebyshev tables of the inverse Fermi integral, from mpmath at 30 digits.
+"""Tables of the moment kernel: Gauss-Legendre nodes and the inverse Fermi integral.
 
-    python3 scripts/fermi_tables.py            # print the table block
-    python3 scripts/fermi_tables.py --check    # exit 1 unless src/xfermi/eos.py holds it
+    python3 scripts/fermi_tables.py            # print the table blocks
+    python3 scripts/fermi_tables.py --check    # exit 1 unless src/xfermi/eos.py holds them
+
+The kernel's 20-point Gauss-Legendre nodes and weights are numpy's
+``leggauss(20)``, printed as the ``repr`` of each float64, so the literals
+in ``eos.py`` are bit-identical to it and the library need not import
+``numpy.polynomial``.
 
 The universal inverse is k(nu) with n_FD(k) = -Li_{3/2}(-e^k) = nu; through
 the shift identity it gives eta = k - ln a at nu = n lambda^3 a/g for every
@@ -16,8 +21,9 @@ blocking model.  It is tabled on three pieces of ln nu:
 At NODES Chebyshev points per piece, k comes from Newton on ln n_FD at
 30 digits; the coefficients are the discrete cosine transform of those
 values, kept down to the last one above TOL times the piece's largest
-|value|.  The block is printed as it stands in ``eos.py``, so ``--check``
-compares text, and a rerun reproduces the committed table.
+|value|, and printed as tuples for ``eos``'s pure-Python Clenshaw sum.
+Each block is printed as it stands in ``eos.py``, so ``--check`` compares
+text, and a rerun reproduces the committed tables.
 """
 
 from __future__ import annotations
@@ -27,11 +33,13 @@ import sys
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 
 LOW, HIGH = -2.0, 4.5  # the piece joins, in ln nu
 NODES = 64
 TOL = 1e-17
 PER_LINE = 3
+GAUSS_NODES = 20
 
 
 def n_fd(k):
@@ -74,33 +82,47 @@ def coefficients(log_nu_at, tabled) -> list[float]:
     return [float(v) for v in c]
 
 
-def block() -> str:
+def _literal(name: str, values, opener: str, closer: str) -> list[str]:
+    text = [repr(float(v)) for v in values]
+    return ([f"{name} = {opener}"]
+            + ["    " + ", ".join(text[i:i + PER_LINE]) + ","
+               for i in range(0, len(text), PER_LINE)]
+            + [closer])
+
+
+def gauss_block() -> str:
+    lines = [f"# generated by scripts/fermi_tables.py from numpy's leggauss({GAUSS_NODES}); "
+             "rerun it, do not edit"]
+    for name, values in zip(("_GL_T", "_GL_V"), np.polynomial.legendre.leggauss(GAUSS_NODES)):
+        lines += _literal(name, values, "np.array([", "])")
+    return "\n".join(lines) + "\n"
+
+
+def inverse_block() -> str:
     lines = ["# generated by scripts/fermi_tables.py from mpmath; rerun it, do not edit",
              f"_INVERSE_JOINS = ({LOW!r}, {HIGH!r})"]
     for name, piece in PIECES.items():
-        c = [repr(v) for v in coefficients(*piece)]
-        lines.append(f"_INVERSE_{name} = np.array([")
-        lines += ["    " + ", ".join(c[i:i + PER_LINE]) + ","
-                  for i in range(0, len(c), PER_LINE)]
-        lines.append("])")
+        lines += _literal(f"_INVERSE_{name}", coefficients(*piece), "(", ")")
     return "\n".join(lines) + "\n"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless src/xfermi/eos.py holds the block verbatim")
+                        help="exit 1 unless src/xfermi/eos.py holds the blocks verbatim")
     args = parser.parse_args()
     with mp.workdps(30):
-        text = block()
+        blocks = (gauss_block(), inverse_block())
     if not args.check:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(blocks))
         return 0
-    source = Path(__file__).resolve().parents[1] / "src" / "xfermi" / "eos.py"
-    if text in source.read_text(encoding="utf-8"):
-        print("eos.py holds the generated table")
+    source = (Path(__file__).resolve().parents[1] / "src" / "xfermi" / "eos.py").read_text(
+        encoding="utf-8")
+    missing = [text for text in blocks if text not in source]
+    if not missing:
+        print("eos.py holds the generated tables")
         return 0
-    print("eos.py differs from the generated table:\n" + text, file=sys.stderr)
+    print("eos.py differs from the generated tables:\n" + "\n".join(missing), file=sys.stderr)
     return 1
 
 

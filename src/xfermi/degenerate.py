@@ -31,7 +31,8 @@ from .eos import (
     _GL_T,
     _GL_V,
     FugacityOverflowError,
-    _moments,
+    _fugacity_start,
+    _newton,
     energy_density,
     pressure,
     solve_fugacity,
@@ -224,8 +225,8 @@ def chemical_potential_series(t: float, model: OccupancyModel = EXCLUSIVE) -> fl
     return 1.0 + c1 * t + c2 * t * t
 
 
-def _fixed_density(t: float, model: OccupancyModel) -> tuple[float, float]:
-    """n lambda^3 of a gas held at fixed density, at temperature t = kT/E_F, and its eta."""
+def _fixed_density(t: float, model: OccupancyModel) -> float:
+    """n lambda^3 of a gas held at fixed density, at temperature t = kT/E_F."""
     _positive("t", t)
     try:
         target = (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
@@ -235,18 +236,18 @@ def _fixed_density(t: float, model: OccupancyModel) -> tuple[float, float]:
         ) from None
     if target == 0.0:
         raise NumericsError(f"n lambda^3 at fixed density underflows a double at t = {t!r}")
-    return target, solve_fugacity(target, model)
+    return target
 
 
 def chemical_potential_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """mu/E_F at t = kT/E_F, from inverting the density integral at fixed density."""
-    return _fixed_density(t, model)[1] * t
+    return solve_fugacity(_fixed_density(t, model), model) * t
 
 
 def reduced_energy_per_particle(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """E/(N E_F) at fixed density and reduced temperature t = kT/E_F."""
-    target, eta = _fixed_density(t, model)
-    return energy_density(eta, model) / target * t
+    target = _fixed_density(t, model)
+    return energy_density(solve_fugacity(target, model), model) / target * t
 
 
 def specific_heat_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -258,12 +259,22 @@ def specific_heat_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     The two terms cancel to ~3/k^2 of their size, so past k = 40 the ratio
     is integrated by parts onto f(1 - f): (3/2) Var(y) / <k + y> under the
     measure sqrt(k + y) f(1 - f) dy, with no cancellation.
+
+    Below k = 40 the moments come from the inversion's confirming kernel
+    call, at eta - step, within 1e-13 max(1, |eta|) of the root.  The route
+    is chosen at the tabled start, within 1e-15 max(1, |k|) of the root, so
+    that the energy row is requested only below k = 40: past it the energy
+    can overflow a double where the density does not.
     """
-    eta = _fixed_density(t, model)[1]
-    k = eta + math.log(model.blocking)
-    if k < _EDGE:
-        n, u, _, slope = _moments(eta, model)
+    target = _fixed_density(t, model)
+    eta = _fugacity_start(target, model)
+    ln_a = math.log(model.blocking)
+    bulk = eta + ln_a < _EDGE
+    eta, values, _ = _newton(target, model, eta, (1,) if bulk else ())
+    if bulk:
+        n, slope, u = values
         return float((2.5 * u / n - 2.25 * n / slope) / t)
+    k = eta + ln_a
     measure = _EDGE_W * np.sqrt(1.0 + _EDGE_Y / k)
     mean = (_EDGE_Y * measure).sum() / measure.sum()
     spread = ((_EDGE_Y - mean) ** 2 * measure).sum()
@@ -278,5 +289,5 @@ def heat_capacity_series_coefficient(model: OccupancyModel = EXCLUSIVE) -> float
 
 def pressure_over_degenerate(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Exact pressure over the T = 0 value (2/5) n E_F, at t = kT/E_F."""
-    target, eta = _fixed_density(t, model)
-    return pressure(eta, model) / target * t / 0.4
+    target = _fixed_density(t, model)
+    return pressure(solve_fugacity(target, model), model) / target * t / 0.4

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .numerics import NumericsError, RootConvergenceError
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
@@ -47,7 +46,25 @@ class InvariantError(NumericsError, ValueError):
 # width, or k - 36 once that is larger: below k - 36 the occupation is
 # 1 - O(e^{-36}), so the integrands are polynomials in u of degree <= 4,
 # which the u-panel integrates exactly.
-_GL_T, _GL_V = np.polynomial.legendre.leggauss(20)
+# generated by scripts/fermi_tables.py from numpy's leggauss(20); rerun it, do not edit
+_GL_T = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326,
+    -0.8391169718222188, -0.7463319064601508, -0.636053680726515,
+    -0.5108670019508271, -0.37370608871541955, -0.22778585114164507,
+    -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+    0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095,
+])
+_GL_V = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+    0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
+    0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
+    0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+    0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893,
+])
 _PANELS = 19
 _PANEL_WIDTH = 4.0
 _TAIL = 40.0
@@ -163,12 +180,12 @@ def pressure(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
 # step already meets the 1e-13 stop.
 # generated by scripts/fermi_tables.py from mpmath; rerun it, do not edit
 _INVERSE_JOINS = (-2.0, 4.5)
-_INVERSE_DILUTE = np.array([
+_INVERSE_DILUTE = (
     0.023890239642897795, 0.023878963863634594, -1.1264366022017697e-05,
     1.1401722722095794e-08, -1.1509552348071074e-11, 8.907132284755656e-15,
     -1.4454884129123275e-18,
-])
-_INVERSE_MIDDLE = np.array([
+)
+_INVERSE_MIDDLE = (
     6.36482251429062, 11.403149973942538, 4.347598499954668,
     1.6167055535414823, 0.42335810921618583, 0.0780054980781539,
     0.012058596611515775, 0.0029533630601877533, 0.0007876324609460746,
@@ -184,28 +201,38 @@ _INVERSE_MIDDLE = np.array([
     -9.307568504114731e-14, -3.6431577138942515e-14, 5.63343149673967e-15,
     9.331245055636315e-15, 2.167389566035946e-15, -1.126510588491798e-15,
     -8.375179906493538e-16,
-])
-_INVERSE_DEGENERATE = np.array([
+)
+_INVERSE_DEGENERATE = (
     0.9993012862187629, -0.000699158769376679, -4.4648505991912487e-07,
     -1.5126471486275426e-09, -1.6126210009696453e-11, -4.2068752899242654e-13,
     -2.3011971519252727e-14, -1.837524915249244e-15, -5.253809050880134e-17,
     3.75198924574822e-17,
-])
+)
 _K0_SCALE = (0.75 * math.sqrt(math.pi)) ** (2.0 / 3.0)
+
+
+def _chebval(x: float, c: tuple[float, ...]) -> float:
+    """Chebyshev series c at x by Clenshaw's recurrence, on plain floats in the
+    operation order of numpy's ``chebval``, so the two agree bit for bit."""
+    x2 = 2.0 * x
+    c0, c1 = c[-2], c[-1]
+    for coefficient in c[-3::-1]:
+        c0, c1 = coefficient - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _fd_inverse(log_nu: float) -> float:
     """k with n_FD(k) = e^log_nu, from the Chebyshev tables."""
     low, high = _INVERSE_JOINS
     if log_nu < low:
-        return log_nu + float(chebval(2.0 * math.exp(log_nu - low) - 1.0, _INVERSE_DILUTE))
+        return log_nu + _chebval(2.0 * math.exp(log_nu - low) - 1.0, _INVERSE_DILUTE)
     if log_nu < high:
-        return float(chebval((2.0 * log_nu - low - high) / (high - low), _INVERSE_MIDDLE))
+        return _chebval((2.0 * log_nu - low - high) / (high - low), _INVERSE_MIDDLE)
     # k0 = (3 sqrt(pi)/4 nu)^{2/3} from the cube root of e^{log_nu/2}, which keeps
     # the rounding of log_nu/1.5 (4e-14 of k0 at log_nu = 690) out of k0
     k0 = _K0_SCALE * float(np.cbrt(math.exp(0.5 * log_nu))) ** 4
     x = 2.0 * math.exp((high - log_nu) / 0.75) - 1.0  # 2 (k0 at the join / k0)^2 - 1
-    return k0 * float(chebval(x, _INVERSE_DEGENERATE))
+    return k0 * _chebval(x, _INVERSE_DEGENERATE)
 
 
 # Newton from the tabled start confirms the root with one kernel call for
@@ -213,35 +240,56 @@ def _fd_inverse(log_nu: float) -> float:
 _NEWTON_STEPS = 50
 
 
-def solve_fugacity(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Invert the density integral: eta such that density(eta) = n lambda^3.
-
-    Newton on ln n(eta), with dn/deta from the moment kernel.  Through the
-    shift identity eta = k - ln a, where k inverts the Fermi integral at
-    nu = n lambda^3 a/g; it starts from the tabled k(nu) of ``_fd_inverse``,
-    close enough that the first step is the confirming one.  The classical
-    model (a = 0) starts from its exact eta = ln(n lambda^3 / g).
-    """
+def _fugacity_start(n_lambda3: float, model: OccupancyModel) -> float:
+    """Newton's start for eta at density n lambda^3: through the shift identity
+    eta = k - ln a, with k the tabled inverse ``_fd_inverse`` at nu = n lambda^3 a/g;
+    the classical model (a = 0) starts from its exact eta = ln(n lambda^3 / g)."""
     if not (n_lambda3 > 0 and math.isfinite(n_lambda3)):
         raise ValueError("n_lambda3 must be positive and finite")
     g, a = model.weight, model.blocking
-    target = math.log(n_lambda3)
     if a > 0.0:
-        eta = _fd_inverse(target + math.log(a / g)) - math.log(a)
-    else:
-        eta = target - math.log(g)
+        return _fd_inverse(math.log(n_lambda3) + math.log(a / g)) - math.log(a)
+    return math.log(n_lambda3) - math.log(g)
+
+
+def _newton(
+    n_lambda3: float, model: OccupancyModel, eta: float, extra: tuple[int, ...] = ()
+) -> tuple[float, np.ndarray, float]:
+    """Newton on ln n(eta) from ``eta``, with dn/deta from the moment kernel.
+
+    Each kernel call also evaluates the ``extra`` rows of ``_moments``, so a
+    caller that needs more moments at the root gets them from the confirming
+    call.  Returns the root, the rows (n, dn/deta, *extra) of the last call,
+    which was made at root - step, and that last step, at most
+    1e-13 max(1, |root|).
+    """
+    target = math.log(n_lambda3)
+    rows = (0, 3, *extra)
     for _ in range(_NEWTON_STEPS):
-        n, slope = _moments(eta, model, [0, 3])
+        values = _moments(eta, model, rows)
+        n, slope = values[0], values[1]
+        if n <= 0.0:  # a subnormal n lambda^3 that the kernel rounds to 0
+            raise NumericsError(f"the density underflows a double at eta = {eta:g}")
         step = float((target - math.log(n)) * n / slope)
         eta += step
         # rounding in ln n limits each step to ~1e-15 eta; stop above that
         if abs(step) <= 1e-13 * max(1.0, abs(eta)):
-            return eta
+            return eta, values, step
     raise RootConvergenceError(
         f"Newton inversion at n lambda^3 = {n_lambda3!r} took over {_NEWTON_STEPS} steps",
         eta,
         tuple(sorted((eta - step, eta))),
     )
+
+
+def solve_fugacity(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """Invert the density integral: eta such that density(eta) = n lambda^3.
+
+    Newton on ln n(eta), with dn/deta from the moment kernel, from the
+    tabled start of ``_fugacity_start``, close enough that the first step is
+    the confirming one.
+    """
+    return _newton(n_lambda3, model, _fugacity_start(n_lambda3, model))[0]
 
 
 def _check_series(name: str, n_lambda3: float) -> None:
@@ -306,12 +354,21 @@ def solve_point(
     eta: float | None = None,
     n_lambda3: float | None = None,
 ) -> ThermoPoint:
-    """Fill in a full ThermoPoint from either eta or the degeneracy parameter."""
+    """Fill in a full ThermoPoint from either eta or the degeneracy parameter.
+
+    From n lambda^3 the point costs one kernel call: the moments come from
+    the call that confirms the inversion's root.
+    """
     if (eta is None) == (n_lambda3 is None):
         raise ValueError("give exactly one of eta or n_lambda3")
     if eta is None:
-        eta = solve_fugacity(n_lambda3, model)
-    n, u, p = _moments(eta, model, [0, 1, 2])
+        eta, (n, slope, u, p), step = _newton(
+            n_lambda3, model, _fugacity_start(n_lambda3, model), (1, 2))
+        # Newton's last call was at eta - step: move each moment along its exact
+        # derivative, dn/deta, du/deta = (3/2) n and dp/deta = n, to O(step^2)
+        n, u, p = n + slope * step, u + 1.5 * n * step, p + n * step
+    else:
+        n, u, p = _moments(eta, model, [0, 1, 2])
     if min(n, u, p) == 0.0:  # e^eta below the double range
         raise NumericsError(f"a moment underflows a double at eta = {eta:g}")
     return ThermoPoint(

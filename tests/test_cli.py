@@ -115,6 +115,19 @@ class TestBasics:
         )
         assert (completed.returncode, completed.stderr) == (0, "")
 
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # the kernel's Gauss-Legendre nodes and the inverse tables are literals
+        script = (
+            "import sys\n"
+            "import xfermi.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']]\n"
+            "assert not loaded, loaded\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (completed.returncode, completed.stderr) == (0, "")
+
 
 class TestFormats:
     def test_csv_and_json_agree(self, capsys):
@@ -388,6 +401,9 @@ class TestExitCodes:
         (["eos", "--eta", "-800"], "eta = -800"),
         (["mu-of-t", "--t", "1e300"], "t = 1e+300"),
         (["heat-capacity", "--t", "1e300"], "t = 1e+300"),
+        (["eos", "--n-lambda3", "5e-324"], "eta = -745"),
+        (["eos", "--n-lambda3", "5e-324", "--model", "fd"], "eta = -745"),
+        (["eos", "--n-lambda3", "5e-324", "--model", "boltzmann"], "eta = -745"),
     ])
     def test_underflow_reports_numerics_failure(self, capsys, argv, coordinate):
         code, out, err = run_cli(capsys, *argv)

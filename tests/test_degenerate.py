@@ -35,7 +35,7 @@ from xfermi import (
     specific_heat_exact,
 )
 from xfermi import degenerate
-from xfermi.eos import FugacityOverflowError
+from xfermi.eos import FugacityOverflowError, _moments, solve_fugacity
 
 NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
@@ -315,6 +315,21 @@ class TestHeatCapacity:
             eta = chemical_potential_exact(t, model) / t
             expected = polylog_heat(eta, model) / t
             assert math.isclose(specific_heat_exact(t, model), expected, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    def test_heat_from_the_inversion_call_matches_a_fresh_call(self, model):
+        # below k = 40 the moments are those of Newton's confirming call, at
+        # eta - step; a fresh four-row call at the root gives the same heat
+        fresh = 0
+        for t in np.geomspace(5e-5, 10.0, 201):
+            eta = solve_fugacity(degenerate._fixed_density(t, model), model)
+            if eta + math.log(model.blocking) >= degenerate._EDGE:
+                continue
+            n, u, _, slope = _moments(eta, model)
+            expected = (2.5 * u / n - 2.25 * n / slope) / t
+            assert math.isclose(specific_heat_exact(t, model), expected, rel_tol=1e-12), t
+            fresh += 1
+        assert fresh > 50  # about half the range lies below k = 40
 
     @pytest.mark.parametrize("t", [0.01, 0.03, 0.1, 0.2])
     def test_analytic_heat_matches_richardson_oracle(self, t):

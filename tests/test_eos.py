@@ -1,11 +1,14 @@
 """Reduced equation of state: integrals, inversion, virial series."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.legendre import leggauss
 
 from oracles import (
     bracket_fugacity,
@@ -32,7 +35,8 @@ from xfermi import (
     solve_point,
     virial_pressure,
 )
-from xfermi import eos
+from xfermi import eos, specific_heat_exact
+from xfermi.degenerate import _EDGE
 from xfermi.eos import FugacityOverflowError, _moments
 from xfermi.numerics import RootConvergenceError
 
@@ -227,15 +231,36 @@ class TestFugacityInversion:
             calls.append(args[0])
             return _moments(*args, **kwargs)
 
-        monkeypatch.setattr(eos, "_moments", counted)
+        def one_call(fn, *args, **kwargs):
+            calls.clear()
+            with contextlib.suppress(FugacityOverflowError):  # the energy row past ~1e186
+                fn(*args, **kwargs)
+            assert len(calls) == 1, (fn.__name__, args, kwargs, calls)
+
         points = list(np.geomspace(1e-300, 1e300, 601))
         if model.blocking > 0:  # n lambda^3 = nu g/a at both joins of the table, and each side
             points += [nu * model.weight / model.blocking * side
                        for nu in np.exp(eos._INVERSE_JOINS) for side in (1 - 1e-9, 1.0, 1 + 1e-9)]
+            # and each side of k = eta + ln a = 40, where the heat capacity changes route
+            points += [density(_EDGE - math.log(model.blocking), model) * side
+                       for side in (1 - 1e-9, 1 + 1e-9)]
+        monkeypatch.setattr(eos, "_moments", counted)
         for n_lambda3 in points:
-            calls.clear()
-            solve_fugacity(float(n_lambda3), model)
-            assert len(calls) == 1, (n_lambda3, calls)
+            n_lambda3 = float(n_lambda3)
+            one_call(solve_fugacity, n_lambda3, model)
+            one_call(solve_point, model, n_lambda3=n_lambda3)
+            if model.blocking > 0:  # the temperature at which a fixed density has this n lambda^3
+                t = (4.0 / (3.0 * math.sqrt(math.pi)) * model.step_height / n_lambda3) ** (2 / 3)
+                one_call(specific_heat_exact, t, model)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_subnormal_density_is_a_numerics_error(self, model):
+        # the kernel's n at the start rounds to 0, where Newton would take log(0)
+        assert solve_fugacity(1e-322, model) < -740.0
+        with pytest.raises(NumericsError, match="density underflows a double"):
+            solve_fugacity(5e-324, model)
+        with pytest.raises(NumericsError, match="density underflows a double"):
+            solve_point(model, n_lambda3=5e-324)
 
     def test_newton_step_budget_is_a_numerics_error(self, monkeypatch):
         # a slope that never lets the step shrink
@@ -259,6 +284,16 @@ class TestInverseTable:
             guess = eos._fd_inverse(log_nu)
             exact = polylog_inverse(log_nu, guess)
             assert abs(guess - exact) <= 1e-14 * max(1.0, abs(exact)), (log_nu, guess, exact)
+
+    def test_clenshaw_sum_equals_numpy_chebval(self, monkeypatch):
+        ours = [eos._fd_inverse(log_nu) for log_nu in self.POINTS]
+        monkeypatch.setattr(eos, "_chebval", lambda x, c: float(chebval(x, np.array(c))))
+        assert ours == [eos._fd_inverse(log_nu) for log_nu in self.POINTS]
+
+    def test_gauss_legendre_literals_equal_leggauss(self):
+        nodes, weights = leggauss(20)
+        assert eos._GL_T.tolist() == nodes.tolist()
+        assert eos._GL_V.tolist() == weights.tolist()
 
 
 class TestVirialSeries:
@@ -327,6 +362,25 @@ class TestSolvePoint:
         by_eta = solve_point(STANDARD_FD, eta=0.7)
         by_density = solve_point(STANDARD_FD, n_lambda3=by_eta.n_lambda3)
         assert abs(by_density.eta - 0.7) <= 1e-9
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_point_from_density_matches_point_from_its_eta(self, model):
+        # the moments are moved from Newton's last call to the root along their
+        # exact derivatives; d ln(moment)/d eta <= 1, so one ulp of eta moves each
+        # by at most 2^-52 max(1, |eta|) relative
+        for n_lambda3 in np.geomspace(1e-300, 1e300, 601):
+            try:
+                point = solve_point(model, n_lambda3=float(n_lambda3))
+            except FugacityOverflowError:
+                with pytest.raises(FugacityOverflowError):
+                    solve_point(model, eta=solve_fugacity(float(n_lambda3), model))
+                continue
+            by_eta = solve_point(model, eta=point.eta)
+            bound = 4.0 * 2.0**-52 * max(1.0, abs(point.eta))
+            for field in ("n_lambda3", "energy_density", "pressure"):
+                got, expected = getattr(point, field), getattr(by_eta, field)
+                assert math.isclose(got, expected, rel_tol=bound), (n_lambda3, field)
+            assert math.isclose(point.n_lambda3, n_lambda3, rel_tol=1e-12)
 
     def test_requires_exactly_one_coordinate(self):
         with pytest.raises(ValueError):
