@@ -9,10 +9,12 @@ report each one whose stdout or exit code differs.
 the help texts, every subcommand under each model it accepts in csv, json
 and table, linear and log sweeps, both ``--si`` modes, refused flags,
 numerical failures, both sides of the joins of the inversion's start table,
-points solved from the inversion's own kernel call, and negative values
-spelled with an exponent or as ``-inf``.  Stderr is not
-compared: it carries warnings with source line numbers.  Exits 1 if any
-invocation differs, else 0.
+points solved from the inversion's own kernel call, negative values
+spelled with an exponent or as ``-inf``, subnormal densities, and Monte
+Carlo sample counts up to and past 2^63 - 1.  An invocation still running
+after 600 s is stopped and reported as exit ``timeout``.
+Stderr is not compared: it carries warnings with source line numbers.
+Exits 1 if any invocation differs, else 0.
 """
 
 from __future__ import annotations
@@ -206,6 +208,22 @@ pauli --field -1e-3
 eos --sweep eta -1e1 -5e0 3
 """
 
+# subnormal n lambda^3, where Newton's steps go back and forth across the
+# root at the spacing 2^-1074 of n (exit 2 against a parent that stopped
+# only on a relative step of 1e-13)
+SUBNORMAL = """
+eos --n-lambda3 1e-315
+eos --n-lambda3 1e-315 --model fd
+eos --n-lambda3 1e-315 --model boltzmann
+"""
+
+# sample counts whose cost grew with the count while each sample was drawn
+# on its own: a trillion (about an hour that way) and one past 2^63 - 1
+SAMPLES = """
+oracle --samples 1000000000000
+oracle --samples 9223372036854775808
+"""
+
 
 def invocations() -> list[list[str]]:
     runs = [[], ["--version"], ["--help"]]
@@ -217,16 +235,20 @@ def invocations() -> list[list[str]]:
             for fmt in FORMATS:
                 runs.append([command, "--format", fmt]
                             + ([] if model is None else ["--model", model]))
-    for block in (POINTS, JOINS, ONE_CALL, SWEEPS, SI, REFUSED, FAILURES, NEGATIVE):
+    for block in (POINTS, JOINS, ONE_CALL, SWEEPS, SI, REFUSED, FAILURES, NEGATIVE,
+                  SUBNORMAL, SAMPLES):
         runs += [shlex.split(line) for line in block.strip().splitlines()]
     return runs
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[int, str]:
+def run(checkout: Path, argv: list[str]) -> tuple[int | str, str]:
     env = {k: v for k, v in os.environ.items() if k != "XFERMI_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
-    done = subprocess.run([sys.executable, "-m", "xfermi", *argv], cwd=checkout, env=env,
-                          capture_output=True, text=True, timeout=600)
+    try:
+        done = subprocess.run([sys.executable, "-m", "xfermi", *argv], cwd=checkout,
+                              env=env, capture_output=True, text=True, timeout=600)
+    except subprocess.TimeoutExpired:
+        return "timeout", ""
     return done.returncode, done.stdout
 
 

@@ -25,10 +25,11 @@ MAX_CONFIGURATIONS = 4**12
 # level states: 0 empty, 1 spin-up, 2 spin-down, 3 doubly occupied
 _OCCUPANCY_OF_TAG = np.array([0.0, 1.0, 1.0, 2.0])
 
-# configurations per block (256 KB of weights) and uniforms per Monte
-# Carlo draw: both sizes keep the temporaries in cache
+# configurations per enumeration block: 256 KB of weights stay in cache
 _CHUNK = 1 << 15
-_DRAW_CHUNK = 1 << 16
+
+# the largest sample count numpy's multinomial takes (a C int64)
+_MAX_SAMPLES = 2**63 - 1
 
 
 class CapacityError(ValueError):
@@ -216,17 +217,23 @@ def mc_occupancy(
     """Monte Carlo estimate of a single level's mean occupancy.
 
     Levels are independent in the grand canonical ensemble, so one level
-    is sampled directly from its state probabilities.  Deterministic for a
-    given (seed, stream); use a distinct ``stream`` per level when
-    sampling several levels so results do not depend on evaluation order.
+    is sampled directly from its state probabilities.  The counts of
+    ``samples`` independent draws follow ``Multinomial(samples, p)``
+    exactly, and the mean and its error depend on the draws only through
+    those counts, so the counts are drawn in one ``Generator.multinomial``
+    call at a cost that does not grow with ``samples``.  Deterministic for
+    a given (seed, stream), but not the values ``Generator.choice`` gives on
+    that stream; use a distinct ``stream`` per level when sampling several
+    levels so results do not depend on evaluation order.
 
     Returns:
         (mean occupancy, standard error of the mean).
     """
     _check_fugacity(fugacity)
     radix = _require_discrete_model(model)
-    if not (samples >= 1 and float(samples).is_integer()):
-        raise ValueError("samples must be a positive integer")
+    # the bound goes first: float() of a huge int overflows
+    if not (1 <= samples <= _MAX_SAMPLES and float(samples).is_integer()):
+        raise ValueError("samples must be a positive integer no larger than 2^63 - 1")
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be non-negative")
     y = math.log(fugacity) - energy
@@ -235,21 +242,9 @@ def mc_occupancy(
     log_weights = np.array([0.0, y, y, 2.0 * y][:radix])
     weights = np.exp(log_weights - log_weights.max())
     probabilities = weights / weights.sum()
-    cdf = np.cumsum(probabilities)
-    cdf /= cdf[-1]
-    # Generator.choice(radix, samples, p=probabilities) draws state j where
-    # cdf[j-1] <= u < cdf[j]; counting draws at or above each threshold
-    # reproduces its draws without an array of them; the uniforms come in
-    # chunks through one buffer, which consumes the stream in the same order
     rng = np.random.default_rng([int(seed), int(stream)])
     samples = int(samples)
-    buffer = np.empty(min(samples, _DRAW_CHUNK))
-    at_or_above = np.zeros(radix + 1, dtype=np.int64)
-    at_or_above[0] = samples
-    for start in range(0, samples, _DRAW_CHUNK):
-        u = rng.random(out=buffer[: samples - start])
-        at_or_above[1:-1] += [np.count_nonzero(u >= c) for c in cdf[:-1]]
-    counts = -np.diff(at_or_above)
+    counts = rng.multinomial(samples, probabilities)
     occ = _OCCUPANCY_OF_TAG[:radix]
     mean = float(counts @ occ) / samples
     if samples == 1:

@@ -238,6 +238,7 @@ def _fd_inverse(log_nu: float) -> float:
 # Newton from the tabled start confirms the root with one kernel call for
 # every n lambda^3 from 1e-300 to 1e300; the cap only stops a runaway iteration
 _NEWTON_STEPS = 50
+_SUBNORMAL_STEP = math.ulp(0.0)  # 2^-1074, the spacing of subnormal doubles
 
 
 def _fugacity_start(n_lambda3: float, model: OccupancyModel) -> float:
@@ -260,11 +261,13 @@ def _newton(
     Each kernel call also evaluates the ``extra`` rows of ``_moments``, so a
     caller that needs more moments at the root gets them from the confirming
     call.  Returns the root, the rows (n, dn/deta, *extra) of the last call,
-    which was made at root - step, and that last step, at most
-    1e-13 max(1, |root|).
+    which was made at root - step, and that last step: at most
+    1e-13 max(1, |root|), or, for a subnormal n, a turn of the iteration
+    within twice the resolution 2^-1074/n of ln n.
     """
     target = math.log(n_lambda3)
     rows = (0, 3, *extra)
+    last = 0.0
     for _ in range(_NEWTON_STEPS):
         values = _moments(eta, model, rows)
         n, slope = values[0], values[1]
@@ -272,9 +275,15 @@ def _newton(
             raise NumericsError(f"the density underflows a double at eta = {eta:g}")
         step = float((target - math.log(n)) * n / slope)
         eta += step
-        # rounding in ln n limits each step to ~1e-15 eta; stop above that
-        if abs(step) <= 1e-13 * max(1.0, abs(eta)):
+        # rounding in ln n limits each step to ~1e-15 eta; stop above that.  A
+        # subnormal n is a whole number of 2^-1074, so below n ~ 1e-313 the
+        # steps end up going back and forth across the root at that
+        # resolution; stop at the first turn
+        if abs(step) <= 1e-13 * max(1.0, abs(eta)) or (
+            step * last < 0.0 and abs(step) <= 2.0 * _SUBNORMAL_STEP / n
+        ):
             return eta, values, step
+        last = step
     raise RootConvergenceError(
         f"Newton inversion at n lambda^3 = {n_lambda3!r} took over {_NEWTON_STEPS} steps",
         eta,

@@ -10,10 +10,12 @@ differenced in the field and extrapolated to zero, and its Fermi-edge
 step moments against adaptive QUADPACK.  The Chebyshev start of its
 inversion is checked against the 30-digit inverse of mpmath's polylog.
 Its block-wise enumeration of level configurations is checked against
-the tag-by-tag enumeration it replaced, its threshold-counting Monte
-Carlo against numpy's ``Generator.choice`` on the same stream, and its
-Taylor-series Lane-Emden solution against a fixed-step RK4 march and
-mpmath's ODE solver.
+the tag-by-tag enumeration it replaced.  Its Monte Carlo, one multinomial
+draw of the state counts, is checked exactly against the same draw with
+the mean and error in rational arithmetic, and in distribution against
+``samples`` states drawn one by one with numpy's ``Generator.choice``.
+Its Taylor-series Lane-Emden solution is checked against a fixed-step RK4
+march and mpmath's ODE solver.
 
 The dense-grid moments use the substitution u = sqrt(x), which removes
 the sqrt(x) kink at the origin: a plain trapezoid on x converges like
@@ -24,6 +26,7 @@ oracles are held to.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -409,6 +412,15 @@ def enumerate_by_tags(system: LevelSystem, z: float) -> tuple[float, float, np.n
     return shift, total, weighted
 
 
+def _state_probabilities(energy: float, fugacity: float, model: OccupancyModel) -> np.ndarray:
+    """Probabilities of a level's states (empty, up, down[, both]) at beta = 1."""
+    radix = 4 if model.blocking == 1.0 else 3
+    y = math.log(fugacity) - energy
+    log_weights = np.array([0.0, y, y, 2.0 * y][:radix])
+    weights = np.exp(log_weights - log_weights.max())
+    return weights / weights.sum()
+
+
 def mc_by_choice(
     energy: float,
     fugacity: float,
@@ -418,16 +430,45 @@ def mc_by_choice(
     stream: int = 0,
 ) -> tuple[float, float]:
     """Mean occupancy of one level and its standard error, from an array of
-    ``samples`` states drawn by ``Generator.choice`` on the stream that
-    ``xfermi.ensemble.mc_occupancy`` uses for (seed, stream)."""
-    radix = 4 if model.blocking == 1.0 else 3
-    y = math.log(fugacity) - energy
-    log_weights = np.array([0.0, y, y, 2.0 * y][:radix])
-    weights = np.exp(log_weights - log_weights.max())
+    ``samples`` states drawn one by one by ``Generator.choice``.
+
+    An independent sampler of the law that ``xfermi.ensemble.mc_occupancy``
+    samples: its draws use the same (seed, stream) but not the same values,
+    so the two agree in distribution, not draw for draw.
+    """
+    probabilities = _state_probabilities(energy, fugacity, model)
     rng = np.random.default_rng([seed, stream])
-    states = rng.choice(radix, samples, p=weights / weights.sum())
+    states = rng.choice(len(probabilities), samples, p=probabilities)
     occupancies = _OCCUPANCY_OF_TAG[states]
     mean = float(occupancies.sum()) / samples
     if samples == 1:
         return mean, math.inf
     return mean, float(occupancies.std(ddof=1)) / math.sqrt(samples)
+
+
+def mc_by_multinomial(
+    energy: float,
+    fugacity: float,
+    samples: int,
+    seed: int,
+    model: OccupancyModel = EXCLUSIVE,
+    stream: int = 0,
+) -> tuple[float, float]:
+    """Mean occupancy of one level and its standard error, from the state
+    counts of one ``Generator.multinomial`` draw on the (seed, stream) of
+    ``xfermi.ensemble.mc_occupancy``.
+
+    The occupancy sum s and square sum q are integers, so the mean s/N and
+    the variance (N q - s^2) / (N^2 (N - 1)) of the mean are exact
+    rationals, each rounded once.
+    """
+    probabilities = _state_probabilities(energy, fugacity, model)
+    counts = np.random.default_rng([seed, stream]).multinomial(samples, probabilities)
+    occupancies = (0, 1, 1, 2)
+    total = sum(int(c) * o for c, o in zip(counts, occupancies))
+    squares = sum(int(c) * o * o for c, o in zip(counts, occupancies))
+    mean = float(Fraction(total, samples))
+    if samples == 1:
+        return mean, math.inf
+    variance = Fraction(samples * squares - total * total, samples * samples * (samples - 1))
+    return mean, math.sqrt(variance)

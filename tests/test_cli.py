@@ -561,6 +561,19 @@ class TestPhysicsOutput:
         z_scores = [v for (_, q), v in rows.items() if q == "mc_z_score"]
         assert z_scores and all(v == ("", "monte-carlo", "") for v in z_scores)
 
+    def test_oracle_refuses_samples_beyond_int64(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--samples", str(2**63))
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: samples must be a positive integer")
+
+    def test_oracle_at_a_trillion_samples(self, capsys):
+        # one multinomial draw per level: the cost does not grow with --samples
+        code, out, _ = run_cli(capsys, "oracle", "--samples", "1000000000000")
+        assert code == 0
+        rows = long_rows(out)
+        z_scores = [float(v[0]) for (_, q), v in rows.items() if q == "mc_z_score"]
+        assert len(z_scores) == 3 and all(abs(z) <= 5.0 for z in z_scores)
+
     def test_oracle_log_partition_gap_at_huge_fugacity(self, capsys):
         # Z itself overflows at z = 1e200; ln Z does not
         code, out, _ = run_cli(capsys, "oracle", "--fugacity", "1e200", "--samples", "1000")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import enumerate_by_tags, mc_by_choice
+from oracles import enumerate_by_tags, mc_by_choice, mc_by_multinomial
 from xfermi import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -205,7 +205,7 @@ class TestValidation:
             grand_partition_enumerate(system, z)
 
     def test_mc_argument_validation(self):
-        for samples in (0, 10.5, math.inf, math.nan):
+        for samples in (0, 10.5, math.inf, math.nan, 2**63, 10**400):
             with pytest.raises(ValueError, match="samples"):
                 mc_occupancy(1.0, 0.5, samples=samples, seed=1)
         with pytest.raises(ValueError):
@@ -242,15 +242,26 @@ class TestMonteCarlo:
         assert other_stream != first
 
     @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
-    @pytest.mark.parametrize("samples", [1] + [
-        ensemble._DRAW_CHUNK + k for k in (-1, 0, 1, 2 * ensemble._DRAW_CHUNK + 7)])
-    def test_counts_reproduce_generator_choice(self, model, samples):
-        # the draws straddle zero to three chunk boundaries
+    @pytest.mark.parametrize("samples", [1, 2, 1000, 1_000_000])
+    def test_counts_are_one_multinomial_draw(self, model, samples):
         for energy, z in ((0.0, 1.0), (1.5, 0.5), (3.0, 1.8)):
             mean, err = mc_occupancy(energy, z, samples, seed=20240817, model=model, stream=2)
-            expected_mean, expected_err = mc_by_choice(energy, z, samples, 20240817, model, 2)
+            expected_mean, expected_err = mc_by_multinomial(energy, z, samples, 20240817, model, 2)
             assert mean == expected_mean
-            assert math.isclose(err, expected_err, rel_tol=1e-12)
+            assert math.isclose(err, expected_err, rel_tol=1e-12)  # inf at one sample
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    def test_agrees_in_distribution_with_generator_choice(self, model):
+        # Generator.choice draws the states one by one: an independent sampler
+        for energy, z in ((0.0, 1.0), (1.5, 0.5), (3.0, 1.8)):
+            mean, err = mc_occupancy(energy, z, 100_000, seed=20240817, model=model, stream=2)
+            other, other_err = mc_by_choice(energy, z, 100_000, 20240817, model, 2)
+            assert abs(mean - other) <= 5.0 * math.hypot(err, other_err)
+
+    def test_largest_sample_count(self):
+        mean, err = mc_occupancy(1.0, 0.5, samples=2**63 - 1, seed=20240817)
+        assert math.isfinite(mean) and 0.0 < err < 1e-9
+        assert abs(mean - occupation(1.0 - math.log(0.5))) <= 5.0 * err
 
     def test_single_sample_has_infinite_error(self):
         _, err = mc_occupancy(1.0, 0.5, samples=1, seed=0)

@@ -262,6 +262,20 @@ class TestFugacityInversion:
         with pytest.raises(NumericsError, match="density underflows a double"):
             solve_point(model, n_lambda3=5e-324)
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_subnormal_densities_resolve_to_their_spacing(self, model):
+        # a subnormal n is a whole number of 2^-1074, so eta is known to
+        # 2^-1074/n; only the smallest, where the kernel's n rounds to 0, fails
+        spacing = math.ulp(0.0)
+        for n_lambda3 in map(float, np.geomspace(spacing, 2.2e-308, 400)):
+            if n_lambda3 == spacing:
+                with pytest.raises(NumericsError, match="density underflows a double"):
+                    solve_fugacity(n_lambda3, model)
+                continue
+            eta = solve_fugacity(n_lambda3, model)
+            classical = math.log(n_lambda3 / model.weight)
+            assert abs(eta - classical) <= max(1e-13 * abs(eta), 2.0 * spacing / n_lambda3)
+
     def test_newton_step_budget_is_a_numerics_error(self, monkeypatch):
         # a slope that never lets the step shrink
         monkeypatch.setattr("xfermi.eos._moments", lambda eta, model, rows: np.ones(2))
