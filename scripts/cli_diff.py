@@ -11,7 +11,8 @@ and table, linear and log sweeps, both ``--si`` modes, refused flags,
 numerical failures, both sides of the joins of the inversion's start table,
 points solved from the inversion's own kernel call, negative values
 spelled with an exponent or as ``-inf``, subnormal densities, and Monte
-Carlo sample counts up to and past 2^63 - 1.  An invocation still running
+Carlo sample counts up to and past 2^63 - 1, and spin populations, Landau
+spacings and SI scales past the double range.  An invocation still running
 after 600 s is stopped and reported as exit ``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
 Exits 1 if any invocation differs, else 0.
@@ -224,6 +225,31 @@ oracle --samples 1000000000000
 oracle --samples 9223372036854775808
 """
 
+# populations, level spacings and SI scales past the double range: both
+# spin populations underflow (a ZeroDivisionError traceback, exit 1, against
+# the parent), the smaller is subnormal and would shift M/N (exit 0 -> 2),
+# or one underflows beside a normal one and M/N saturates at 1; a subnormal
+# Landau spacing, where 1/(2 sinh s) overflows (exit 0 with inf -> 2), and a
+# wide one, where sinh s does (an OverflowError traceback, exit 1 -> 2); and
+# the --si wavelength and k_B T / lambda^3 out of range (tracebacks, exit 1,
+# -> 2) or at a non-finite temperature (exit 1 with another message)
+EDGES = """
+pauli --eta -800
+pauli --eta -750 --field 2
+pauli --eta -744 --field 1
+pauli --eta -700 --field 1
+pauli --eta 0 --field 760
+landau --field 1e-310
+landau --field 800
+landau --sweep field 1e-320 1e-300 3 --sweep-scale log
+eos --si --density 1e25 --temperature 1e-300
+eos --si --density 1e25 --temperature inf
+eos --si --density 1e25 --temperature 1e300
+eos --si --density 1e-300 --temperature 1e300
+eos --si --density 1e25 --temperature 300 --mass 1e-300
+eos --si --density 1e25 --temperature nan
+"""
+
 
 def invocations() -> list[list[str]]:
     runs = [[], ["--version"], ["--help"]]
@@ -236,7 +262,7 @@ def invocations() -> list[list[str]]:
                 runs.append([command, "--format", fmt]
                             + ([] if model is None else ["--model", model]))
     for block in (POINTS, JOINS, ONE_CALL, SWEEPS, SI, REFUSED, FAILURES, NEGATIVE,
-                  SUBNORMAL, SAMPLES):
+                  SUBNORMAL, SAMPLES, EDGES):
         runs += [shlex.split(line) for line in block.strip().splitlines()]
     return runs
 

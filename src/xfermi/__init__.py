@@ -27,16 +27,10 @@ from .degenerate import (
     chemical_potential_exact,
     chemical_potential_series,
     degeneracy_pressure,
-    fermi_density,
     fermi_energy,
     ground_state_energy,
     heat_capacity_series_coefficient,
     mu_series_coefficients,
-    number_series_factor,
-    pressure_over_degenerate,
-    reduced_energy_per_particle,
-    series_density,
-    series_energy_density,
     sommerfeld_constants,
     sommerfeld_moment,
     sommerfeld_moment_closed_form,
@@ -66,7 +60,6 @@ from .magnetism import (
     landau_partition_ratio,
     landau_susceptibility,
     pauli_magnetization,
-    pauli_populations,
     small_field_series_factor,
 )
 from .numerics import NumericsError
@@ -108,7 +101,6 @@ __all__ = [
     "density",
     "energy_density",
     "eos_coefficient",
-    "fermi_density",
     "fermi_energy",
     "fugacity_series",
     "geometric_level_factor",
@@ -122,16 +114,10 @@ __all__ = [
     "mc_occupancy",
     "mean_occupancies_enumerate",
     "mu_series_coefficients",
-    "number_series_factor",
     "occupation",
     "pauli_magnetization",
-    "pauli_populations",
     "polytrope_index",
     "pressure",
-    "pressure_over_degenerate",
-    "reduced_energy_per_particle",
-    "series_density",
-    "series_energy_density",
     "small_field_series_factor",
     "solve_fugacity",
     "solve_point",

@@ -236,9 +236,16 @@ def _cmd_eos(args, meta):
         meta["temperature"] = temperature = args.temperature
         constants, mass = _si_mass(args, meta)
         wavelength = thermal_wavelength(mass, temperature, constants)
-        scale = constants.k_B * temperature / wavelength**3
+        try:
+            volume = wavelength**3
+            scale = constants.k_B * temperature / volume
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise NumericsError(
+                f"k_B T / lambda^3 leaves the double range at lambda = {wavelength!r}")
         for n_si in _coords(args, "density"):
-            point = solve_point(args.model, n_lambda3=n_si * wavelength**3)
+            point = solve_point(args.model, n_lambda3=n_si * volume)
             mu = point.eta * constants.k_B * temperature
             yield n_si, "eta", point.eta, "quadrature"
             yield n_si, "n_lambda3", point.n_lambda3, "quadrature"

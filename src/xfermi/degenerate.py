@@ -26,22 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import REDUCED
-from .eos import (
-    _GL_T,
-    _GL_V,
-    FugacityOverflowError,
-    _fugacity_start,
-    _newton,
-    energy_density,
-    pressure,
-    solve_fugacity,
-)
+from .eos import _GL_T, _GL_V, FugacityOverflowError, _fugacity_start, _newton, solve_fugacity
 from .numerics import NumericsError
-from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning, dos_coefficient
-
-# density-of-states coefficient in reduced units
-B_REDUCED = dos_coefficient(1.0, REDUCED)
+from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
 
 # the Fermi edge, y = x - k: 20 Gauss-Legendre panels of width 4 over [-40, 40],
 # weighted by f(1 - f) = 1/(4 cosh^2(y/2)), below e^{-40} outside; the step
@@ -81,16 +68,6 @@ def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     _positive("density", n)
     return _finite(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
                    f"the Fermi energy at density {n!r}")
-
-
-def fermi_density(e_f: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Inverse of :func:`fermi_energy`: density of the filled Fermi sea."""
-    _positive("Fermi energy", e_f)
-    try:
-        n = (2.0 / 3.0) * B_REDUCED * model.step_height * e_f**1.5
-    except OverflowError:
-        n = math.inf
-    return _finite(n, f"the density at Fermi energy {e_f!r}")
 
 
 def ground_state_energy(n_particles: float, e_f: float) -> float:
@@ -158,54 +135,6 @@ def _moment_ratios(blocking: float) -> tuple[float, float]:
     return ln_a, ln_a**2 + math.pi**2 / 3.0
 
 
-def _warn_series(t: float) -> None:
-    if t >= _SERIES_TRUST:
-        warnings.warn(
-            f"low-temperature series used at t = {t:g} >= {_SERIES_TRUST}",
-            ValidityWarning,
-            stacklevel=3,
-        )
-
-
-def _series_factor(p: float, t: float, model: OccupancyModel) -> float:
-    """Sommerfeld bracket 1 + p R1 t + (1/2) p (p - 1) R2 t^2 of a moment
-    that grows like mu^p, t = kT/mu."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    _warn_series(t)
-    r1, r2 = _moment_ratios(model.blocking)
-    return 1.0 + p * r1 * t + 0.5 * p * (p - 1.0) * r2 * t * t
-
-
-def number_series_factor(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Bracketed low-T series factor of the particle number, t = kT/mu.
-
-    N = (2/3) b V s mu^{3/2} [1 + (3/2) R1 t + (3/8) R2 t^2]; for the
-    single-occupancy gas the bracket reads 1 + 3 A1 t + (3/4) A2 t^2.
-    The energy, (2/5) b V s mu^{5/2}, carries the same bracket at p = 5/2.
-    """
-    return _series_factor(1.5, t, model)
-
-
-def _series_moment(p: float, eta: float, model: OccupancyModel) -> float:
-    """(2 / (p sqrt(pi))) s eta^p times the bracket at t = 1/eta; p = 3/2 is
-    n lambda^3, p = 5/2 is u."""
-    if eta <= 0:
-        raise ValueError("the low-temperature series needs eta > 0")
-    factor = _series_factor(p, 1.0 / eta, model)
-    return 2.0 / (p * math.sqrt(math.pi)) * model.step_height * eta**p * factor
-
-
-def series_density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Series route to n lambda^3 at large eta (quadrature route: eos.density)."""
-    return _series_moment(1.5, eta, model)
-
-
-def series_energy_density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Series route to u at large eta (quadrature route: eos.energy_density)."""
-    return _series_moment(2.5, eta, model)
-
-
 def mu_series_coefficients(model: OccupancyModel = EXCLUSIVE) -> tuple[float, float]:
     """Coefficients (c1, c2) of mu/E_F = 1 + c1 t + c2 t^2, t = kT/E_F.
 
@@ -220,7 +149,12 @@ def chemical_potential_series(t: float, model: OccupancyModel = EXCLUSIVE) -> fl
     """Series route to mu/E_F at reduced temperature t = kT/E_F."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    _warn_series(t)
+    if t >= _SERIES_TRUST:
+        warnings.warn(
+            f"low-temperature series used at t = {t:g} >= {_SERIES_TRUST}",
+            ValidityWarning,
+            stacklevel=2,
+        )
     c1, c2 = mu_series_coefficients(model)
     return 1.0 + c1 * t + c2 * t * t
 
@@ -242,12 +176,6 @@ def _fixed_density(t: float, model: OccupancyModel) -> float:
 def chemical_potential_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """mu/E_F at t = kT/E_F, from inverting the density integral at fixed density."""
     return solve_fugacity(_fixed_density(t, model), model) * t
-
-
-def reduced_energy_per_particle(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """E/(N E_F) at fixed density and reduced temperature t = kT/E_F."""
-    target = _fixed_density(t, model)
-    return energy_density(solve_fugacity(target, model), model) / target * t
 
 
 def specific_heat_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -285,9 +213,3 @@ def heat_capacity_series_coefficient(model: OccupancyModel = EXCLUSIVE) -> float
     """Closed-form linear coefficient (3/2)(R2 - R1^2); equals pi^2/2 always."""
     r1, r2 = _moment_ratios(model.blocking)
     return 1.5 * (r2 - r1 * r1)
-
-
-def pressure_over_degenerate(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Exact pressure over the T = 0 value (2/5) n E_F, at t = kT/E_F."""
-    target = _fixed_density(t, model)
-    return pressure(solve_fugacity(target, model), model) / target * t / 0.4

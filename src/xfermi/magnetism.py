@@ -19,6 +19,7 @@ dilute limit is chi kT/(mu_B^2 n) = -1/3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,26 +55,28 @@ class MagnetizationResult:
         return self.magnetization / (self.n_up + self.n_down)
 
 
-def pauli_populations(
-    eta: float, b_red: float, model: OccupancyModel = EXCLUSIVE
-) -> tuple[float, float]:
-    """Spin populations (up, down) per lambda^3, up being the species
-    raised by the field.  Exchanging the field sign swaps them exactly."""
-    if not math.isfinite(b_red):
-        raise ValueError("the field must be finite")
-    up, down = 0.5 * _moments(np.array([eta - b_red, eta + b_red]), model, [0])[0]
-    return float(up), float(down)
-
-
 def pauli_magnetization(
     eta: float, b_red: float, model: OccupancyModel = EXCLUSIVE
 ) -> MagnetizationResult:
-    """Spin magnetization at reduced field b_red = mu_B B / kT.
+    """Spin populations and magnetization at reduced field b_red = mu_B B / kT.
 
+    Each species fills (1/2) density(eta -+ b_red) per lambda^3, up being
+    the one raised by the field; exchanging the field sign swaps them exactly.
     In the dilute limit M/(N mu_B) -> tanh(b_red) independent of the
-    occupancy model; saturation bounds |M| <= N mu_B always.
+    occupancy model; saturation bounds |M| <= N mu_B always.  Populations
+    that both underflow, or a subnormal one that still counts beside the
+    other (M/N would lose digits), raise :class:`NumericsError`.
     """
-    n_up, n_down = pauli_populations(eta, b_red, model)
+    if not math.isfinite(b_red):
+        raise ValueError("the field must be finite")
+    up, down = 0.5 * _moments(np.array([eta - b_red, eta + b_red]), model, [0])[0]
+    n_up, n_down = float(up), float(down)
+    small = min(n_up, n_down)
+    if small < sys.float_info.min and small >= 2.0**-53 * max(n_up, n_down):
+        raise NumericsError(
+            f"the smaller spin population underflows a double at eta = {eta!r}, "
+            f"b = {b_red!r}: up {n_up!r}, down {n_down!r}"
+        )
     return MagnetizationResult(n_up, n_down, n_down - n_up)
 
 
@@ -91,11 +94,12 @@ def landau_partition_ratio(
     :class:`LevelBudgetError`); for the rest the fugacity expansion of the
     log converges, and its sum over levels is geometric:
 
-        ratio = 2s [ (1/(g z)) Sum_{n<N} density(ln z - s(2n+1))
-                     + e^{-s(2N+1)} Sum_k (-1)^{k+1} w^{k-1} / (k^{3/2} (1 - e^{-2ks})) ]
+        ratio = (2s/(g z)) Sum_{n<N} density(ln z - s(2n+1))
+                + e^{-s(2N+1)} Sum_k (-1)^{k+1} w^{k-1} 2s / (k^{3/2} (1 - e^{-2ks}))
 
     with w = a z e^{-s(2N+1)} <= 1/2.  The classical model (a = 0) keeps
-    only k = 1, which is s/sinh(s).
+    only k = 1, which is s/sinh(s).  Each tail term carries its own 2s, so
+    it stays finite as s -> 0, where 1 - e^{-2ks} is subnormal.
     """
     if not (0.0 < fugacity < math.inf and 0.0 < s < math.inf):
         raise ValueError("fugacity and s must be positive and finite")
@@ -113,19 +117,30 @@ def landau_partition_ratio(
     w = az * decay
     total, k = 0.0, 1
     while True:
-        term = (-w) ** (k - 1) / (k**1.5 * -math.expm1(-2.0 * k * s))
+        term = (-w) ** (k - 1) * (2.0 * s / -math.expm1(-2.0 * k * s)) / k**1.5
         total += term
         if abs(term) <= 1e-17 * total:
             break
         k += 1
-    return 2.0 * s * (degenerate / (model.weight * fugacity) + decay * total)
+    return 2.0 * s * degenerate / (model.weight * fugacity) + decay * total
 
 
 def geometric_level_factor(s: float) -> float:
-    """Closed geometric sum over levels: e^{-s}/(1 - e^{-2s}) = 1/(2 sinh s)."""
+    """Closed geometric sum over levels: e^{-s}/(1 - e^{-2s}) = 1/(2 sinh s).
+
+    Below s ~ 2.8e-309 it overflows a double, and past s ~ 710 sinh s does:
+    :class:`NumericsError`.
+    """
     if s <= 0:
         raise ValueError("s must be positive")
-    return 1.0 / (2.0 * math.sinh(s))
+    try:
+        factor = 1.0 / (2.0 * math.sinh(s))
+    except OverflowError:
+        factor = 0.0
+    if not 0.0 < factor < math.inf:
+        raise NumericsError(
+            f"1/(2 sinh s) {'overflows' if factor else 'underflows'} a double at s = {s!r}")
+    return factor
 
 
 def small_field_series_factor(s: float) -> float:

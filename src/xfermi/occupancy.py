@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import REDUCED, PhysicalConstants
+from .numerics import NumericsError
 
 class ValidityWarning(UserWarning):
     """A result was requested outside its series' trusted range."""
@@ -80,20 +81,17 @@ def occupation(x, model: OccupancyModel = EXCLUSIVE):
 def thermal_wavelength(
     mass: float, temperature: float, constants: PhysicalConstants = REDUCED
 ) -> float:
-    """de Broglie thermal wavelength sqrt(2 pi hbar^2 / (m k_B T))."""
-    if mass <= 0 or temperature <= 0:
-        raise ValueError("mass and temperature must be positive")
-    return math.sqrt(
-        2.0 * math.pi * constants.hbar**2 / (mass * constants.k_B * temperature)
-    )
+    """de Broglie thermal wavelength sqrt(2 pi hbar^2 / (m k_B T)).
 
-
-def dos_coefficient(mass: float, constants: PhysicalConstants = REDUCED) -> float:
-    """Coefficient b of the free-particle density of states D(eps) = b V sqrt(eps).
-
-    b = (2m)^{3/2} / (4 pi^2 hbar^3); the spin weight is carried by the
-    occupancy law, not by the density of states.
+    A wavelength that a double cannot hold raises :class:`NumericsError`.
     """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
-    return (2.0 * mass) ** 1.5 / (4.0 * math.pi**2 * constants.hbar**3)
+    if not (0.0 < mass < math.inf and 0.0 < temperature < math.inf):
+        raise ValueError("mass and temperature must be positive and finite")
+    thermal = mass * constants.k_B * temperature
+    wavelength = math.sqrt(2.0 * math.pi * constants.hbar**2 / thermal) if thermal else math.inf
+    if not 0.0 < wavelength < math.inf:
+        raise NumericsError(
+            f"the thermal wavelength at mass {mass!r} and temperature {temperature!r} "
+            "leaves the double range"
+        )
+    return wavelength

@@ -7,7 +7,10 @@ Newton inversion and analytic heat capacity are checked against the
 bracketed root search and the Richardson-differenced energy they
 replaced, its closed-form Landau susceptibility against the level sum
 differenced in the field and extrapolated to zero, and its Fermi-edge
-step moments against adaptive QUADPACK.  The Chebyshev start of its
+step moments against adaptive QUADPACK.  Its deep-degeneracy moments,
+the ratios at fixed density and the Fermi-energy round trip are checked
+against the Sommerfeld series, the fixed-density target and the
+density-of-states route, each written out here.  The Chebyshev start of its
 inversion is checked against the 30-digit inverse of mpmath's polylog.
 Its block-wise enumeration of level configurations is checked against
 the tag-by-tag enumeration it replaced.  Its Monte Carlo, one multinomial
@@ -34,6 +37,7 @@ from scipy import integrate
 
 from xfermi import (
     EXCLUSIVE,
+    REDUCED,
     LevelSystem,
     NumericsError,
     OccupancyModel,
@@ -48,6 +52,7 @@ from xfermi.numerics import (
     find_root,
     integrate_semi_infinite,
 )
+from xfermi.constants import PhysicalConstants
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -304,6 +309,38 @@ def quad_step_moment(order: int, blocking: float = 2.0) -> float:
     positive = integrate_semi_infinite(lambda x: x**order * kernel(x), spec)
     mirrored = integrate_semi_infinite(lambda y: y**order * kernel(-y), spec)
     return positive + (-1.0) ** order * mirrored
+
+
+def sommerfeld_series(p: float, eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """Sommerfeld series of the moment that grows like eta^p at large eta.
+
+    (2/(p sqrt(pi))) s eta^p [1 + p R1/eta + (1/2) p (p - 1) R2/eta^2], with
+    s the step height, R1 = ln a and R2 = (ln a)^2 + pi^2/3 written out;
+    p = 3/2 is n lambda^3 and p = 5/2 is u.
+    """
+    ln_a = math.log(model.blocking)
+    r1, r2 = ln_a, ln_a**2 + math.pi**2 / 3.0
+    t = 1.0 / eta
+    bracket = 1.0 + p * r1 * t + 0.5 * p * (p - 1.0) * r2 * t * t
+    return 2.0 / (p * math.sqrt(math.pi)) * model.step_height * eta**p * bracket
+
+
+def fixed_density_point(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """n lambda^3 = (4/(3 sqrt(pi))) s t^{-3/2} of a gas held at fixed density,
+    at t = kT/E_F: the target that ``solve_point`` inverts."""
+    return (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
+
+
+def dos_coefficient(mass: float, constants: PhysicalConstants = REDUCED) -> float:
+    """b of the free-particle density of states D(eps) = b V sqrt(eps),
+    b = (2m)^{3/2} / (4 pi^2 hbar^3); the spin weight stays in the occupancy."""
+    return (2.0 * mass) ** 1.5 / (4.0 * math.pi**2 * constants.hbar**3)
+
+
+def fermi_sea_density(e_f: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """Density of the filled Fermi sea, (2/3) b s E_F^{3/2}: the density-of-states
+    route back from ``fermi_energy``."""
+    return (2.0 / 3.0) * dos_coefficient(1.0) * model.step_height * e_f**1.5
 
 
 def lane_emden_rk4(

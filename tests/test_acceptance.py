@@ -29,7 +29,6 @@ from xfermi import (
     degeneracy_pressure,
     energy_density,
     eos_coefficient,
-    fermi_density,
     fermi_energy,
     geometric_level_factor,
     grand_partition_enumerate,
@@ -42,7 +41,6 @@ from xfermi import (
     occupation,
     pauli_magnetization,
     pressure,
-    pressure_over_degenerate,
     solve_point,
     sommerfeld_constants,
     specific_heat_exact,
@@ -51,7 +49,7 @@ from xfermi import (
 )
 from xfermi.cli import main
 
-from oracles import landau_level_sum, lane_emden_rk4
+from oracles import fermi_sea_density, fixed_density_point, landau_level_sum, lane_emden_rk4
 
 SEED = 20240817
 
@@ -125,12 +123,13 @@ def test_05_fermi_scale_identities():
     assert math.isclose(ratio, 2.0 ** (2.0 / 3.0), rel_tol=1e-12)
     for model in (EXCLUSIVE, STANDARD_FD):
         e_f = fermi_energy(n, model)
-        assert math.isclose(fermi_density(e_f, model), n, rel_tol=1e-12)
+        assert math.isclose(fermi_sea_density(e_f, model), n, rel_tol=1e-12)
         k_nr = eos_coefficient(model, Regime.NON_RELATIVISTIC)
         assert math.isclose(
             degeneracy_pressure(n, e_f), k_nr * n ** (5.0 / 3.0), rel_tol=1e-12
         )
-    assert math.isclose(pressure_over_degenerate(0.01, EXCLUSIVE), 1.0, rel_tol=0.01)
+    point = solve_point(EXCLUSIVE, n_lambda3=fixed_density_point(0.01, EXCLUSIVE))
+    assert math.isclose(point.pressure / point.n_lambda3 * 0.01 / 0.4, 1.0, rel_tol=0.01)
 
 
 def test_06_sommerfeld_constants_cross_checked():

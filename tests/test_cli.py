@@ -390,6 +390,7 @@ class TestExitCodes:
         ["compare", "--density", "1e308"],
         ["mu-of-t", "--t", "1e-250"],
         ["heat-capacity", "--t", "1e-250"],
+        ["landau", "--field", "1e-310"],
     ])
     def test_overflow_reports_numerics_failure(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -404,6 +405,10 @@ class TestExitCodes:
         (["eos", "--n-lambda3", "5e-324"], "eta = -745"),
         (["eos", "--n-lambda3", "5e-324", "--model", "fd"], "eta = -745"),
         (["eos", "--n-lambda3", "5e-324", "--model", "boltzmann"], "eta = -745"),
+        (["pauli", "--eta", "-800"], "eta = -800"),
+        (["pauli", "--eta", "-750", "--field", "2"], "eta = -750"),
+        (["pauli", "--eta", "-744", "--field", "1"], "eta = -744"),
+        (["landau", "--field", "800"], "s = 800"),
     ])
     def test_underflow_reports_numerics_failure(self, capsys, argv, coordinate):
         code, out, err = run_cli(capsys, *argv)
@@ -411,6 +416,28 @@ class TestExitCodes:
         assert err.startswith("xfermi: numerical failure: ")
         assert "underflows a double" in err
         assert coordinate in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--temperature", "1e-300"],
+         "the thermal wavelength at mass 9.1093837015e-31 and temperature 1e-300"),
+        (["--temperature", "1e300"], "k_B T / lambda^3"),
+        (["--density", "1e-300", "--temperature", "1e300"], "k_B T / lambda^3"),
+        (["--temperature", "300", "--mass", "1e-300"], "k_B T / lambda^3"),
+    ])
+    def test_si_scale_past_the_double_range_reports_numerics_failure(self, capsys, argv,
+                                                                     message):
+        code, out, err = run_cli(capsys, "eos", "--si", "--density", "1e25", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("xfermi: numerical failure: ")
+        assert "leaves the double range" in err
+        assert message in err
+
+    @pytest.mark.parametrize("temperature", ["inf", "nan"])
+    def test_si_non_finite_temperature_is_a_usage_error(self, capsys, temperature):
+        code, out, err = run_cli(capsys, "eos", "--si", "--density", "1e25",
+                                 "--temperature", temperature)
+        assert (code, out) == (1, "")
+        assert err == "xfermi: usage error: mass and temperature must be positive and finite\n"
 
     @pytest.mark.parametrize("argv, name", [
         (["occupation", "--x", "nan"], "x must not be nan"),

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import polylog_heat, quad_step_moment, richardson_heat
+from oracles import (
+    dos_coefficient,
+    fermi_sea_density,
+    fixed_density_point,
+    polylog_heat,
+    quad_step_moment,
+    richardson_heat,
+    sommerfeld_series,
+)
 from xfermi import (
     EXCLUSIVE,
+    REDUCED,
     STANDARD_FD,
     NumericsError,
     REFERENCE_A1,
@@ -19,19 +28,14 @@ from xfermi import (
     degeneracy_pressure,
     density,
     energy_density,
-    fermi_density,
     fermi_energy,
     ground_state_energy,
     heat_capacity_series_coefficient,
     mu_series_coefficients,
-    number_series_factor,
-    pressure_over_degenerate,
-    reduced_energy_per_particle,
-    series_density,
-    series_energy_density,
     sommerfeld_constants,
     sommerfeld_moment,
     sommerfeld_moment_closed_form,
+    solve_point,
     specific_heat_exact,
 )
 from xfermi import degenerate
@@ -56,7 +60,7 @@ class TestFermiScale:
     def test_density_round_trip(self, n):
         for model in (EXCLUSIVE, STANDARD_FD):
             assert math.isclose(
-                fermi_density(fermi_energy(n, model), model), n, rel_tol=1e-12
+                fermi_sea_density(fermi_energy(n, model), model), n, rel_tol=1e-12
             )
 
     def test_pressure_energy_relation_at_zero_temperature(self):
@@ -72,8 +76,6 @@ class TestFermiScale:
         with pytest.raises(ValueError):
             fermi_energy(0.0)
         with pytest.raises(ValueError):
-            fermi_density(-1.0)
-        with pytest.raises(ValueError):
             ground_state_energy(0.0, 1.0)
         with pytest.raises(ValueError):
             degeneracy_pressure(1.0, 0.0)
@@ -82,11 +84,6 @@ class TestFermiScale:
     def test_fermi_energy_needs_positive_finite_density(self, bad):
         with pytest.raises(ValueError, match="positive and finite"):
             fermi_energy(bad)
-
-    @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
-    def test_fermi_density_needs_positive_finite_energy(self, bad):
-        with pytest.raises(ValueError, match="positive and finite"):
-            fermi_density(bad)
 
     @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
     def test_ground_state_energy_needs_positive_finite_inputs(self, bad):
@@ -103,11 +100,9 @@ class TestFermiScale:
     @pytest.mark.parametrize("call", [
         lambda: fermi_energy(1e308),  # 6 pi^2 n overflows
         lambda: fermi_energy(1e308, STANDARD_FD),
-        lambda: fermi_density(1e206),  # E_F^{3/2} overflows
         lambda: ground_state_energy(1e300, 1e10),
         lambda: degeneracy_pressure(1e300, 1e10),
-    ], ids=["fermi_energy", "fermi_energy_fd", "fermi_density", "ground_state_energy",
-            "degeneracy_pressure"])
+    ], ids=["fermi_energy", "fermi_energy_fd", "ground_state_energy", "degeneracy_pressure"])
     def test_overflow_is_a_numerics_error(self, call):
         with pytest.raises(NumericsError, match="overflows a double"):
             call()
@@ -116,8 +111,8 @@ class TestFermiScale:
         n = 1e300
         e_f = fermi_energy(n)
         assert math.isclose(e_f, 0.5 * (6.0 * math.pi**2 * n) ** (2.0 / 3.0), rel_tol=1e-15)
-        assert math.isclose(fermi_density(1e200), 1e300 * (2.0 / 3.0) * degenerate.B_REDUCED,
-                            rel_tol=1e-14)
+        assert math.isclose(fermi_sea_density(1e200),
+                            1e300 * (2.0 / 3.0) * dos_coefficient(1.0, REDUCED), rel_tol=1e-14)
         assert math.isclose(degeneracy_pressure(1e300, 1e8), 4e307, rel_tol=1e-15)
 
 
@@ -182,16 +177,17 @@ class TestStepMoments:
 
 class TestSeriesFactors:
     def test_number_factor_by_hand(self):
-        # 1 + 3 A1 t + (3/4) A2 t^2 at t = 0.05
+        # 1 + 3 A1 t + (3/4) A2 t^2 at t = 1/eta = 0.05, over the leading term
+        leading = 4.0 / (3.0 * math.sqrt(math.pi)) * 20.0**1.5
         assert math.isclose(
-            number_series_factor(0.05, EXCLUSIVE), 1.0555207146, abs_tol=1e-9
+            sommerfeld_series(1.5, 20.0, EXCLUSIVE) / leading, 1.0555207146, abs_tol=1e-9
         )
 
     def test_series_density_converges_cubically(self):
         etas = np.array([15.0, 30.0, 60.0, 120.0])
         gaps = [
-            abs(series_density(float(e), EXCLUSIVE) / density(float(e), EXCLUSIVE) - 1.0)
-            for e in etas
+            abs(sommerfeld_series(1.5, e, EXCLUSIVE) / density(e, EXCLUSIVE) - 1.0)
+            for e in map(float, etas)
         ]
         slope = np.polyfit(np.log(1.0 / etas), np.log(gaps), 1)[0]
         assert slope >= 2.7
@@ -199,18 +195,10 @@ class TestSeriesFactors:
     def test_series_energy_density_tracks_quadrature(self):
         for eta in (25.0, 50.0):
             assert math.isclose(
-                series_energy_density(eta, STANDARD_FD),
+                sommerfeld_series(2.5, eta, STANDARD_FD),
                 energy_density(eta, STANDARD_FD),
                 rel_tol=1e-4,
             )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            series_density(0.0)
-        with pytest.raises(ValueError):
-            series_energy_density(-1.0)
-        with pytest.raises(ValueError):
-            number_series_factor(-0.1)
 
 
 class TestChemicalPotential:
@@ -344,8 +332,6 @@ class TestFixedDensityRange:
     @pytest.mark.parametrize("fn", [
         chemical_potential_exact,
         specific_heat_exact,
-        reduced_energy_per_particle,
-        pressure_over_degenerate,
     ])
     def test_tiny_t_is_a_fugacity_overflow(self, fn):
         with pytest.raises(FugacityOverflowError, match="t = 1e-250"):
@@ -354,8 +340,6 @@ class TestFixedDensityRange:
     @pytest.mark.parametrize("fn", [
         chemical_potential_exact,
         specific_heat_exact,
-        reduced_energy_per_particle,
-        pressure_over_degenerate,
     ])
     def test_huge_t_is_an_underflow(self, fn):
         # t^{-3/2} underflows to 0 above t ~ 1e216
@@ -374,9 +358,17 @@ class TestFixedDensityRange:
             chemical_potential_exact(bad)
 
 
+def fixed_density_ratios(t, model=EXCLUSIVE):
+    """E/(N E_F) and the pressure over its T = 0 value (2/5) n E_F, at
+    t = kT/E_F, from one solve_point call at the fixed-density target."""
+    point = solve_point(model, n_lambda3=fixed_density_point(t, model))
+    return (point.energy_density / point.n_lambda3 * t,
+            point.pressure / point.n_lambda3 * t / 0.4)
+
+
 class TestDegenerateThermodynamics:
     def test_pressure_approaches_ground_state_value(self):
-        ratio = pressure_over_degenerate(0.01)
+        ratio = fixed_density_ratios(0.01)[1]
         assert ratio > 1.0
         assert math.isclose(ratio, 1.0, rel_tol=0.01)
 
@@ -386,11 +378,5 @@ class TestDegenerateThermodynamics:
         expected = 0.6 + (math.pi**2 / 4.0) * t * t
         for model in (EXCLUSIVE, STANDARD_FD):
             assert math.isclose(
-                reduced_energy_per_particle(t, model), expected, abs_tol=2e-5
+                fixed_density_ratios(t, model)[0], expected, abs_tol=2e-5
             )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            reduced_energy_per_particle(0.0)
-        with pytest.raises(ValueError):
-            pressure_over_degenerate(-0.5)

@@ -11,19 +11,20 @@ from xfermi import (
     EXCLUSIVE,
     STANDARD_FD,
     LevelBudgetError,
+    NumericsError,
     density,
     geometric_level_factor,
     landau_partition_ratio,
     landau_susceptibility,
     pauli_magnetization,
-    pauli_populations,
     small_field_series_factor,
 )
 
 
 class TestPauliPopulations:
     def test_zero_field_is_symmetric(self):
-        up, down = pauli_populations(-1.0, 0.0)
+        result = pauli_magnetization(-1.0, 0.0)
+        up, down = result.n_up, result.n_down
         assert up == down
         assert math.isclose(up, 0.5 * density(-1.0), rel_tol=1e-12)
 
@@ -31,14 +32,16 @@ class TestPauliPopulations:
         # each species sees its own shifted fugacity z e^{-+b}
         eta, b = -9.0, 0.4
         z = math.exp(eta)
-        up, down = pauli_populations(eta, b)
+        result = pauli_magnetization(eta, b)
+        up, down = result.n_up, result.n_down
         assert math.isclose(up, z * math.exp(-b), rel_tol=2e-4)
         assert math.isclose(down, z * math.exp(b), rel_tol=2e-4)
 
     def test_populations_against_dense_grid(self):
         eta, b = -3.0, 0.5
         for model in (EXCLUSIVE, STANDARD_FD):
-            up, down = pauli_populations(eta, b, model)
+            result = pauli_magnetization(eta, b, model)
+            up, down = result.n_up, result.n_down
             assert math.isclose(up, 0.5 * density_oracle(eta - b, model), rel_tol=1e-9)
             assert math.isclose(down, 0.5 * density_oracle(eta + b, model), rel_tol=1e-9)
 
@@ -80,6 +83,22 @@ class TestPauliMagnetization:
         with pytest.raises(ValueError, match="field must be finite"):
             pauli_magnetization(0.0, field)
 
+    @pytest.mark.parametrize("eta", [-800.0, -744.0])
+    def test_subnormal_populations_are_a_numerics_error(self, eta):
+        # -800: both underflow to 0; -744: the smaller is 5e-324, and M/N
+        # would read 0.6 where the law gives tanh 1 = 0.762
+        with pytest.raises(NumericsError, match="underflows a double at eta"):
+            pauli_magnetization(eta, 1.0)
+
+    def test_dilute_law_holds_down_to_the_normal_range(self):
+        assert math.isclose(pauli_magnetization(-700.0, 1.0).per_particle, math.tanh(1.0),
+                            rel_tol=1e-12)
+
+    def test_saturation_beside_an_underflowed_population(self):
+        result = pauli_magnetization(0.0, 760.0)
+        assert result.n_up == 0.0
+        assert result.per_particle == 1.0
+
 
 class TestLandauLevelSum:
     def test_linearized_sum_reproduces_geometric_factor(self):
@@ -119,6 +138,22 @@ class TestLandauLevelSum:
         assert small_field_series_factor(0.1) == 1.0 - 0.01 / 6.0
         gap = abs(landau_partition_ratio(1e-6, 0.1) - small_field_series_factor(0.1))
         assert gap < 3e-6
+
+    @pytest.mark.parametrize("z, s", [(1e-3, 1e-310), (0.2, 5e-324), (1e-3, 1e-320)])
+    def test_subnormal_spacing_keeps_the_zero_field_value(self, z, s):
+        for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
+            assert math.isclose(landau_partition_ratio(z, s, model),
+                                landau_partition_ratio(z, 1e-300, model), rel_tol=1e-12)
+
+    def test_geometric_factor_past_the_double_range(self):
+        assert geometric_level_factor(3e-309) < math.inf
+        assert geometric_level_factor(700.0) > 0.0
+        for s in (2.7e-309, 1e-310, 5e-324):
+            with pytest.raises(NumericsError, match="overflows a double"):
+                geometric_level_factor(s)
+        for s in (711.0, 800.0, 1e300):
+            with pytest.raises(NumericsError, match="underflows a double"):
+                geometric_level_factor(s)
 
     def test_validation(self):
         for z, s in ((0.0, 1.0), (0.1, -1.0), (math.nan, 1.0), (0.1, math.inf)):

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from xfermi import REDUCED, codata
+from oracles import dos_coefficient
+from xfermi import REDUCED, NumericsError, codata
 from xfermi.occupancy import (
     BOLTZMANN,
     EXCLUSIVE,
     MODELS,
     STANDARD_FD,
     OccupancyModel,
-    dos_coefficient,
     occupation,
     thermal_wavelength,
 )
@@ -162,6 +162,18 @@ class TestThermalWavelength:
             thermal_wavelength(-1.0, 1.0)
         with pytest.raises(ValueError):
             thermal_wavelength(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_are_refused_by_name(self, bad):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="mass and temperature .* positive and finite"):
+                thermal_wavelength(*args)
+
+    @pytest.mark.parametrize("mass, temperature", [(1.0, 1e-320), (1e300, 1e300)])
+    def test_wavelength_past_the_double_range(self, mass, temperature):
+        # 2 pi / (m T) overflows (a zero divisor) or underflows to 0
+        with pytest.raises(NumericsError, match="thermal wavelength"):
+            thermal_wavelength(mass, temperature)
 
 
 class TestDosCoefficient:
