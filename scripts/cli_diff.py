@@ -230,7 +230,9 @@ oracle --samples 9223372036854775808
 # the parent), the smaller is subnormal and would shift M/N (exit 0 -> 2),
 # or one underflows beside a normal one and M/N saturates at 1; a subnormal
 # Landau spacing, where 1/(2 sinh s) overflows (exit 0 with inf -> 2), and a
-# wide one, where sinh s does (an OverflowError traceback, exit 1 -> 2); and
+# wide one, where sinh s does (an OverflowError traceback, exit 1 -> 2), or
+# where the partition ratio is subnormal (exit 2 on both sides: a parent
+# without the ratio's check fails at 1/(2 sinh s) instead); and
 # the --si wavelength and k_B T / lambda^3 out of range (tracebacks, exit 1,
 # -> 2) or at a non-finite temperature (exit 1 with another message)
 EDGES = """
@@ -241,6 +243,8 @@ pauli --eta -700 --field 1
 pauli --eta 0 --field 760
 landau --field 1e-310
 landau --field 800
+landau --field 745
+landau --n-lambda3 3 --field 745 --model fd
 landau --sweep field 1e-320 1e-300 3 --sweep-scale log
 eos --si --density 1e25 --temperature 1e-300
 eos --si --density 1e25 --temperature inf

@@ -385,9 +385,7 @@ def _cmd_oracle(args, meta):
     product = grand_partition_product(system, z)
     enumerated = grand_partition_enumerate(system, z)
     occ_enum = mean_occupancies_enumerate(system, z)
-    occ_law = np.array(
-        [occupation(e - math.log(z), model) for e in system.energies]
-    )
+    occ_law = occupation(np.asarray(system.energies) - math.log(z), model)
     yield (None, "log_partition_gap",
            abs(product.log_value - enumerated.log_value), "enumeration")
     yield (None, "occupancy_gap",

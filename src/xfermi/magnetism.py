@@ -99,7 +99,9 @@ def landau_partition_ratio(
 
     with w = a z e^{-s(2N+1)} <= 1/2.  The classical model (a = 0) keeps
     only k = 1, which is s/sinh(s).  Each tail term carries its own 2s, so
-    it stays finite as s -> 0, where 1 - e^{-2ks} is subnormal.
+    it stays finite as s -> 0, where 1 - e^{-2ks} is subnormal.  A ratio
+    below the smallest normal double, past s ~ 716 in the dilute gas,
+    would lose digits: :class:`NumericsError`.
     """
     if not (0.0 < fugacity < math.inf and 0.0 < s < math.inf):
         raise ValueError("fugacity and s must be positive and finite")
@@ -122,7 +124,11 @@ def landau_partition_ratio(
         if abs(term) <= 1e-17 * total:
             break
         k += 1
-    return 2.0 * s * degenerate / (model.weight * fugacity) + decay * total
+    ratio = 2.0 * s * degenerate / (model.weight * fugacity) + decay * total
+    if ratio < sys.float_info.min:
+        raise NumericsError(
+            f"the Landau partition ratio {ratio!r} underflows a double at s = {s!r}")
+    return ratio
 
 
 def geometric_level_factor(s: float) -> float:

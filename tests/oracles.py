@@ -35,24 +35,19 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from xfermi import (
-    EXCLUSIVE,
-    REDUCED,
-    LevelSystem,
-    NumericsError,
-    OccupancyModel,
-    density,
-    energy_density,
-    landau_partition_ratio,
-)
+from xfermi.constants import REDUCED, PhysicalConstants
+from xfermi.ensemble import LevelSystem
+from xfermi.eos import density, energy_density
+from xfermi.magnetism import landau_partition_ratio
 from xfermi.numerics import (
     BracketedRootSpec,
     BracketError,
+    NumericsError,
     QuadratureSpec,
     find_root,
     integrate_semi_infinite,
 )
-from xfermi.constants import PhysicalConstants
+from xfermi.occupancy import EXCLUSIVE, OccupancyModel
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 

@@ -14,40 +14,40 @@ import sys
 import numpy as np
 import pytest
 
-from xfermi import (
-    BOLTZMANN,
-    EXCLUSIVE,
-    REFERENCE_A1,
-    REFERENCE_A2,
-    REFERENCE_HEAT_COEFFICIENT,
+from xfermi.astro import (
     REFERENCE_MASS_RATIO,
-    STANDARD_FD,
-    LevelSystem,
     Regime,
-    chemical_potential_exact,
     compare_star_models,
-    degeneracy_pressure,
-    energy_density,
     eos_coefficient,
-    fermi_energy,
-    geometric_level_factor,
-    grand_partition_enumerate,
-    grand_partition_product,
-    heat_capacity_series_coefficient,
-    landau_susceptibility,
     lane_emden,
-    mc_occupancy,
-    mean_occupancies_enumerate,
-    occupation,
-    pauli_magnetization,
-    pressure,
-    solve_point,
-    sommerfeld_constants,
-    specific_heat_exact,
-    virial_pressure,
     white_dwarf_mass,
 )
 from xfermi.cli import main
+from xfermi.degenerate import (
+    REFERENCE_A1,
+    REFERENCE_A2,
+    REFERENCE_HEAT_COEFFICIENT,
+    chemical_potential_exact,
+    degeneracy_pressure,
+    fermi_energy,
+    heat_capacity_series_coefficient,
+    sommerfeld_constants,
+    specific_heat_exact,
+)
+from xfermi.ensemble import (
+    LevelSystem,
+    grand_partition_enumerate,
+    grand_partition_product,
+    mc_occupancy,
+    mean_occupancies_enumerate,
+)
+from xfermi.eos import energy_density, pressure, solve_point, virial_pressure
+from xfermi.magnetism import (
+    geometric_level_factor,
+    landau_susceptibility,
+    pauli_magnetization,
+)
+from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD, occupation
 
 from oracles import fermi_sea_density, fixed_density_point, landau_level_sum, lane_emden_rk4
 

@@ -4,22 +4,19 @@ import math
 
 import pytest
 
-from xfermi import (
-    EXCLUSIVE,
+from xfermi import astro
+from xfermi.astro import (
     REFERENCE_MASS_RATIO,
-    STANDARD_FD,
-    NumericsError,
     Regime,
-    astro,
     compare_star_models,
-    degeneracy_pressure,
     eos_coefficient,
-    fermi_energy,
     lane_emden,
     polytrope_index,
     white_dwarf_mass,
 )
-from xfermi.numerics import integrate_ode
+from xfermi.degenerate import degeneracy_pressure, fermi_energy
+from xfermi.numerics import NumericsError, integrate_ode
+from xfermi.occupancy import EXCLUSIVE, STANDARD_FD
 
 from oracles import lane_emden_mp, lane_emden_rk4
 

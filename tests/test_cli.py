@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from oracles import polylog_moments
-from xfermi import MODELS, astro, degenerate, eos
+import xfermi
+from xfermi import astro, degenerate, eos
 from xfermi.cli import _HANDLERS, main
+from xfermi.occupancy import MODELS
 
 # the CLI prints 10 significant digits
 CLI_REL = 1e-9
@@ -644,3 +647,16 @@ def test_readme_example_runs(capsys, line):
     code, out, err = run_cli(capsys, *shlex.split(line)[1:])
     assert (code, err) == (0, "")
     assert out
+
+
+def test_readme_quick_tour_runs_and_names_the_namespace():
+    """The README's "Library quick tour" block runs as written, and the
+    package namespace is exactly its ``xf.NAME``s plus the model table's
+    and the exit codes' names."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    toured = set(re.findall(r"\bxf\.(\w+)", block))
+    assert set(xfermi.__all__) == toured | {"BOLTZMANN", "MODELS", "OccupancyModel", "NumericsError"}
+    for name in xfermi.__all__:
+        getattr(xfermi, name)

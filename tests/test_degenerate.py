@@ -14,20 +14,15 @@ from oracles import (
     richardson_heat,
     sommerfeld_series,
 )
-from xfermi import (
-    EXCLUSIVE,
-    REDUCED,
-    STANDARD_FD,
-    NumericsError,
+from xfermi import degenerate
+from xfermi.constants import REDUCED
+from xfermi.degenerate import (
     REFERENCE_A1,
     REFERENCE_A2,
     REFERENCE_HEAT_COEFFICIENT,
-    ValidityWarning,
     chemical_potential_exact,
     chemical_potential_series,
     degeneracy_pressure,
-    density,
-    energy_density,
     fermi_energy,
     ground_state_energy,
     heat_capacity_series_coefficient,
@@ -35,11 +30,18 @@ from xfermi import (
     sommerfeld_constants,
     sommerfeld_moment,
     sommerfeld_moment_closed_form,
-    solve_point,
     specific_heat_exact,
 )
-from xfermi import degenerate
-from xfermi.eos import FugacityOverflowError, _moments, solve_fugacity
+from xfermi.eos import (
+    FugacityOverflowError,
+    _moments,
+    density,
+    energy_density,
+    solve_fugacity,
+    solve_point,
+)
+from xfermi.numerics import NumericsError
+from xfermi.occupancy import EXCLUSIVE, STANDARD_FD, ValidityWarning
 
 NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 

@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_by_tags, mc_by_choice, mc_by_multinomial
-from xfermi import (
-    BOLTZMANN,
-    EXCLUSIVE,
-    STANDARD_FD,
+from xfermi import ensemble
+from xfermi.ensemble import (
     CapacityError,
     LevelSystem,
     grand_partition_enumerate,
-    ensemble,
     grand_partition_product,
     mc_occupancy,
     mean_occupancies_enumerate,
-    occupation,
 )
+from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD, occupation
 
 
 class TestExactSmallSystems:

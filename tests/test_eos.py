@@ -19,13 +19,12 @@ from oracles import (
     quad_moment,
     sommerfeld_series,
 )
-from xfermi import (
-    BOLTZMANN,
-    EXCLUSIVE,
-    STANDARD_FD,
-    NumericsError,
+from xfermi import eos
+from xfermi.degenerate import _EDGE, specific_heat_exact
+from xfermi.eos import (
+    FugacityOverflowError,
     ThermoPoint,
-    ValidityWarning,
+    _moments,
     density,
     energy_density,
     fugacity_series,
@@ -34,10 +33,8 @@ from xfermi import (
     solve_point,
     virial_pressure,
 )
-from xfermi import eos, specific_heat_exact
-from xfermi.degenerate import _EDGE
-from xfermi.eos import FugacityOverflowError, _moments
-from xfermi.numerics import RootConvergenceError
+from xfermi.numerics import NumericsError, RootConvergenceError
+from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD, ValidityWarning
 
 ALL_MODELS = (EXCLUSIVE, STANDARD_FD, BOLTZMANN)
 BLOCKING_MODELS = (EXCLUSIVE, STANDARD_FD)

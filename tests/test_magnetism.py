@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from oracles import density_oracle, extrapolated_susceptibility, landau_level_sum, polylog_moments
-from xfermi import (
-    BOLTZMANN,
-    EXCLUSIVE,
-    STANDARD_FD,
+from xfermi.eos import density
+from xfermi.magnetism import (
     LevelBudgetError,
-    NumericsError,
-    density,
     geometric_level_factor,
     landau_partition_ratio,
     landau_susceptibility,
     pauli_magnetization,
     small_field_series_factor,
 )
+from xfermi.numerics import NumericsError
+from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD
 
 
 class TestPauliPopulations:
@@ -154,6 +152,13 @@ class TestLandauLevelSum:
         for s in (711.0, 800.0, 1e300):
             with pytest.raises(NumericsError, match="underflows a double"):
                 geometric_level_factor(s)
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD, BOLTZMANN])
+    def test_partition_ratio_past_the_double_range(self, model):
+        assert landau_partition_ratio(0.05, 700.0, model) == 1.380354716126368e-301
+        for s in (745.0, 800.0):  # a subnormal ratio (3 digits left), and zero
+            with pytest.raises(NumericsError, match=f"underflows a double at s = {s!r}"):
+                landau_partition_ratio(0.05, s, model)
 
     def test_validation(self):
         for z, s in ((0.0, 1.0), (0.1, -1.0), (math.nan, 1.0), (0.1, math.inf)):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import dos_coefficient
-from xfermi import REDUCED, NumericsError, codata
+from xfermi.constants import REDUCED, codata
+from xfermi.numerics import NumericsError
 from xfermi.occupancy import (
     BOLTZMANN,
     EXCLUSIVE,
