@@ -11,8 +11,9 @@ and table, linear and log sweeps, both ``--si`` modes, refused flags,
 numerical failures, both sides of the joins of the inversion's start table,
 points solved from the inversion's own kernel call, negative values
 spelled with an exponent or as ``-inf``, subnormal densities, and Monte
-Carlo sample counts up to and past 2^63 - 1, and spin populations, Landau
-spacings and SI scales past the double range.  An invocation still running
+Carlo sample counts up to and past 2^63 - 1, spin populations, Landau
+spacings and SI scales past the double range, and ``oracle --levels`` at
+-1, 0, 13 with ``--model fd`` and 100000.  An invocation still running
 after 600 s is stopped and reported as exit ``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
 Exits 1 if any invocation differs, else 0.
@@ -254,6 +255,16 @@ eos --si --density 1e25 --temperature 300 --mass 1e-300
 eos --si --density 1e25 --temperature nan
 """
 
+# level counts below one or past the enumeration capacity: usage errors
+# (exit 1, empty stdout) on both sides; a parent that draws the energies
+# before it checks the count makes a 0.8 MB draw for 100000
+LEVELS = """
+oracle --levels -1
+oracle --levels 0
+oracle --levels 13 --model fd
+oracle --levels 100000
+"""
+
 
 def invocations() -> list[list[str]]:
     runs = [[], ["--version"], ["--help"]]
@@ -266,7 +277,7 @@ def invocations() -> list[list[str]]:
                 runs.append([command, "--format", fmt]
                             + ([] if model is None else ["--model", model]))
     for block in (POINTS, JOINS, ONE_CALL, SWEEPS, SI, REFUSED, FAILURES, NEGATIVE,
-                  SUBNORMAL, SAMPLES, EDGES):
+                  SUBNORMAL, SAMPLES, EDGES, LEVELS):
         runs += [shlex.split(line) for line in block.strip().splitlines()]
     return runs
 

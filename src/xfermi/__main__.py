@@ -1,6 +1,6 @@
 """Allow ``python -m xfermi``."""
 
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -44,6 +45,7 @@ from .degenerate import (
 )
 from .ensemble import (
     LevelSystem,
+    check_capacity,
     grand_partition_enumerate,
     grand_partition_product,
     mc_occupancy,
@@ -380,6 +382,10 @@ def _cmd_oracle(args, meta):
     _require_blocking(args, "ensemble enumeration")
     model, z = args.model, args.fugacity
     meta.update(levels=args.levels, fugacity=z, samples=args.samples, seed=args.seed)
+    try:  # before the draw, which would allocate a huge count's energies
+        check_capacity(args.levels, model)
+    except ValueError as exc:
+        raise UsageError(f"--levels {args.levels}: {exc}") from None
     rng = np.random.default_rng([args.seed, 0])
     system = LevelSystem(tuple(rng.uniform(0.0, 5.0, args.levels)), model)
     product = grand_partition_product(system, z)
@@ -573,3 +579,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"xfermi: usage error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def entry() -> int:
+    """``main`` for a whole process: the import heap is frozen, so no collection
+    walks it again, the forced passes at interpreter exit included."""
+    gc.freeze()
+    return main()

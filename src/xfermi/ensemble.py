@@ -47,6 +47,16 @@ def _require_discrete_model(model: OccupancyModel) -> int:
     )
 
 
+def check_capacity(levels: int, model: OccupancyModel) -> None:
+    """Raise unless ``levels`` levels of ``model`` fit the enumeration; needs no energies."""
+    if levels < 1:
+        raise ValueError("a level system needs at least one level")
+    radix = _require_discrete_model(model)
+    if radix ** min(levels, 64) > MAX_CONFIGURATIONS:  # a huge count's power stays small
+        raise CapacityError(f"{radix}^{levels} configurations exceed the "
+                            f"enumeration capacity of {MAX_CONFIGURATIONS}")
+
+
 @dataclass(frozen=True)
 class LevelSystem:
     """Finite set of orbital energies with a discrete occupancy model."""
@@ -56,16 +66,9 @@ class LevelSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        if len(self.energies) < 1:
-            raise ValueError("a level system needs at least one level")
         if not all(math.isfinite(e) for e in self.energies):
             raise ValueError("level energies must be finite")
-        radix = _require_discrete_model(self.model)
-        if radix ** len(self.energies) > MAX_CONFIGURATIONS:
-            raise CapacityError(
-                f"{radix}^{len(self.energies)} configurations exceed the "
-                f"enumeration capacity of {MAX_CONFIGURATIONS}"
-            )
+        check_capacity(len(self.energies), self.model)
 
     @property
     def radix(self) -> int:

@@ -1,6 +1,7 @@
 """Command-line interface: formats, precedence, determinism, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -103,6 +104,34 @@ class TestBasics:
         )
         assert completed.returncode == 0
         assert "0.6666666667" in completed.stdout
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "occupation", "--x", "0")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_entry_freezes_the_import_heap(self):
+        script = (
+            "import gc, sys\n"
+            "from xfermi.cli import entry\n"
+            "sys.argv = ['xfermi', 'occupation', '--x', '0']\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "code = entry()\n"
+            "print(code, gc.get_freeze_count())\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (completed.returncode, completed.stderr) == (0, "")
+        assert "0.6666666667" in completed.stdout
+        code, frozen = map(int, completed.stdout.splitlines()[-1].split())
+        assert code == 0 and frozen > 1000  # numpy's and xfermi's objects
+
+    def test_script_target_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        module, _, name = tomllib.loads(text)["project"]["scripts"]["xfermi"].partition(":")
+        assert (module, name) == ("xfermi.cli", "entry")
 
     def test_subcommands_leave_scipy_unloaded(self):
         script = (
@@ -595,6 +624,17 @@ class TestPhysicsOutput:
         code, out, err = run_cli(capsys, "oracle", "--samples", str(2**63))
         assert (code, out) == (1, "")
         assert err.startswith("xfermi: usage error: samples must be a positive integer")
+
+    @pytest.mark.parametrize("levels", [
+        ("-1",), ("0",), ("13", "--model", "fd"), ("16",), ("1000000000",)])
+    def test_oracle_checks_levels_before_the_draw(self, capsys, monkeypatch, levels):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("energies drawn before --levels was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        code, out, err = run_cli(capsys, "oracle", "--levels", *levels)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"xfermi: usage error: --levels {levels[0]}: ")
 
     def test_oracle_at_a_trillion_samples(self, capsys):
         # one multinomial draw per level: the cost does not grow with --samples

@@ -10,6 +10,7 @@ from xfermi import ensemble
 from xfermi.ensemble import (
     CapacityError,
     LevelSystem,
+    check_capacity,
     grand_partition_enumerate,
     grand_partition_product,
     mc_occupancy,
@@ -160,6 +161,21 @@ class TestBlockEnumeration:
         occupancies = mean_occupancies_enumerate(system, z)
         assert np.max(np.abs(occupancies - weighted / total)) <= 1e-15
 
+    @pytest.mark.parametrize("model, n_levels", [(EXCLUSIVE, 10), (STANDARD_FD, 8)])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_both_routes_meet_the_law_at_every_seed(self, monkeypatch, model, n_levels, seed):
+        """Each route against the closed-form law, so the bound does not rest
+        on one draw of energies; the four-level blocks carry through four to
+        six prefix levels, and the tag route takes one chunk of its own size."""
+        system = LevelSystem(
+            tuple(np.random.default_rng(seed).uniform(0.0, 5.0, n_levels)), model)
+        monkeypatch.setattr(ensemble, "_CHUNK", system.radix**4)
+        for z in (1e-3, 0.7, 30.0, 1e200):
+            law = occupation(np.asarray(system.energies) - math.log(z), model)
+            assert np.max(np.abs(mean_occupancies_enumerate(system, z) - law)) <= 1e-15
+            _, total, weighted = enumerate_by_tags(system, z)
+            assert np.max(np.abs(weighted / total - law)) <= 1e-15
+
     @pytest.mark.parametrize("model, n_levels", [(EXCLUSIVE, 15), (STANDARD_FD, 12)])
     @pytest.mark.parametrize("z", [1e-3, 0.7, 30.0, 1e200])
     def test_capacity_matches_product(self, rng, model, n_levels, z):
@@ -182,10 +198,16 @@ class TestValidation:
         assert len(LevelSystem((1.0,) * 15, EXCLUSIVE).energies) == 15
         with pytest.raises(CapacityError):
             LevelSystem((1.0,) * 16, EXCLUSIVE)
+        # the count alone, before any energy exists, and a huge one at once
+        check_capacity(15, EXCLUSIVE)
+        with pytest.raises(CapacityError, match=r"3\^1000000000 configurations"):
+            check_capacity(10**9, EXCLUSIVE)
 
     def test_empty_system(self):
         with pytest.raises(ValueError):
             LevelSystem(())
+        with pytest.raises(ValueError, match="at least one level"):
+            check_capacity(-1, STANDARD_FD)
 
     def test_non_finite_energy(self):
         with pytest.raises(ValueError):
