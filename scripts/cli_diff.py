@@ -12,8 +12,9 @@ numerical failures, both sides of the joins of the inversion's start table,
 points solved from the inversion's own kernel call, negative values
 spelled with an exponent or as ``-inf``, subnormal densities, and Monte
 Carlo sample counts up to and past 2^63 - 1, spin populations, Landau
-spacings and SI scales past the double range, and ``oracle --levels`` at
--1, 0, 13 with ``--model fd`` and 100000.  An invocation still running
+spacings and SI scales past the double range, ``compare --at -800``,
+where every moment underflows, a sweep of 1000001 points, one past the
+cap, and ``oracle --levels`` at -1, 0, 13 with ``--model fd`` and 100000.  An invocation still running
 after 600 s is stopped and reported as exit ``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
 Exits 1 if any invocation differs, else 0.
@@ -235,7 +236,10 @@ oracle --samples 9223372036854775808
 # where the partition ratio is subnormal (exit 2 on both sides: a parent
 # without the ratio's check fails at 1/(2 sinh s) instead); and
 # the --si wavelength and k_B T / lambda^3 out of range (tracebacks, exit 1,
-# -> 2) or at a non-finite temperature (exit 1 with another message)
+# -> 2) or at a non-finite temperature (exit 1 with another message); the
+# forward moments at eta = -800, which underflow to 0 (exit 0 with rows of
+# zeros -> 2); and a sweep one point past the cap of 10^6 (exit 0 -> 1; the
+# parent takes about 16 s and 260 MB to print it)
 EDGES = """
 pauli --eta -800
 pauli --eta -750 --field 2
@@ -253,6 +257,8 @@ eos --si --density 1e25 --temperature 1e300
 eos --si --density 1e-300 --temperature 1e300
 eos --si --density 1e25 --temperature 300 --mass 1e-300
 eos --si --density 1e25 --temperature nan
+compare --at -800
+occupation --sweep x 0 1 1000001
 """
 
 # level counts below one or past the enumeration capacity: usage errors

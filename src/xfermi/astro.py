@@ -58,8 +58,17 @@ def eos_coefficient(model: OccupancyModel, regime: Regime) -> float:
     """
     packing = 6.0 * math.pi**2 / model.step_height
     if regime is Regime.NON_RELATIVISTIC:
-        return 0.2 * packing ** (2.0 / 3.0)
-    return 0.25 * packing ** (1.0 / 3.0)
+        k = 0.2 * packing ** (2.0 / 3.0)
+    else:
+        k = 0.25 * packing ** (1.0 / 3.0)
+    return _positive_finite(k, f"K of step height {model.step_height!r}")
+
+
+def _positive_finite(value: float, what: str) -> float:
+    """``value``, unless it left the positive finite doubles."""
+    if not 0.0 < value < math.inf:
+        raise NumericsError(f"{what} is not a positive finite double: {value!r}")
+    return value
 
 
 def polytrope_index(gamma: float) -> float:
@@ -208,14 +217,18 @@ def white_dwarf_mass(
         solution = lane_emden(n)
     elif abs(solution.index - n) > 1e-12:
         raise ValueError("supplied Lane-Emden solution has a different index")
-    length_scale = ((n + 1.0) * coefficient / (4.0 * math.pi * gravity)) ** 1.5
-    return (
-        4.0
-        * math.pi
-        * solution.mass_integral
-        * length_scale
-        * central_density ** ((3.0 - n) / (2.0 * n))
-    )
+    try:
+        length_scale = ((n + 1.0) * coefficient / (4.0 * math.pi * gravity)) ** 1.5
+        mass = (
+            4.0
+            * math.pi
+            * solution.mass_integral
+            * length_scale
+            * central_density ** ((3.0 - n) / (2.0 * n))
+        )
+    except OverflowError:
+        mass = math.inf
+    return _positive_finite(mass, "the stellar mass")
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,9 @@ def _load_config(path: str) -> list[str]:
     return tokens
 
 
+_MAX_SWEEP_POINTS = 10**6
+
+
 def _coords(args, var: str, default=None) -> list[float]:
     """Values of the coordinate flag ``--var``: its one value, or the ``--sweep`` grid."""
     scalar = getattr(args, var.replace("-", "_"))
@@ -179,6 +182,8 @@ def _coords(args, var: str, default=None) -> list[float]:
         raise UsageError(f"bad --sweep argument: {exc}") from None
     if points < 2:
         raise UsageError("--sweep needs at least 2 points")
+    if points > _MAX_SWEEP_POINTS:  # every row is held until output
+        raise UsageError(f"--sweep takes at most {_MAX_SWEEP_POINTS} points, not {points}")
     if svar != var:
         raise UsageError(f"this command sweeps over {var!r}, not {svar!r}")
     if scalar is not None:

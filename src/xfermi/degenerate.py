@@ -93,7 +93,8 @@ def sommerfeld_moment(order: int, blocking: float = 2.0) -> float:
         raise ValueError("step moments available for orders 0, 1, 2 only")
     a = float(blocking)
     _positive("blocking", a)
-    return float(((_EDGE_Y + math.log(a)) ** order * _EDGE_W).sum() / a)
+    # divided as Python floats, which overflow to inf without numpy's warning
+    return float(((_EDGE_Y + math.log(a)) ** order * _EDGE_W).sum()) / a
 
 
 def sommerfeld_moment_closed_form(order: int, blocking: float = 2.0) -> float:
@@ -120,7 +121,12 @@ def sommerfeld_constants(blocking: float = 2.0) -> SommerfeldConstants:
     a2 = sommerfeld_moment(2, blocking)
     cf1 = sommerfeld_moment_closed_form(1, blocking)
     cf2 = sommerfeld_moment_closed_form(2, blocking)
-    if abs(a1 - cf1) > 1e-10 or abs(a2 - cf2) > 1e-10:
+    if not all(map(math.isfinite, (a1, a2, cf1, cf2))):
+        raise NumericsError(f"a step moment at blocking {blocking!r} overflows a double")
+    # relative to the larger of the closed form and A_0 = 1/a, the scale of
+    # the rounding in the edge sum; A_1 crosses zero at a = 1
+    a0 = 1.0 / float(blocking)
+    if abs(a1 - cf1) > 1e-12 * max(abs(cf1), a0) or abs(a2 - cf2) > 1e-12 * max(cf2, a0):
         raise NumericsError(
             "quadrature moments disagree with their closed forms: "
             f"A1 {a1!r} vs {cf1!r}, A2 {a2!r} vs {cf2!r}"

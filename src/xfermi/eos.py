@@ -158,19 +158,27 @@ def _moments(eta, model: OccupancyModel, rows=(0, 1, 2, 3)) -> np.ndarray:
     return out if np.ndim(eta) else out[:, 0]
 
 
+def _moment(eta: float, model: OccupancyModel, row: int) -> float:
+    """One row of ``_moments`` at scalar eta, refused once it underflows to 0."""
+    value = float(_moments(eta, model, [row])[0])
+    if value == 0.0:  # e^eta below the double range
+        raise NumericsError(f"a moment underflows a double at eta = {eta:g}")
+    return value
+
+
 def density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced density n lambda^3 at reduced chemical potential eta."""
-    return float(_moments(eta, model, [0])[0])
+    return _moment(eta, model, 0)
 
 
 def energy_density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced energy density u = <E> lambda^3 / (V kT)."""
-    return float(_moments(eta, model, [1])[0])
+    return _moment(eta, model, 1)
 
 
 def pressure(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Reduced pressure p = P lambda^3 / kT from the grand-potential integral."""
-    return float(_moments(eta, model, [2])[0])
+    return _moment(eta, model, 2)
 
 
 # Newton's start is k(nu), the inverse of n_FD(k) = -Li_{3/2}(-e^k) = nu, on

@@ -1,15 +1,17 @@
 """Shared numerical kernels and the typed errors of the package.
 
 Three primitives: adaptive quadrature on the half line, bracketed root
-finding, and ODE integration up to a terminal event.  The package itself
-uses none of them, only the errors: its moments, inversions and step
-moments run on fixed Gauss-Legendre nodes, and ``astro.lane_emden`` on
-the Taylor series of its equation.  The three stay as independent routes
-for the tests (QUADPACK step moments, bracketed fugacity search, a DOP853
-Lane-Emden solve), and the benchmark's ``--trace`` mode wraps them, and
-scipy's ``quad`` and ``brentq`` behind them, by name.
-Everything here is a pure function of its arguments, so concurrent use
-needs no locking.
+finding, and ODE integration up to a terminal event.  Each runs at one
+fixed tolerance, set by module constants, and takes no options.  The
+package itself uses none of them, only the errors: its moments,
+inversions and step moments run on fixed Gauss-Legendre nodes, and
+``astro.lane_emden`` on the Taylor series of its equation.  The three are
+independent routes for the tests (QUADPACK step moments, bracketed
+fugacity search, a DOP853 Lane-Emden solve) and need scipy, which is a
+test dependency only; they stay in this module because the benchmark's
+``--trace`` mode wraps them, and scipy's ``quad`` and ``brentq`` behind
+them, by name.  Everything here is a pure function of its arguments, so
+concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 def __getattr__(name: str):
     """scipy.integrate and scipy.optimize as _sp_integrate and _sp_optimize,
-    imported on first use: the moment kernel and most subcommands never need them."""
+    imported on first use: no subcommand needs them."""
     if name not in ("_sp_integrate", "_sp_optimize"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     setattr(_SELF, name, importlib.import_module("scipy." + name[4:]))
@@ -76,129 +78,77 @@ class EventHorizonError(NumericsError):
     """The ODE stop event never fired before the end of the interval."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    relative_tolerance: float = 1e-10
-    absolute_tolerance: float = 1e-14
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.relative_tolerance <= 0 or self.absolute_tolerance <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+# the one setting each route runs at: QUADPACK to 1e-12 relative, 1e-15
+# absolute, and brentq to 1e-12 in x; the step-moment and fugacity
+# routes of the tests hold their answers to 1e-12
+_QUAD_RTOL = 1e-12
+_QUAD_ATOL = 1e-15
+_QUAD_LIMIT = 200
+_ROOT_XTOL = 1e-12
+_ROOT_MAXITER = 200
 
 
-DEFAULT_QUADRATURE = QuadratureSpec()
+def integrate_semi_infinite(integrand: Callable[[float], float]) -> float:
+    """Integrate ``integrand`` over [0, inf) by adaptive subdivision.
 
-
-def _quad_segment(f, lo: float, hi: float, spec: QuadratureSpec) -> tuple[float, float]:
+    The unbounded interval is mapped onto a finite one internally.
+    Returns the integral value; raises :class:`QuadratureError` carrying
+    the best estimate when the tolerance cannot be met.
+    """
     out = _SELF._sp_integrate.quad(
-        f,
-        lo,
-        hi,
-        epsabs=spec.absolute_tolerance,
-        epsrel=spec.relative_tolerance,
-        limit=spec.max_subdivisions,
+        integrand,
+        0.0,
+        math.inf,
+        epsabs=_QUAD_ATOL,
+        epsrel=_QUAD_RTOL,
+        limit=_QUAD_LIMIT,
         full_output=1,
     )
     value, err = out[0], out[1]
-    if len(out) > 3:  # QUADPACK flagged the segment
-        if not math.isfinite(value):
-            raise IntegrandDomainError(
-                f"integrand not finite on [{lo:g}, {hi:g}]"
-            )
-        # accept a flagged segment only if the reported bound still meets
-        # the contract (with slack for QUADPACK's pessimism near roundoff)
-        if err > 10.0 * max(spec.absolute_tolerance,
-                            spec.relative_tolerance * abs(value)):
-            raise QuadratureError(
-                f"quadrature on [{lo:g}, {hi!r}] did not converge: {out[3]}",
-                value,
-                err,
-            )
-    if math.isnan(value) or math.isinf(value):
-        raise IntegrandDomainError(f"integrand not finite on [{lo:g}, {hi!r}]")
-    return value, err
+    if not math.isfinite(value):
+        raise IntegrandDomainError("integrand not finite on [0, inf)")
+    # accept a result QUADPACK flagged only if the reported bound still meets
+    # the contract (with slack for QUADPACK's pessimism near roundoff)
+    if len(out) > 3 and err > 10.0 * max(_QUAD_ATOL, _QUAD_RTOL * abs(value)):
+        raise QuadratureError(f"quadrature on [0, inf) did not converge: {out[3]}", value, err)
+    return value
 
 
-def integrate_semi_infinite(
-    integrand: Callable[[float], float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Integrate ``integrand`` over [0, inf).
-
-    The axis is split at the supplied breakpoints (integrand knees such as
-    a Fermi edge) and each finite segment is handled by adaptive
-    subdivision; the unbounded tail is mapped onto a finite interval
-    internally.  Returns the integral value; raises :class:`QuadratureError`
-    carrying the best estimate when the tolerance cannot be met.
-    """
-    edges = [0.0]
-    for b in sorted({float(b) for b in breakpoints}):
-        if math.isfinite(b) and b > edges[-1]:
-            edges.append(b)
-    total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        value, _ = _quad_segment(integrand, lo, hi, spec)
-        total += value
-    tail, _ = _quad_segment(integrand, edges[-1], math.inf, spec)
-    total += tail
-    if not math.isfinite(total):
-        raise IntegrandDomainError("semi-infinite integral is not finite")
-    return total
-
-
-@dataclass(frozen=True)
-class BracketedRootSpec:
-    lo: float
-    hi: float
-    tolerance: float = 1e-12
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError("bracket must satisfy lo < hi")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-def find_root(f: Callable[[float], float], spec: BracketedRootSpec) -> float:
-    """Locate a root of ``f`` inside a sign-changing bracket.
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Locate a root of ``f`` inside the sign-changing bracket [lo, hi].
 
     Uses superlinear interpolation steps with a bisection fallback, so a
     valid bracket always converges.
     """
-    f_lo = f(spec.lo)
-    f_hi = f(spec.hi)
+    if not lo < hi:
+        raise ValueError("bracket must satisfy lo < hi")
+    f_lo = f(lo)
+    f_hi = f(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise IntegrandDomainError("function not finite at bracket endpoints")
     if f_lo == 0.0:
-        return spec.lo
+        return lo
     if f_hi == 0.0:
-        return spec.hi
+        return hi
     if f_lo * f_hi > 0.0:
         raise BracketError(
-            f"no sign change on [{spec.lo:g}, {spec.hi:g}]: "
+            f"no sign change on [{lo:g}, {hi:g}]: "
             f"f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
         )
     root, result = _SELF._sp_optimize.brentq(
         f,
-        spec.lo,
-        spec.hi,
-        xtol=spec.tolerance,
-        maxiter=spec.max_iterations,
+        lo,
+        hi,
+        xtol=_ROOT_XTOL,
+        maxiter=_ROOT_MAXITER,
         full_output=True,
         disp=False,
     )
     if not result.converged:
         raise RootConvergenceError(
-            f"root iteration exceeded {spec.max_iterations} iterations",
+            f"root iteration exceeded {_ROOT_MAXITER} iterations",
             float(root),
-            (spec.lo, spec.hi),
+            (lo, hi),
         )
     return float(root)
 

@@ -40,10 +40,8 @@ from xfermi.ensemble import LevelSystem
 from xfermi.eos import density, energy_density
 from xfermi.magnetism import landau_partition_ratio
 from xfermi.numerics import (
-    BracketedRootSpec,
     BracketError,
     NumericsError,
-    QuadratureSpec,
     find_root,
     integrate_semi_infinite,
 )
@@ -155,7 +153,7 @@ def bracket_fugacity(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> flo
             break
     else:
         raise BracketError(f"no fugacity bracket {'above' if sign < 0 else 'below'} eta0")
-    return find_root(residual, BracketedRootSpec(*sorted((eta0, far)), 1e-12, 200))
+    return find_root(residual, *sorted((eta0, far)))
 
 
 def richardson_heat(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -293,7 +291,6 @@ def quad_step_moment(order: int, blocking: float = 2.0) -> float:
     ``numerics.integrate_semi_infinite``, to 1e-12 relative.
     """
     a = float(blocking)
-    spec = QuadratureSpec(1e-12, 1e-15, 200)
 
     def kernel(x: float) -> float:
         if abs(x) > 600.0:
@@ -301,8 +298,8 @@ def quad_step_moment(order: int, blocking: float = 2.0) -> float:
         s = math.exp(0.5 * x) + a * math.exp(-0.5 * x)
         return 1.0 / (s * s)
 
-    positive = integrate_semi_infinite(lambda x: x**order * kernel(x), spec)
-    mirrored = integrate_semi_infinite(lambda y: y**order * kernel(-y), spec)
+    positive = integrate_semi_infinite(lambda x: x**order * kernel(x))
+    mirrored = integrate_semi_infinite(lambda y: y**order * kernel(-y))
     return positive + (-1.0) ** order * mirrored
 
 

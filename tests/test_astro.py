@@ -16,7 +16,7 @@ from xfermi.astro import (
 )
 from xfermi.degenerate import degeneracy_pressure, fermi_energy
 from xfermi.numerics import NumericsError, integrate_ode
-from xfermi.occupancy import EXCLUSIVE, STANDARD_FD
+from xfermi.occupancy import EXCLUSIVE, STANDARD_FD, OccupancyModel
 
 from oracles import lane_emden_mp, lane_emden_rk4
 
@@ -183,6 +183,20 @@ class TestMassFormula:
     def test_positivity_validation(self, kwargs):
         with pytest.raises(ValueError, match="positive and finite"):
             white_dwarf_mass(gamma=4.0 / 3.0, **kwargs)
+
+    @pytest.mark.parametrize("coefficient, central_density, gamma", [
+        (1.0, 1e300, 100.0),
+        (1e300, 1.0, 5.0 / 3.0),
+        (1e-300, 1.0, 5.0 / 3.0),
+    ], ids=["density-overflow", "coefficient-overflow", "underflow"])
+    def test_unrepresentable_mass_is_a_numerics_error(self, coefficient, central_density, gamma):
+        with pytest.raises(NumericsError, match="stellar mass"):
+            white_dwarf_mass(coefficient, central_density, gamma)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_overflowing_coefficient_is_a_numerics_error(self, regime):
+        with pytest.raises(NumericsError, match="positive finite"):
+            eos_coefficient(OccupancyModel("x", 1e-320, 1.0), regime)
 
 
 class TestOccupancyConsequences:

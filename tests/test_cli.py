@@ -133,14 +133,36 @@ class TestBasics:
         module, _, name = tomllib.loads(text)["project"]["scripts"]["xfermi"].partition(":")
         assert (module, name) == ("xfermi.cli", "entry")
 
+    def test_scipy_is_a_test_dependency_only(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = tomllib.loads(text)["project"]
+        name = re.compile(r"[A-Za-z0-9_.-]+")
+        runtime = {name.match(d).group() for d in project["dependencies"]}
+        test = {name.match(d).group() for d in project["optional-dependencies"]["test"]}
+        assert "scipy" not in runtime and "scipy" in test
+
     def test_subcommands_leave_scipy_unloaded(self):
+        # the scipy-backed routes in xfermi.numerics are for the tests only
         script = (
-            "import contextlib, io, sys\n"
+            "import contextlib, importlib, io, sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "import xfermi\n"
             "from xfermi.cli import _HANDLERS, main\n"
             "for command in sorted(_HANDLERS):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main([command]) == 0, command\n"
             "    assert 'scipy' not in sys.modules, command\n"
+            "try:\n"
+            "    importlib.import_module('scipy.integrate')\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('scipy was not refused')\n"
         )
         completed = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
@@ -352,6 +374,20 @@ class TestSweeps:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("points", ["1000001", "1000000000"])
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_point_count_is_bounded_before_the_grid(self, capsys, monkeypatch, points, scale):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "geomspace", refuse)
+        code, out, err = run_cli(
+            capsys, "occupation", "--sweep", "x", "1", "2", points, "--sweep-scale", scale
+        )
+        assert (code, out) == (1, "")
+        assert "--sweep" in err and points in err
+
 
 class TestExitCodes:
     def test_closed_pipe_exits_quietly(self):
@@ -441,6 +477,7 @@ class TestExitCodes:
         (["pauli", "--eta", "-750", "--field", "2"], "eta = -750"),
         (["pauli", "--eta", "-744", "--field", "1"], "eta = -744"),
         (["landau", "--field", "800"], "s = 800"),
+        (["compare", "--at", "-800"], "eta = -800"),
     ])
     def test_underflow_reports_numerics_failure(self, capsys, argv, coordinate):
         code, out, err = run_cli(capsys, *argv)

@@ -166,6 +166,15 @@ class TestStepMoments:
         with pytest.raises(ValueError, match="positive and finite"):
             route(bad)
 
+    @pytest.mark.parametrize("blocking", [1e-300, 1e-5, 1.0, 2.0, 1e5, 1e300])
+    def test_constants_hold_relatively_over_the_double_range(self, blocking):
+        constants = sommerfeld_constants(blocking)
+        assert math.isclose(constants.a2, constants.closed_form_a2, rel_tol=1e-12)
+
+    def test_overflowing_moments_raise(self):
+        with pytest.raises(NumericsError, match="overflows"):
+            sommerfeld_constants(1e-310)
+
     def test_disagreeing_routes_raise(self, monkeypatch):
         closed_form = degenerate.sommerfeld_moment_closed_form
 

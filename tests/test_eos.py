@@ -423,6 +423,13 @@ class TestSolvePoint:
             with pytest.raises(NumericsError, match="underflows a double at eta = -800"):
                 solve_point(model, eta=-800.0)
 
+    @pytest.mark.parametrize("moment", [density, energy_density, pressure])
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD, BOLTZMANN])
+    def test_forward_moment_refuses_a_zero(self, moment, model):
+        assert 0.0 < moment(-744.0, model) < 1e-300  # subnormal, still returned
+        with pytest.raises(NumericsError, match="underflows a double at eta = -800"):
+            moment(-800.0, model)
+
     def test_overflow_is_judged_per_moment(self):
         # 2 e^709 fits a double, 3 e^709 does not
         assert density(709.0, BOLTZMANN) == 2.0 * math.exp(709.0)

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from xfermi import numerics
 from xfermi.numerics import (
-    BracketedRootSpec,
     BracketError,
     EventHorizonError,
     IntegrandDomainError,
     QuadratureError,
-    QuadratureSpec,
     find_root,
     integrate_ode,
     integrate_semi_infinite,
@@ -19,6 +18,11 @@ from xfermi.numerics import (
 from xfermi.occupancy import OccupancyModel
 
 from oracles import halfline_moment
+
+
+def _unreachable_tolerance(monkeypatch):
+    monkeypatch.setattr(numerics, "_QUAD_RTOL", 1e-30)
+    monkeypatch.setattr(numerics, "_QUAD_ATOL", 1e-300)
 
 
 class TestQuadrature:
@@ -52,39 +56,27 @@ class TestQuadrature:
         separate = 2.0 * integrate_semi_infinite(f) + 3.0 * integrate_semi_infinite(g)
         assert abs(combined - separate) <= 2e-10 * abs(separate)
 
-    def test_breakpoints_do_not_change_the_value(self):
-        f = lambda x: math.exp(-x) / (1.0 + x)
-        plain = integrate_semi_infinite(f)
-        split = integrate_semi_infinite(f, breakpoints=(0.5, 3.0, 7.0))
-        assert split == pytest.approx(plain, rel=1e-10)
-
-    def test_unreachable_tolerance_raises_with_estimate(self):
-        spec = QuadratureSpec(relative_tolerance=1e-30, absolute_tolerance=1e-300)
+    def test_unreachable_tolerance_raises_with_estimate(self, monkeypatch):
+        _unreachable_tolerance(monkeypatch)
         with pytest.raises(QuadratureError) as excinfo:
-            integrate_semi_infinite(lambda x: math.exp(-x) / (1.0 + x * x), spec)
+            integrate_semi_infinite(lambda x: math.exp(-x) / (1.0 + x * x))
         assert excinfo.value.best_estimate == pytest.approx(0.6214496243, rel=1e-6)
 
     def test_nan_integrand_rejected(self):
         with pytest.raises(IntegrandDomainError):
             integrate_semi_infinite(lambda x: math.nan)
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(relative_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-
 
 class TestRootFinding:
     def test_cosine_root(self):
-        root = find_root(math.cos, BracketedRootSpec(1.0, 2.0))
+        root = find_root(math.cos, 1.0, 2.0)
         assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_quadratic_against_closed_form(self):
         # 2 z (1 - z / sqrt 2) = 0.15, the dilute-density shape
         target = 0.15
         f = lambda z: 2.0 * z * (1.0 - z / math.sqrt(2.0)) - target
-        root = find_root(f, BracketedRootSpec(0.0, 0.5))
+        root = find_root(f, 0.0, 0.5)
         closed = (2.0 - math.sqrt(4.0 - 4.0 * math.sqrt(2.0) * target)) / (
             2.0 * math.sqrt(2.0)
         )
@@ -92,21 +84,21 @@ class TestRootFinding:
 
     def test_bracket_independence(self):
         f = lambda x: math.tanh(x) - 0.5
-        wide = find_root(f, BracketedRootSpec(0.0, 2.0))
-        narrow = find_root(f, BracketedRootSpec(0.4, 0.7))
+        wide = find_root(f, 0.0, 2.0)
+        narrow = find_root(f, 0.4, 0.7)
         assert wide == pytest.approx(narrow, abs=1e-12)
         assert wide == pytest.approx(math.atanh(0.5), abs=1e-12)
 
     def test_endpoint_root_returned_directly(self):
-        assert find_root(lambda x: x - 1.0, BracketedRootSpec(1.0, 2.0)) == 1.0
+        assert find_root(lambda x: x - 1.0, 1.0, 2.0) == 1.0
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: 1.0 + x * x, BracketedRootSpec(0.0, 1.0))
+            find_root(lambda x: 1.0 + x * x, 0.0, 1.0)
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError):
-            BracketedRootSpec(2.0, 1.0)
+            find_root(lambda x: x - 1.5, 2.0, 1.0)
 
 
 class TestOdeIntegration:
@@ -177,12 +169,12 @@ class TestOdeIntegration:
                 )
 
 
-def test_quadrature_error_carries_bound():
-    spec = QuadratureSpec(relative_tolerance=1e-30, absolute_tolerance=1e-300)
+def test_quadrature_error_carries_bound(monkeypatch):
+    _unreachable_tolerance(monkeypatch)
     try:
-        integrate_semi_infinite(lambda x: math.exp(-x), spec)
+        integrate_semi_infinite(lambda x: math.exp(-x))
     except QuadratureError as exc:
         assert exc.error_bound > 0
         assert np.isfinite(exc.best_estimate)
     else:  # some platforms may genuinely hit the tolerance; value must be right
-        assert integrate_semi_infinite(lambda x: math.exp(-x), spec) == pytest.approx(1.0)
+        assert integrate_semi_infinite(lambda x: math.exp(-x)) == pytest.approx(1.0)
