@@ -14,8 +14,12 @@ spelled with an exponent or as ``-inf``, subnormal densities, and Monte
 Carlo sample counts up to and past 2^63 - 1, spin populations, Landau
 spacings and SI scales past the double range, ``compare --at -800``,
 where every moment underflows, a sweep of 1000001 points, one past the
-cap, and ``oracle --levels`` at -1, 0, 13 with ``--model fd`` and 100000.  An invocation still running
-after 600 s is stopped and reported as exit ``timeout``.
+cap, the classical occupation past the double range (``occupation --x
+-710`` and ``-inf`` with ``--model boltzmann``, ``compare --at -710``), the
+low-temperature series at ``mu-of-t --t 1e200`` for both models, and
+``oracle --levels`` at -1, 0, 13 with ``--model fd`` and 100000.  An
+invocation still running after 600 s is stopped and reported as exit
+``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
 Exits 1 if any invocation differs, else 0.
 """
@@ -238,8 +242,11 @@ oracle --samples 9223372036854775808
 # the --si wavelength and k_B T / lambda^3 out of range (tracebacks, exit 1,
 # -> 2) or at a non-finite temperature (exit 1 with another message); the
 # forward moments at eta = -800, which underflow to 0 (exit 0 with rows of
-# zeros -> 2); and a sweep one point past the cap of 10^6 (exit 0 -> 1; the
-# parent takes about 16 s and 260 MB to print it)
+# zeros -> 2); a sweep one point past the cap of 10^6 (exit 0 -> 1; the
+# parent takes about 16 s and 260 MB to print it); the classical occupation
+# 2 e^{-x} past the double range (exit 0 with inf -> 2) and at its limit
+# x = -inf (inf, exit 0, on both sides); and the mu/E_F series at t = 1e200
+# (exit 0 with -inf -> 2)
 EDGES = """
 pauli --eta -800
 pauli --eta -750 --field 2
@@ -259,6 +266,11 @@ eos --si --density 1e25 --temperature 300 --mass 1e-300
 eos --si --density 1e25 --temperature nan
 compare --at -800
 occupation --sweep x 0 1 1000001
+occupation --x -710 --model boltzmann
+occupation --x -inf --model boltzmann
+compare --at -710
+mu-of-t --t 1e200
+mu-of-t --t 1e200 --model fd
 """
 
 # level counts below one or past the enumeration capacity: usage errors

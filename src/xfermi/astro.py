@@ -1,16 +1,16 @@
 """Degenerate stars built on the modified occupancy.
 
-The zero-temperature gas supplies a polytropic pressure law P = K rho^gamma
-in both the non-relativistic (gamma = 5/3) and ultra-relativistic
-(gamma = 4/3) regimes.  Hydrostatic equilibrium then reduces to the
-Lane-Emden equation
+The zero-temperature gas supplies a polytropic pressure law
+P = K rho^{1 + 1/n} in both the non-relativistic (index n = 3/2) and
+ultra-relativistic (n = 3) regimes.  Hydrostatic equilibrium then reduces
+to the Lane-Emden equation
 
-    theta'' + (2/xi) theta' + theta^n = 0,    theta(0) = 1, theta'(0) = 0,
+    theta'' + (2/xi) theta' + theta^n = 0,    theta(0) = 1, theta'(0) = 0.
 
-with polytropic index n = 1/(gamma - 1).  The stellar mass follows from
-the first zero xi_1 and the surface slope.  Halving the step height of
+The stellar mass follows from the first zero xi_1 and the surface slope,
+and takes n from the Lane-Emden solution.  Halving the step height of
 the occupation law shifts K and with it every mass scale; the limiting
-(gamma = 4/3) mass grows by a factor sqrt(2).
+(n = 3) mass grows by a factor sqrt(2).
 
 Units are hbar = m = 1 (non-relativistic) or hbar = c = 1
 (ultra-relativistic) per unit fermion mass; G stays symbolic so that the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 
-from .numerics import NumericsError
+from .numerics import NumericsError, positive_double
 from .occupancy import EXCLUSIVE, STANDARD_FD, OccupancyModel
 
 REFERENCE_MASS_RATIO = 1.6  # quoted limiting-mass enhancement, cf. exact sqrt(2)
@@ -42,18 +42,12 @@ class Regime(Enum):
     NON_RELATIVISTIC = "non-relativistic"
     ULTRA_RELATIVISTIC = "ultra-relativistic"
 
-    @property
-    def gamma(self) -> float:
-        if self is Regime.NON_RELATIVISTIC:
-            return 5.0 / 3.0
-        return 4.0 / 3.0
-
 
 def eos_coefficient(model: OccupancyModel, regime: Regime) -> float:
-    """Polytropic prefactor K of the zero-temperature gas, P = K n^gamma.
+    """Polytropic prefactor K of the zero-temperature gas at density n.
 
-    Non-relativistic: K = (1/5)(6 pi^2 / step)^{2/3} with hbar = m = 1.
-    Ultra-relativistic: K = (1/4)(6 pi^2 / step)^{1/3} with hbar = c = 1.
+    Non-relativistic: P = K n^{5/3}, K = (1/5)(6 pi^2 / step)^{2/3}, hbar = m = 1.
+    Ultra-relativistic: P = K n^{4/3}, K = (1/4)(6 pi^2 / step)^{1/3}, hbar = c = 1.
     Shrinking the step height raises K in both regimes.
     """
     packing = 6.0 * math.pi**2 / model.step_height
@@ -61,20 +55,7 @@ def eos_coefficient(model: OccupancyModel, regime: Regime) -> float:
         k = 0.2 * packing ** (2.0 / 3.0)
     else:
         k = 0.25 * packing ** (1.0 / 3.0)
-    return _positive_finite(k, f"K of step height {model.step_height!r}")
-
-
-def _positive_finite(value: float, what: str) -> float:
-    """``value``, unless it left the positive finite doubles."""
-    if not 0.0 < value < math.inf:
-        raise NumericsError(f"{what} is not a positive finite double: {value!r}")
-    return value
-
-
-def polytrope_index(gamma: float) -> float:
-    if gamma <= 1.0:
-        raise ValueError("gamma must exceed 1 for a finite polytropic index")
-    return 1.0 / (gamma - 1.0)
+    return positive_double(k, f"K of step height {model.step_height!r}")
 
 
 @dataclass(frozen=True)
@@ -198,25 +179,23 @@ def _surface(a: float, r: float, t: list[float]) -> tuple[float, float]:
 def white_dwarf_mass(
     coefficient: float,
     central_density: float,
-    gamma: float,
+    solution: LaneEmdenSolution,
     gravity: float = 1.0,
-    solution: LaneEmdenSolution | None = None,
 ) -> float:
-    """Total mass of the polytrope with P = K rho^gamma.
+    """Total mass of the polytrope P = K rho^{1 + 1/n}, n = ``solution.index``.
 
     M = 4 pi m_2 [ (n+1) K / (4 pi G) ]^{3/2} rho_c^{(3-n)/(2n)}
-    with m_2 the Lane-Emden mass integral.  At gamma = 4/3 the density
-    exponent vanishes and the mass is the limiting mass.
+    with m_2 the Lane-Emden mass integral.  At n = 3 the density
+    exponent vanishes and the mass is the limiting mass; n = 0 has no
+    finite density exponent and is refused.
     """
     if not all(0.0 < v < math.inf for v in (coefficient, central_density, gravity)):
         raise ValueError(
             "coefficient, central_density and gravity must be positive and finite"
         )
-    n = polytrope_index(gamma)
-    if solution is None:
-        solution = lane_emden(n)
-    elif abs(solution.index - n) > 1e-12:
-        raise ValueError("supplied Lane-Emden solution has a different index")
+    n = solution.index
+    if n == 0.0:
+        raise ValueError("the mass formula needs a polytropic index above 0")
     try:
         length_scale = ((n + 1.0) * coefficient / (4.0 * math.pi * gravity)) ** 1.5
         mass = (
@@ -228,7 +207,7 @@ def white_dwarf_mass(
         )
     except OverflowError:
         mass = math.inf
-    return _positive_finite(mass, "the stellar mass")
+    return positive_double(mass, "the stellar mass")
 
 
 @dataclass(frozen=True)
@@ -239,8 +218,8 @@ class StellarComparison:
     k_ur_ratio: float  # ultra-relativistic K, exclusive / standard = 2^{1/3}
     nr_solution: LaneEmdenSolution  # n = 3/2
     ur_solution: LaneEmdenSolution  # n = 3
-    nr_mass_ratio: float  # fixed central density, gamma = 5/3: K^{3/2} = 2
-    limiting_mass_ratio: float  # gamma = 4/3, density-independent: sqrt(2)
+    nr_mass_ratio: float  # fixed central density, n = 3/2: K^{3/2} = 2
+    limiting_mass_ratio: float  # n = 3, density-independent: sqrt(2)
 
 
 def compare_star_models() -> StellarComparison:
@@ -248,13 +227,13 @@ def compare_star_models() -> StellarComparison:
     Lane-Emden -> mass formula, at unit central density and G = 1.
 
     The K ratios 2^{2/3} and 2^{1/3} propagate as K^{3/2} to mass ratios of
-    2 and, at gamma = 4/3 where the density drops out, exactly sqrt(2).
+    2 and, at n = 3 where the density drops out, exactly sqrt(2).
     """
     k_ratios, solutions, mass_ratios = [], [], []
     for regime, index in ((Regime.NON_RELATIVISTIC, 1.5), (Regime.ULTRA_RELATIVISTIC, 3.0)):
         k = [eos_coefficient(m, regime) for m in (EXCLUSIVE, STANDARD_FD)]
         solution = lane_emden(index)
-        masses = [white_dwarf_mass(c, 1.0, regime.gamma, 1.0, solution) for c in k]
+        masses = [white_dwarf_mass(c, 1.0, solution) for c in k]
         k_ratios.append(k[0] / k[1])
         solutions.append(solution)
         mass_ratios.append(masses[0] / masses[1])

@@ -398,7 +398,7 @@ def _cmd_oracle(args, meta):
     occ_enum = mean_occupancies_enumerate(system, z)
     occ_law = occupation(np.asarray(system.energies) - math.log(z), model)
     yield (None, "log_partition_gap",
-           abs(product.log_value - enumerated.log_value), "enumeration")
+           abs(product - enumerated), "enumeration")
     yield (None, "occupancy_gap",
            float(np.max(np.abs(occ_enum - occ_law))), "enumeration")
     for i, energy in enumerate(system.energies[:3]):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import _GL_T, _GL_V, FugacityOverflowError, _fugacity_start, _newton, solve_fugacity
-from .numerics import NumericsError
+from .numerics import NumericsError, positive_double
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
 
 # the Fermi edge, y = x - k: 20 Gauss-Legendre panels of width 4 over [-40, 40],
@@ -51,13 +51,6 @@ def _positive(what: str, *values: float) -> None:
         raise ValueError(f"{what} must be positive and finite")
 
 
-def _finite(value: float, what: str) -> float:
-    """``value``, unless it overflowed to inf."""
-    if value == math.inf:
-        raise NumericsError(f"{what} overflows a double")
-    return value
-
-
 def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Fermi energy at number density n (reduced units).
 
@@ -66,43 +59,20 @@ def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     (s = 2) at equal density.
     """
     _positive("density", n)
-    return _finite(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
-                   f"the Fermi energy at density {n!r}")
+    return positive_double(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
+                           f"the Fermi energy at density {n!r}")
 
 
 def ground_state_energy(n_particles: float, e_f: float) -> float:
     """Total T = 0 energy, E = (3/5) N E_F."""
     _positive("particle number and Fermi energy", n_particles, e_f)
-    return _finite(0.6 * n_particles * e_f, "the ground-state energy")
+    return positive_double(0.6 * n_particles * e_f, "the ground-state energy")
 
 
 def degeneracy_pressure(n: float, e_f: float) -> float:
     """T = 0 pressure, P = (2/5) n E_F."""
     _positive("density and Fermi energy", n, e_f)
-    return _finite(0.4 * n * e_f, "the degeneracy pressure")
-
-
-def sommerfeld_moment(order: int, blocking: float = 2.0) -> float:
-    """Moment A_k = Int x^k e^x/(e^x + a)^2 dx over the real line, k = 0, 1, 2.
-
-    With x = y + ln a the kernel is f(1 - f)(y)/a, so A_k is the Fermi-edge
-    sum (1/a) Sum (y + ln a)^k w.  The window [-40, 40] drops ~40^k e^{-40},
-    which grows with k, so higher orders are refused like their closed forms.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError("step moments available for orders 0, 1, 2 only")
-    a = float(blocking)
-    _positive("blocking", a)
-    # divided as Python floats, which overflow to inf without numpy's warning
-    return float(((_EDGE_Y + math.log(a)) ** order * _EDGE_W).sum()) / a
-
-
-def sommerfeld_moment_closed_form(order: int, blocking: float = 2.0) -> float:
-    """Closed forms of the step moments for orders 0..2, A_k = R_k / a."""
-    a = float(blocking)
-    if order not in (0, 1, 2):
-        raise ValueError("closed forms available for orders 0, 1, 2 only")
-    return (1.0, *_moment_ratios(a))[order] / a
+    return positive_double(0.4 * n * e_f, "the degeneracy pressure")
 
 
 @dataclass(frozen=True)
@@ -117,15 +87,24 @@ class SommerfeldConstants:
 
 
 def sommerfeld_constants(blocking: float = 2.0) -> SommerfeldConstants:
-    a1 = sommerfeld_moment(1, blocking)
-    a2 = sommerfeld_moment(2, blocking)
-    cf1 = sommerfeld_moment_closed_form(1, blocking)
-    cf2 = sommerfeld_moment_closed_form(2, blocking)
+    """Step moments A_1 and A_2 by the Fermi-edge sum, checked against R_k/a.
+
+    With x = y + ln a the kernel is f(1 - f)(y)/a, so A_k is the sum
+    (1/a) Sum (y + ln a)^k w over the edge nodes.  The window [-40, 40]
+    drops ~40^k e^{-40}, which grows with k, so orders past 2 are not offered.
+    """
+    a = float(blocking)
+    r1, r2 = _moment_ratios(a)
+    y = _EDGE_Y + math.log(a)
+    # divided as Python floats, which overflow to inf without numpy's warning
+    a1 = float((y * _EDGE_W).sum()) / a
+    a2 = float((y**2 * _EDGE_W).sum()) / a
+    cf1, cf2 = r1 / a, r2 / a
     if not all(map(math.isfinite, (a1, a2, cf1, cf2))):
         raise NumericsError(f"a step moment at blocking {blocking!r} overflows a double")
     # relative to the larger of the closed form and A_0 = 1/a, the scale of
     # the rounding in the edge sum; A_1 crosses zero at a = 1
-    a0 = 1.0 / float(blocking)
+    a0 = 1.0 / a
     if abs(a1 - cf1) > 1e-12 * max(abs(cf1), a0) or abs(a2 - cf2) > 1e-12 * max(cf2, a0):
         raise NumericsError(
             "quadrature moments disagree with their closed forms: "
@@ -162,7 +141,10 @@ def chemical_potential_series(t: float, model: OccupancyModel = EXCLUSIVE) -> fl
             stacklevel=2,
         )
     c1, c2 = mu_series_coefficients(model)
-    return 1.0 + c1 * t + c2 * t * t
+    mu = 1.0 + c1 * t + c2 * t * t
+    if not math.isfinite(mu):
+        raise NumericsError(f"the mu/E_F series leaves the double range at t = {t!r}")
+    return mu
 
 
 def _fixed_density(t: float, model: OccupancyModel) -> float:

@@ -75,20 +75,11 @@ class LevelSystem:
         return _require_discrete_model(self.model)
 
 
-@dataclass(frozen=True)
-class GrandPartition:
-    """Partition function in linear and log form (linear may overflow to inf)."""
-
-    value: float
-    log_value: float
-
-
-def grand_partition_product(system: LevelSystem, fugacity: float) -> GrandPartition:
-    """Grand partition function as a product of per-level factors.
+def grand_partition_product(system: LevelSystem, fugacity: float) -> float:
+    """Log of the grand partition function, as a product of per-level factors.
 
     Exclusive: prod (1 + 2 z e^{-eps});  standard: prod (1 + z e^{-eps})^2.
-    Accumulated in log space; the linear value is exp of that and may
-    overflow to inf, which is why both are returned.
+    Accumulated in log space, where it stays finite past the double range.
     """
     _check_fugacity(fugacity)
     g = system.model.weight
@@ -97,14 +88,7 @@ def grand_partition_product(system: LevelSystem, fugacity: float) -> GrandPartit
     log_z = 0.0
     for eps in system.energies:
         log_z += (g / a) * float(np.logaddexp(0.0, ln_az - eps))
-    return GrandPartition(_exp_or_inf(log_z), log_z)
-
-
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    return log_z
 
 
 def _check_fugacity(z: float) -> None:
@@ -191,15 +175,11 @@ def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, float, np.nda
     return shift, total, np.array(prefix_sums + tail_sums)
 
 
-def grand_partition_enumerate(system: LevelSystem, fugacity: float) -> GrandPartition:
-    """Grand partition function summed configuration by configuration.
-
-    Returned, like :func:`grand_partition_product`, in linear and log form.
-    """
+def grand_partition_enumerate(system: LevelSystem, fugacity: float) -> float:
+    """Log of the grand partition function, summed configuration by configuration."""
     _check_fugacity(fugacity)
     shift, total, _ = _enumerate_sums(system, fugacity)
-    log_z = shift + math.log(total)
-    return GrandPartition(_exp_or_inf(log_z), log_z)
+    return shift + math.log(total)
 
 
 def mean_occupancies_enumerate(system: LevelSystem, fugacity: float) -> np.ndarray:

@@ -335,7 +335,11 @@ def fugacity_series(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> floa
     """Companion small-degeneracy series for the fugacity itself."""
     _check_series("fugacity", n_lambda3)
     x = n_lambda3 / model.weight
-    return x * (1.0 + model.blocking * x / (2.0 * math.sqrt(2.0)))
+    z = x * (1.0 + model.blocking * x / (2.0 * math.sqrt(2.0)))
+    if not math.isfinite(z):
+        raise NumericsError(
+            f"the fugacity series leaves the double range at n lambda^3 = {n_lambda3!r}")
+    return z
 
 
 @dataclass(frozen=True)

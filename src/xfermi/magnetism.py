@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import _moments
-from .numerics import NumericsError
+from .numerics import NumericsError, positive_double
 from .occupancy import EXCLUSIVE, OccupancyModel
 
 # degenerate Landau levels are summed through the moment kernel in chunks
@@ -143,10 +143,7 @@ def geometric_level_factor(s: float) -> float:
         factor = 1.0 / (2.0 * math.sinh(s))
     except OverflowError:
         factor = 0.0
-    if not 0.0 < factor < math.inf:
-        raise NumericsError(
-            f"1/(2 sinh s) {'overflows' if factor else 'underflows'} a double at s = {s!r}")
-    return factor
+    return positive_double(factor, f"1/(2 sinh s) at s = {s!r}")
 
 
 def small_field_series_factor(s: float) -> float:

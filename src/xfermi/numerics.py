@@ -3,15 +3,15 @@
 Three primitives: adaptive quadrature on the half line, bracketed root
 finding, and ODE integration up to a terminal event.  Each runs at one
 fixed tolerance, set by module constants, and takes no options.  The
-package itself uses none of them, only the errors: its moments,
-inversions and step moments run on fixed Gauss-Legendre nodes, and
-``astro.lane_emden`` on the Taylor series of its equation.  The three are
-independent routes for the tests (QUADPACK step moments, bracketed
-fugacity search, a DOP853 Lane-Emden solve) and need scipy, which is a
-test dependency only; they stay in this module because the benchmark's
-``--trace`` mode wraps them, and scipy's ``quad`` and ``brentq`` behind
-them, by name.  Everything here is a pure function of its arguments, so
-concurrent use needs no locking.
+package itself uses none of them, only the errors and the result guard
+``positive_double``: its moments, inversions and step moments run on
+fixed Gauss-Legendre nodes, and ``astro.lane_emden`` on the Taylor
+series of its equation.  The three are independent routes for the tests
+(QUADPACK step moments, bracketed fugacity search, a DOP853 Lane-Emden
+solve) and need scipy, which is a test dependency only; they stay in
+this module because the benchmark's ``--trace`` mode wraps them, and
+scipy's ``quad`` and ``brentq`` behind them, by name.  Everything here
+is a pure function of its arguments, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ _SELF = sys.modules[__name__]
 
 class NumericsError(Exception):
     """Base class for failures raised by the numerical kernels."""
+
+
+def positive_double(value: float, what: str) -> float:
+    """``value``, unless it overflowed to inf or underflowed to 0."""
+    if not 0.0 < value < math.inf:
+        raise NumericsError(f"{what} {'overflows' if value else 'underflows'} a double")
+    return value
 
 
 class QuadratureError(NumericsError):

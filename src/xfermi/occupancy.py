@@ -65,8 +65,9 @@ def occupation(x, model: OccupancyModel = EXCLUSIVE):
     Accepts scalars (returning a float) or arrays.  Stable over the whole
     double range: with w = e^{-|x|} <= 1 the law is weight*w/(1 + blocking*w)
     for x >= 0 and weight/(w + blocking) below.  Only the classical law
-    weight*e^{-x} overflows, to inf, once it leaves the double range.
-    NaN is refused with ``ValueError``; x = +-inf gives the limits.
+    weight*e^{-x} leaves the double range (below x ~ -709.09 at weight 2),
+    and there it raises :class:`NumericsError`.  NaN is refused with
+    ``ValueError``; x = +-inf gives the limits.
     """
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
@@ -75,6 +76,8 @@ def occupation(x, model: OccupancyModel = EXCLUSIVE):
     w = np.exp(-np.abs(x))
     with np.errstate(over="ignore", divide="ignore"):
         out = np.where(x >= 0.0, g * w / (1.0 + a * w), g / (w + a))
+    if a == 0.0 and (np.isinf(out) & np.isfinite(x)).any():
+        raise NumericsError("the classical occupation weight e^{-x} overflows a double")
     return float(out) if out.ndim == 0 else out
 
 

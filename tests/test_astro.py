@@ -11,7 +11,6 @@ from xfermi.astro import (
     compare_star_models,
     eos_coefficient,
     lane_emden,
-    polytrope_index,
     white_dwarf_mass,
 )
 from xfermi.degenerate import degeneracy_pressure, fermi_energy
@@ -55,12 +54,6 @@ class TestEosCoefficients:
                 degeneracy_pressure(n, fermi_energy(n, model)),
                 rel_tol=1e-12,
             )
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            polytrope_index(1.0)
-        with pytest.raises(ValueError):
-            polytrope_index(0.5)
 
 
 class TestLaneEmden:
@@ -134,37 +127,38 @@ class TestLaneEmden:
 
 class TestMassFormula:
     def test_limiting_mass_ignores_central_density(self):
-        """At gamma = 4/3 the density exponent vanishes."""
+        """At n = 3 the density exponent vanishes."""
         k = eos_coefficient(EXCLUSIVE, Regime.ULTRA_RELATIVISTIC)
         solution = lane_emden(3.0)
         masses = [
-            white_dwarf_mass(k, rho, 4.0 / 3.0, solution=solution)
+            white_dwarf_mass(k, rho, solution)
             for rho in (1e-2, 1.0, 1e2, 1e4)
         ]
         for m in masses[1:]:
             assert math.isclose(m, masses[0], rel_tol=1e-8)
 
     def test_nonrelativistic_mass_grows_with_density(self):
-        # gamma = 5/3 means n = 3/2 and M ~ rho_c^{1/2}
+        # n = 3/2 (gamma = 5/3) gives M ~ rho_c^{1/2}
         k = eos_coefficient(EXCLUSIVE, Regime.NON_RELATIVISTIC)
         solution = lane_emden(1.5)
-        m1 = white_dwarf_mass(k, 1.0, 5.0 / 3.0, solution=solution)
-        m2 = white_dwarf_mass(k, 4.0, 5.0 / 3.0, solution=solution)
+        m1 = white_dwarf_mass(k, 1.0, solution)
+        m2 = white_dwarf_mass(k, 4.0, solution)
         exponent = math.log(m2 / m1) / math.log(4.0)
         assert abs(exponent - 0.5) <= 1e-3
 
     def test_coefficient_scaling(self):
         solution = lane_emden(3.0)
-        base = white_dwarf_mass(1.0, 1.0, 4.0 / 3.0, solution=solution)
-        doubled = white_dwarf_mass(2.0, 1.0, 4.0 / 3.0, solution=solution)
+        base = white_dwarf_mass(1.0, 1.0, solution)
+        doubled = white_dwarf_mass(2.0, 1.0, solution)
         assert math.isclose(doubled / base, 2.0**1.5, rel_tol=1e-12)
         # M ~ (K / G)^{3/2}: a quarter of the gravity gives eight times the mass
-        weak = white_dwarf_mass(1.0, 1.0, 4.0 / 3.0, gravity=0.25, solution=solution)
+        weak = white_dwarf_mass(1.0, 1.0, solution, gravity=0.25)
         assert math.isclose(weak / base, 0.25**-1.5, rel_tol=1e-12)
 
-    def test_mismatched_solution_rejected(self):
-        with pytest.raises(ValueError, match="different index"):
-            white_dwarf_mass(1.0, 1.0, 4.0 / 3.0, solution=lane_emden(1.5))
+    def test_index_zero_has_no_mass_formula(self):
+        # rho_c^{(3 - n)/(2n)} has no finite exponent at n = 0
+        with pytest.raises(ValueError, match="index above 0"):
+            white_dwarf_mass(1.0, 1.0, lane_emden(0.0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -182,20 +176,20 @@ class TestMassFormula:
     )
     def test_positivity_validation(self, kwargs):
         with pytest.raises(ValueError, match="positive and finite"):
-            white_dwarf_mass(gamma=4.0 / 3.0, **kwargs)
+            white_dwarf_mass(solution=lane_emden(3.0), **kwargs)
 
-    @pytest.mark.parametrize("coefficient, central_density, gamma", [
-        (1.0, 1e300, 100.0),
-        (1e300, 1.0, 5.0 / 3.0),
-        (1e-300, 1.0, 5.0 / 3.0),
+    @pytest.mark.parametrize("coefficient, central_density, index", [
+        (1.0, 1e300, 1.0 / 99.0),  # gamma = 100
+        (1e300, 1.0, 1.5),
+        (1e-300, 1.0, 1.5),
     ], ids=["density-overflow", "coefficient-overflow", "underflow"])
-    def test_unrepresentable_mass_is_a_numerics_error(self, coefficient, central_density, gamma):
+    def test_unrepresentable_mass_is_a_numerics_error(self, coefficient, central_density, index):
         with pytest.raises(NumericsError, match="stellar mass"):
-            white_dwarf_mass(coefficient, central_density, gamma)
+            white_dwarf_mass(coefficient, central_density, lane_emden(index))
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_overflowing_coefficient_is_a_numerics_error(self, regime):
-        with pytest.raises(NumericsError, match="positive finite"):
+        with pytest.raises(NumericsError, match="overflows a double"):
             eos_coefficient(OccupancyModel("x", 1e-320, 1.0), regime)
 
 

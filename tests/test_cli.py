@@ -428,13 +428,8 @@ class TestExitCodes:
         assert "blocking" in err
 
     def test_unattainable_tolerance_reports_numerics_failure(self, capsys, monkeypatch):
-        # the edge sum 1e-9 off its closed form, beyond the 1e-10 agreement check
-        closed_form = degenerate.sommerfeld_moment_closed_form
-
-        def off_by_1e9(order, blocking=2.0):
-            return closed_form(order, blocking) + 1e-9
-
-        monkeypatch.setattr(degenerate, "sommerfeld_moment", off_by_1e9)
+        # edge weights 1e-9 heavier, beyond the 1e-12 agreement check
+        monkeypatch.setattr(degenerate, "_EDGE_W", degenerate._EDGE_W * (1.0 + 1e-9))
         code, out, err = run_cli(capsys, "sommerfeld")
         assert (code, out) == (2, "")
         assert err.startswith("xfermi: numerical failure: ")
@@ -459,6 +454,11 @@ class TestExitCodes:
         ["mu-of-t", "--t", "1e-250"],
         ["heat-capacity", "--t", "1e-250"],
         ["landau", "--field", "1e-310"],
+        ["occupation", "--x", "-710", "--model", "boltzmann"],
+        ["occupation", "--sweep", "x", "-720", "-700", "3", "--model", "boltzmann"],
+        ["compare", "--at", "-710"],
+        # the classical occupation row comes before the underflowing moments
+        ["compare", "--at", "-800"],
     ])
     def test_overflow_reports_numerics_failure(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -477,7 +477,7 @@ class TestExitCodes:
         (["pauli", "--eta", "-750", "--field", "2"], "eta = -750"),
         (["pauli", "--eta", "-744", "--field", "1"], "eta = -744"),
         (["landau", "--field", "800"], "s = 800"),
-        (["compare", "--at", "-800"], "eta = -800"),
+        (["fermi", "--density", "1e-300"], "the degeneracy pressure"),
     ])
     def test_underflow_reports_numerics_failure(self, capsys, argv, coordinate):
         code, out, err = run_cli(capsys, *argv)
@@ -485,6 +485,14 @@ class TestExitCodes:
         assert err.startswith("xfermi: numerical failure: ")
         assert "underflows a double" in err
         assert coordinate in err
+
+    @pytest.mark.parametrize("model", ["exclusive", "fd"])
+    def test_series_past_the_double_range_reports_numerics_failure(self, capsys, model):
+        # stderr opens with the series' ValidityWarning
+        code, out, err = run_cli(capsys, "mu-of-t", "--t", "1e200", "--model", model)
+        assert (code, out) == (2, "")
+        assert ("xfermi: numerical failure: the mu/E_F series leaves the double range "
+                "at t = 1e+200") in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--temperature", "1e-300"],

@@ -28,8 +28,6 @@ from xfermi.degenerate import (
     heat_capacity_series_coefficient,
     mu_series_coefficients,
     sommerfeld_constants,
-    sommerfeld_moment,
-    sommerfeld_moment_closed_form,
     specific_heat_exact,
 )
 from xfermi.eos import (
@@ -109,6 +107,14 @@ class TestFermiScale:
         with pytest.raises(NumericsError, match="overflows a double"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: ground_state_energy(1e-300, 1e-300),
+        lambda: degeneracy_pressure(1e-300, 1e-200),
+    ], ids=["ground_state_energy", "degeneracy_pressure"])
+    def test_underflow_is_a_numerics_error(self, call):
+        with pytest.raises(NumericsError, match="underflows a double"):
+            call()
+
     def test_largest_values_below_overflow(self):
         n = 1e300
         e_f = fermi_energy(n)
@@ -119,26 +125,23 @@ class TestFermiScale:
 
 
 class TestStepMoments:
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
-    def test_zeroth_moment_is_inverse_blocking(self, a):
-        assert math.isclose(sommerfeld_moment(0, a), 1.0 / a, rel_tol=1e-10)
-
     def test_standard_gas_first_moment_vanishes(self):
         # a = 1 makes the kernel even, so the first moment is odd
-        assert abs(sommerfeld_moment(1, 1.0)) <= 1e-12
+        assert abs(sommerfeld_constants(1.0).a1) <= 1e-12
 
     def test_standard_gas_second_moment(self):
-        assert math.isclose(sommerfeld_moment(2, 1.0), math.pi**2 / 3.0, rel_tol=1e-10)
+        assert math.isclose(sommerfeld_constants(1.0).a2, math.pi**2 / 3.0, rel_tol=1e-10)
 
     def test_quadrature_against_closed_forms(self):
         # the Fermi-edge sums against adaptive QUADPACK and the closed forms
         for a in (1e-3, 0.5, 1.0, 2.0, 3.0, 1e3):
-            for order in (0, 1, 2):
-                value = sommerfeld_moment(order, a)
+            constants = sommerfeld_constants(a)
+            for order, value, closed_form in ((1, constants.a1, constants.closed_form_a1),
+                                              (2, constants.a2, constants.closed_form_a2)):
                 # A_1(1) = 0, which the symmetric sum reaches to rounding
                 tol = {"rel_tol": 1e-13, "abs_tol": 1e-15 if (order, a) == (1, 1.0) else 0.0}
                 assert math.isclose(value, quad_step_moment(order, a), **tol)
-                assert math.isclose(value, sommerfeld_moment_closed_form(order, a), **tol)
+                assert math.isclose(value, closed_form, **tol)
 
     def test_constants_bundle_matches_quoted_values(self):
         constants = sommerfeld_constants()
@@ -148,20 +151,13 @@ class TestStepMoments:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sommerfeld_moment(-1)
-        with pytest.raises(ValueError):
-            sommerfeld_moment(1, 0.0)
-        with pytest.raises(ValueError):
-            sommerfeld_moment(3)
-        with pytest.raises(ValueError):
-            sommerfeld_moment_closed_form(3)
+            sommerfeld_constants(0.0)
 
     @pytest.mark.parametrize("bad", NOT_POSITIVE_AND_FINITE)
     @pytest.mark.parametrize("route", [
-        lambda a: sommerfeld_moment(1, a),
-        lambda a: sommerfeld_moment_closed_form(1, a),
+        degenerate._moment_ratios,
         sommerfeld_constants,
-    ], ids=["moment", "closed_form", "constants"])
+    ], ids=["closed_form", "constants"])
     def test_blocking_must_be_positive_and_finite(self, route, bad):
         with pytest.raises(ValueError, match="positive and finite"):
             route(bad)
@@ -176,12 +172,8 @@ class TestStepMoments:
             sommerfeld_constants(1e-310)
 
     def test_disagreeing_routes_raise(self, monkeypatch):
-        closed_form = degenerate.sommerfeld_moment_closed_form
-
-        def off_by_1e9(order, blocking=2.0):
-            return closed_form(order, blocking) + 1e-9
-
-        monkeypatch.setattr(degenerate, "sommerfeld_moment", off_by_1e9)
+        # edge weights 1e-9 heavier: each moment 1e-9 off its closed form
+        monkeypatch.setattr(degenerate, "_EDGE_W", degenerate._EDGE_W * (1.0 + 1e-9))
         with pytest.raises(NumericsError, match="disagree"):
             sommerfeld_constants()
 
@@ -272,6 +264,13 @@ class TestChemicalPotential:
     def test_series_warns_outside_trust_region(self):
         with pytest.warns(ValidityWarning):
             chemical_potential_series(0.35)
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD], ids=["exclusive", "fd"])
+    def test_series_past_the_double_range_raises(self, model):
+        # c2 t^2 overflows to -inf
+        with pytest.warns(ValidityWarning), pytest.raises(
+                NumericsError, match="leaves the double range at t = 1e\\+200"):
+            chemical_potential_series(1e200, model)
 
     def test_validation(self):
         with pytest.raises(ValueError):

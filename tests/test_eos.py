@@ -354,6 +354,12 @@ class TestVirialSeries:
         with pytest.warns(ValidityWarning):
             fugacity_series(0.25)
 
+    def test_fugacity_series_past_the_double_range_raises(self):
+        # x^2 overflows to inf
+        with pytest.warns(ValidityWarning), pytest.raises(
+                NumericsError, match="leaves the double range at n lambda\\^3 = 1e\\+200"):
+            fugacity_series(1e200)
+
     @pytest.mark.parametrize("bad", [0.0, -0.1])
     def test_rejects_nonpositive_density(self, bad):
         with pytest.raises(ValueError):

@@ -57,7 +57,9 @@ class TestStability:
         assert occupation(2000.0, STANDARD_FD) == 0.0
 
     def test_boltzmann_divergence(self):
-        assert occupation(-800.0, BOLTZMANN) == math.inf
+        for x in (-800.0, -710.0, np.array([-720.0, -710.0, -700.0])):
+            with pytest.raises(NumericsError, match="overflows a double"):
+                occupation(x, BOLTZMANN)
         # 2 e^{-x} stays finite up to x = -ln(DBL_MAX / 2) = -709.09
         grid = [-700.0, -709.0, -709.05]
         expected = [2.0 * math.exp(-x) for x in grid]
@@ -83,10 +85,15 @@ class TestStability:
         # numpy's vectorized exp and libm may differ in the last ulp
         grid = np.linspace(-720.0, 720.0, 2001)
         for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
-            arr = occupation(grid, model)
+            # the classical law raises below x ~ -709.09, on both paths alike
+            finite = grid > -709.09 if model is BOLTZMANN else np.full(grid.size, True)
+            arr = occupation(grid[finite], model)
             with np.errstate(over="ignore"):
-                scalars = np.array([occupation(float(x), model) for x in grid])
+                scalars = np.array([occupation(float(x), model) for x in grid[finite]])
             assert np.all(np.isclose(arr, scalars, rtol=5e-16, atol=0.0))
+            for x in grid[~finite]:
+                with pytest.raises(NumericsError, match="overflows a double"):
+                    occupation(float(x), model)
 
     def test_scalar_return_type(self):
         assert isinstance(occupation(1.0), float)
