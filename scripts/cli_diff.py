@@ -16,8 +16,13 @@ spacings and SI scales past the double range, ``compare --at -800``,
 where every moment underflows, a sweep of 1000001 points, one past the
 cap, the classical occupation past the double range (``occupation --x
 -710`` and ``-inf`` with ``--model boltzmann``, ``compare --at -710``), the
-low-temperature series at ``mu-of-t --t 1e200`` for both models, and
-``oracle --levels`` at -1, 0, 13 with ``--model fd`` and 100000.  An
+low-temperature series at ``mu-of-t --t 1e200`` for both models,
+``oracle --levels`` at -1, 0, 13 with ``--model fd`` and 100000, and
+usage errors that stop a run before its first row: ``eos --si`` without
+``--density`` or ``--temperature``, a missing config file, a sweep with a
+bad number, one point or the wrong coordinate, ``landau --field 0`` and
+``--n-lambda3 0``, and ``compare --density`` at 0 and, with ``--at -710``
+(whose occupation row overflows), at nan and inf.  An
 invocation still running after 600 s is stopped and reported as exit
 ``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
@@ -153,6 +158,13 @@ oracle --levels 20
 oracle --samples 0
 oracle --seed x
 eos --config /nonexistent/xfermi.cfg
+eos --si --temperature 300
+eos --sweep eta 0 x 3
+eos --sweep eta 0 1 1
+occupation --sweep t 0 1 3
+landau --field 0
+compare --at -710 --density nan
+compare --at -710 --density inf
 """
 
 # numerical failures (exit 2), and the non-finite or out-of-range inputs

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 
-from .numerics import NumericsError, positive_double
+from .numerics import NumericsError, positive_double, positive_finite
 from .occupancy import EXCLUSIVE, STANDARD_FD, OccupancyModel
 
 REFERENCE_MASS_RATIO = 1.6  # quoted limiting-mass enhancement, cf. exact sqrt(2)
@@ -189,10 +189,8 @@ def white_dwarf_mass(
     exponent vanishes and the mass is the limiting mass; n = 0 has no
     finite density exponent and is refused.
     """
-    if not all(0.0 < v < math.inf for v in (coefficient, central_density, gravity)):
-        raise ValueError(
-            "coefficient, central_density and gravity must be positive and finite"
-        )
+    positive_finite("coefficient, central_density and gravity", coefficient, central_density,
+                    gravity)
     n = solution.index
     if n == 0.0:
         raise ValueError("the mass formula needs a polytropic index above 0")

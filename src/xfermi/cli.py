@@ -66,7 +66,7 @@ from .magnetism import (
     pauli_magnetization,
     small_field_series_factor,
 )
-from .numerics import NumericsError
+from .numerics import NumericsError, positive_double, positive_finite
 from .occupancy import (
     BOLTZMANN,
     EXCLUSIVE,
@@ -210,9 +210,8 @@ def _refuse(args, flags: Sequence[str], reason: str) -> None:
 def _si_mass(args, meta):
     """CODATA constants and the particle mass of an --si run (default electron)."""
     constants = codata()
-    if args.mass is not None and not (args.mass > 0 and math.isfinite(args.mass)):
-        raise UsageError("--mass must be positive and finite")
     meta["mass"] = constants.m_e if args.mass is None else args.mass
+    positive_finite("--mass", meta["mass"])
     return constants, meta["mass"]
 
 
@@ -245,12 +244,10 @@ def _cmd_eos(args, meta):
         wavelength = thermal_wavelength(mass, temperature, constants)
         try:
             volume = wavelength**3
-            scale = constants.k_B * temperature / volume
-        except (OverflowError, ZeroDivisionError):
-            scale = math.inf
-        if not 0.0 < scale < math.inf:
-            raise NumericsError(
-                f"k_B T / lambda^3 leaves the double range at lambda = {wavelength!r}")
+        except OverflowError:  # the scale below then underflows
+            volume = math.inf
+        scale = constants.k_B * temperature / volume if volume else math.inf
+        positive_double(scale, f"k_B T / lambda^3 at lambda = {wavelength!r}")
         for n_si in _coords(args, "density"):
             point = solve_point(args.model, n_lambda3=n_si * volume)
             mu = point.eta * constants.k_B * temperature
@@ -356,13 +353,11 @@ def _cmd_pauli(args, meta):
 
 def _cmd_landau(args, meta):
     x = args.n_lambda3
-    if x <= 0:
-        raise UsageError("n_lambda3 must be positive")
+    positive_finite("--n-lambda3", x)
     meta["n_lambda3"] = x
     z = x / args.model.weight
     for s in _coords(args, "field", 0.5):
-        if s <= 0:
-            raise UsageError("field must be positive")
+        positive_finite("--field", s)
         yield s, "partition_ratio", landau_partition_ratio(z, s, args.model), "series"
         yield s, "geometric_factor", geometric_level_factor(s), "closed-form"
         yield s, "small_field_factor", small_field_series_factor(s), "series"
@@ -410,8 +405,7 @@ def _cmd_oracle(args, meta):
 
 def _cmd_compare(args, meta):
     at, n0 = args.at, args.density
-    if n0 <= 0:
-        raise UsageError("--density must be positive")
+    positive_finite("--density", n0)
     meta.update(at=at, density=n0)
     for quantity, fn, provenance in (
         ("occupation", lambda m: occupation(at, m), "closed-form"),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import _GL_T, _GL_V, FugacityOverflowError, _fugacity_start, _newton, solve_fugacity
-from .numerics import NumericsError, positive_double
+from .numerics import NumericsError, positive_double, positive_finite
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
 
 # the Fermi edge, y = x - k: 20 Gauss-Legendre panels of width 4 over [-40, 40],
@@ -46,11 +46,6 @@ REFERENCE_A2 = 1.88516
 REFERENCE_HEAT_COEFFICIENT = {"exclusive": 5.55, "fd": 4.93}
 
 
-def _positive(what: str, *values: float) -> None:
-    if not all(0.0 < v < math.inf for v in values):
-        raise ValueError(f"{what} must be positive and finite")
-
-
 def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Fermi energy at number density n (reduced units).
 
@@ -58,20 +53,20 @@ def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     single-occupancy gas (s = 1) sits 2^{2/3} above the standard gas
     (s = 2) at equal density.
     """
-    _positive("density", n)
+    positive_finite("density", n)
     return positive_double(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
                            f"the Fermi energy at density {n!r}")
 
 
 def ground_state_energy(n_particles: float, e_f: float) -> float:
     """Total T = 0 energy, E = (3/5) N E_F."""
-    _positive("particle number and Fermi energy", n_particles, e_f)
+    positive_finite("particle number and Fermi energy", n_particles, e_f)
     return positive_double(0.6 * n_particles * e_f, "the ground-state energy")
 
 
 def degeneracy_pressure(n: float, e_f: float) -> float:
     """T = 0 pressure, P = (2/5) n E_F."""
-    _positive("density and Fermi energy", n, e_f)
+    positive_finite("density and Fermi energy", n, e_f)
     return positive_double(0.4 * n * e_f, "the degeneracy pressure")
 
 
@@ -115,7 +110,7 @@ def sommerfeld_constants(blocking: float = 2.0) -> SommerfeldConstants:
 
 def _moment_ratios(blocking: float) -> tuple[float, float]:
     """R_1 = A_1/A_0 = ln(a) and R_2 = A_2/A_0 = (ln a)^2 + pi^2/3."""
-    _positive("blocking", blocking)
+    positive_finite("blocking", blocking)
     ln_a = math.log(blocking)
     return ln_a, ln_a**2 + math.pi**2 / 3.0
 
@@ -149,16 +144,14 @@ def chemical_potential_series(t: float, model: OccupancyModel = EXCLUSIVE) -> fl
 
 def _fixed_density(t: float, model: OccupancyModel) -> float:
     """n lambda^3 of a gas held at fixed density, at temperature t = kT/E_F."""
-    _positive("t", t)
+    positive_finite("t", t)
     try:
         target = (4.0 / (3.0 * math.sqrt(math.pi))) * model.step_height * t**-1.5
     except OverflowError:
         raise FugacityOverflowError(
             f"n lambda^3 at fixed density overflows a double at t = {t!r}"
         ) from None
-    if target == 0.0:
-        raise NumericsError(f"n lambda^3 at fixed density underflows a double at t = {t!r}")
-    return target
+    return positive_double(target, f"n lambda^3 at fixed density at t = {t!r}")
 
 
 def chemical_potential_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import positive_finite
 from .occupancy import EXCLUSIVE, OccupancyModel
 
 # radix**levels; 4**12 configurations (or 3**15) take about 0.03 s to
@@ -81,7 +82,7 @@ def grand_partition_product(system: LevelSystem, fugacity: float) -> float:
     Exclusive: prod (1 + 2 z e^{-eps});  standard: prod (1 + z e^{-eps})^2.
     Accumulated in log space, where it stays finite past the double range.
     """
-    _check_fugacity(fugacity)
+    positive_finite("fugacity", fugacity)
     g = system.model.weight
     a = system.model.blocking
     ln_az = math.log(a * fugacity)
@@ -89,11 +90,6 @@ def grand_partition_product(system: LevelSystem, fugacity: float) -> float:
     for eps in system.energies:
         log_z += (g / a) * float(np.logaddexp(0.0, ln_az - eps))
     return log_z
-
-
-def _check_fugacity(z: float) -> None:
-    if not (z > 0 and math.isfinite(z)):
-        raise ValueError("fugacity must be positive and finite")
 
 
 def _collapse(w: np.ndarray, occ: np.ndarray) -> tuple[float, list[float]]:
@@ -177,14 +173,14 @@ def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, float, np.nda
 
 def grand_partition_enumerate(system: LevelSystem, fugacity: float) -> float:
     """Log of the grand partition function, summed configuration by configuration."""
-    _check_fugacity(fugacity)
+    positive_finite("fugacity", fugacity)
     shift, total, _ = _enumerate_sums(system, fugacity)
     return shift + math.log(total)
 
 
 def mean_occupancies_enumerate(system: LevelSystem, fugacity: float) -> np.ndarray:
     """Mean occupancy of every level, from the enumerated ensemble average."""
-    _check_fugacity(fugacity)
+    positive_finite("fugacity", fugacity)
     _, total, weighted = _enumerate_sums(system, fugacity)
     return weighted / total
 
@@ -212,7 +208,7 @@ def mc_occupancy(
     Returns:
         (mean occupancy, standard error of the mean).
     """
-    _check_fugacity(fugacity)
+    positive_finite("fugacity", fugacity)
     radix = _require_discrete_model(model)
     # the bound goes first: float() of a huge int overflows
     if not (1 <= samples <= _MAX_SAMPLES and float(samples).is_integer()):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError, RootConvergenceError
+from .numerics import NumericsError, RootConvergenceError, positive_double, positive_finite
 from .occupancy import EXCLUSIVE, OccupancyModel, ValidityWarning
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -160,10 +160,7 @@ def _moments(eta, model: OccupancyModel, rows=(0, 1, 2, 3)) -> np.ndarray:
 
 def _moment(eta: float, model: OccupancyModel, row: int) -> float:
     """One row of ``_moments`` at scalar eta, refused once it underflows to 0."""
-    value = float(_moments(eta, model, [row])[0])
-    if value == 0.0:  # e^eta below the double range
-        raise NumericsError(f"a moment underflows a double at eta = {eta:g}")
-    return value
+    return positive_double(float(_moments(eta, model, [row])[0]), f"a moment at eta = {eta:g}")
 
 
 def density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -253,8 +250,7 @@ def _fugacity_start(n_lambda3: float, model: OccupancyModel) -> float:
     """Newton's start for eta at density n lambda^3: through the shift identity
     eta = k - ln a, with k the tabled inverse ``_fd_inverse`` at nu = n lambda^3 a/g;
     the classical model (a = 0) starts from its exact eta = ln(n lambda^3 / g)."""
-    if not (n_lambda3 > 0 and math.isfinite(n_lambda3)):
-        raise ValueError("n_lambda3 must be positive and finite")
+    positive_finite("n_lambda3", n_lambda3)
     g, a = model.weight, model.blocking
     if a > 0.0:
         return _fd_inverse(math.log(n_lambda3) + math.log(a / g)) - math.log(a)
@@ -278,9 +274,8 @@ def _newton(
     last = 0.0
     for _ in range(_NEWTON_STEPS):
         values = _moments(eta, model, rows)
-        n, slope = values[0], values[1]
-        if n <= 0.0:  # a subnormal n lambda^3 that the kernel rounds to 0
-            raise NumericsError(f"the density underflows a double at eta = {eta:g}")
+        # a subnormal n lambda^3 that the kernel rounds to 0 is refused
+        n, slope = positive_double(values[0], f"the density at eta = {eta:g}"), values[1]
         step = float((target - math.log(n)) * n / slope)
         eta += step
         # rounding in ln n limits each step to ~1e-15 eta; stop above that.  A
@@ -310,8 +305,7 @@ def solve_fugacity(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> float
 
 
 def _check_series(name: str, n_lambda3: float) -> None:
-    if n_lambda3 <= 0:
-        raise ValueError("n_lambda3 must be positive")
+    positive_finite("n_lambda3", n_lambda3)
     if n_lambda3 > _SERIES_TRUST:
         warnings.warn(
             f"{name} series used at n lambda^3 = {n_lambda3:g} > {_SERIES_TRUST}",
@@ -335,11 +329,8 @@ def fugacity_series(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> floa
     """Companion small-degeneracy series for the fugacity itself."""
     _check_series("fugacity", n_lambda3)
     x = n_lambda3 / model.weight
-    z = x * (1.0 + model.blocking * x / (2.0 * math.sqrt(2.0)))
-    if not math.isfinite(z):
-        raise NumericsError(
-            f"the fugacity series leaves the double range at n lambda^3 = {n_lambda3!r}")
-    return z
+    return positive_double(x * (1.0 + model.blocking * x / (2.0 * math.sqrt(2.0))),
+                           f"the fugacity series at n lambda^3 = {n_lambda3!r}")
 
 
 @dataclass(frozen=True)
@@ -390,8 +381,7 @@ def solve_point(
         n, u, p = n + slope * step, u + 1.5 * n * step, p + n * step
     else:
         n, u, p = _moments(eta, model, [0, 1, 2])
-    if min(n, u, p) == 0.0:  # e^eta below the double range
-        raise NumericsError(f"a moment underflows a double at eta = {eta:g}")
+    positive_double(min(n, u, p), f"a moment at eta = {eta:g}")  # e^eta below the range
     return ThermoPoint(
         eta=float(eta),
         n_lambda3=float(n),

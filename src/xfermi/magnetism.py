@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import _moments
-from .numerics import NumericsError, positive_double
+from .numerics import NumericsError, positive_double, positive_finite
 from .occupancy import EXCLUSIVE, OccupancyModel
 
 # degenerate Landau levels are summed through the moment kernel in chunks
@@ -103,8 +103,7 @@ def landau_partition_ratio(
     below the smallest normal double, past s ~ 716 in the dilute gas,
     would lose digits: :class:`NumericsError`.
     """
-    if not (0.0 < fugacity < math.inf and 0.0 < s < math.inf):
-        raise ValueError("fugacity and s must be positive and finite")
+    positive_finite("fugacity and s", fugacity, s)
     az = model.blocking * fugacity
     levels = (math.log(2.0 * az) / s - 1.0) / 2.0 if az > 0.5 else 0.0
     if levels > MAX_DEGENERATE_LEVELS:
@@ -137,8 +136,7 @@ def geometric_level_factor(s: float) -> float:
     Below s ~ 2.8e-309 it overflows a double, and past s ~ 710 sinh s does:
     :class:`NumericsError`.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    positive_finite("s", s)
     try:
         factor = 1.0 / (2.0 * math.sinh(s))
     except OverflowError:
@@ -165,7 +163,6 @@ def landau_susceptibility(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -
     chi = -(dn/deta)/(3 g z) = -(1/3) f_{1/2}(a z)/(a z), exactly -1/3 for
     the classical model and the dilute limit of the others.
     """
-    if n_lambda3 <= 0:
-        raise ValueError("n_lambda3 must be positive")
+    positive_finite("n_lambda3", n_lambda3)
     z = n_lambda3 / model.weight
     return -float(_moments(math.log(z), model, [3])[0]) / (3.0 * model.weight * z)

@@ -1,16 +1,17 @@
-"""Shared numerical kernels and the typed errors of the package.
+"""Shared numerical kernels, the typed errors and the two guards of the package.
 
-Three primitives: adaptive quadrature on the half line, bracketed root
-finding, and ODE integration up to a terminal event.  Each runs at one
-fixed tolerance, set by module constants, and takes no options.  The
-package itself uses none of them, only the errors and the result guard
-``positive_double``: its moments, inversions and step moments run on
-fixed Gauss-Legendre nodes, and ``astro.lane_emden`` on the Taylor
-series of its equation.  The three are independent routes for the tests
-(QUADPACK step moments, bracketed fugacity search, a DOP853 Lane-Emden
-solve) and need scipy, which is a test dependency only; they stay in
-this module because the benchmark's ``--trace`` mode wraps them, and
-scipy's ``quad`` and ``brentq`` behind them, by name.  Everything here
+``positive_finite`` refuses an input outside (0, inf) with ``ValueError``;
+``positive_double`` refuses a result that overflowed to inf or underflowed
+to 0 with :class:`NumericsError`.  The package uses these and the errors,
+none of the three primitives here: adaptive quadrature on the half line,
+bracketed root finding, and ODE integration up to a terminal event, each
+at one fixed tolerance set by module constants.  Its moments, inversions
+and step moments run on fixed Gauss-Legendre nodes, and ``astro.lane_emden``
+on the Taylor series of its equation.  The three are independent routes for
+the tests (QUADPACK step moments, bracketed fugacity search, a DOP853
+Lane-Emden solve) and need scipy, which is a test dependency only; they
+stay in this module because the benchmark's ``--trace`` mode wraps them,
+and scipy's ``quad`` and ``brentq`` behind them, by name.  Everything here
 is a pure function of its arguments, so concurrent use needs no locking.
 """
 
@@ -39,6 +40,13 @@ _SELF = sys.modules[__name__]
 
 class NumericsError(Exception):
     """Base class for failures raised by the numerical kernels."""
+
+
+def positive_finite(what: str, *values: float) -> None:
+    """Refuse, as a bad input, any of ``values`` that is not in (0, inf)."""
+    for v in values:  # a plain loop: all() over a generator costs more on hot paths
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{what} must be positive and finite")
 
 
 def positive_double(value: float, what: str) -> float:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import REDUCED, PhysicalConstants
-from .numerics import NumericsError
+from .numerics import NumericsError, positive_double, positive_finite
+
 
 class ValidityWarning(UserWarning):
     """A result was requested outside its series' trusted range."""
@@ -35,10 +36,9 @@ class OccupancyModel:
     blocking: float = 2.0
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if self.blocking < 0:
-            raise ValueError("blocking must be non-negative")
+        positive_finite("weight", self.weight)
+        if not 0.0 <= self.blocking < math.inf:
+            raise ValueError("blocking must be non-negative and finite")
 
     @property
     def step_height(self) -> float:
@@ -88,13 +88,8 @@ def thermal_wavelength(
 
     A wavelength that a double cannot hold raises :class:`NumericsError`.
     """
-    if not (0.0 < mass < math.inf and 0.0 < temperature < math.inf):
-        raise ValueError("mass and temperature must be positive and finite")
+    positive_finite("mass and temperature", mass, temperature)
     thermal = mass * constants.k_B * temperature
     wavelength = math.sqrt(2.0 * math.pi * constants.hbar**2 / thermal) if thermal else math.inf
-    if not 0.0 < wavelength < math.inf:
-        raise NumericsError(
-            f"the thermal wavelength at mass {mass!r} and temperature {temperature!r} "
-            "leaves the double range"
-        )
-    return wavelength
+    return positive_double(
+        wavelength, f"the thermal wavelength at mass {mass!r} and temperature {temperature!r}")

@@ -447,6 +447,25 @@ class TestExitCodes:
         assert err.startswith("xfermi: usage error: ")
         assert "positive and finite" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("eos --config /nonexistent/xfermi.cfg", "cannot read config file: "),
+        ("eos --si --temperature 300", "--density is required"),
+        ("eos --si --density 1e25", "--si needs --temperature (kelvin)"),
+        ("eos --sweep eta 0 x 3", "bad --sweep argument: "),
+        ("eos --sweep eta 0 1 1", "--sweep needs at least 2 points"),
+        ("occupation --sweep t 0 1 3", "this command sweeps over 'x', not 't'"),
+        ("landau --n-lambda3 0", "--n-lambda3 must be positive and finite"),
+        ("landau --field 0", "--field must be positive and finite"),
+        ("compare --density 0", "--density must be positive and finite"),
+        # refused before the classical occupation at -710 overflows (exit 2)
+        ("compare --at -710 --density nan", "--density must be positive and finite"),
+        ("compare --at -710 --density inf", "--density must be positive and finite"),
+    ])
+    def test_usage_error_before_any_row(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: " + message)
+
     @pytest.mark.parametrize("argv", [
         ["fermi", "--density", "1e308"],
         ["fermi", "--si", "--density", "1e300"],
@@ -506,7 +525,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "eos", "--si", "--density", "1e25", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("xfermi: numerical failure: ")
-        assert "leaves the double range" in err
+        assert err.endswith(("underflows" if "--mass" in argv else "overflows") + " a double\n")
         assert message in err
 
     @pytest.mark.parametrize("temperature", ["inf", "nan"])

@@ -353,7 +353,7 @@ class TestFixedDensityRange:
     ])
     def test_huge_t_is_an_underflow(self, fn):
         # t^{-3/2} underflows to 0 above t ~ 1e216
-        with pytest.raises(NumericsError, match="underflows a double at t = 1e\\+300"):
+        with pytest.raises(NumericsError, match="at t = 1e\\+300 underflows a double"):
             fn(1e300)
 
     def test_just_above_the_overflow(self):

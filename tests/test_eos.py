@@ -254,9 +254,9 @@ class TestFugacityInversion:
     def test_subnormal_density_is_a_numerics_error(self, model):
         # the kernel's n at the start rounds to 0, where Newton would take log(0)
         assert solve_fugacity(1e-322, model) < -740.0
-        with pytest.raises(NumericsError, match="density underflows a double"):
+        with pytest.raises(NumericsError, match="the density at eta = .* underflows a double"):
             solve_fugacity(5e-324, model)
-        with pytest.raises(NumericsError, match="density underflows a double"):
+        with pytest.raises(NumericsError, match="the density at eta = .* underflows a double"):
             solve_point(model, n_lambda3=5e-324)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
@@ -266,7 +266,8 @@ class TestFugacityInversion:
         spacing = math.ulp(0.0)
         for n_lambda3 in map(float, np.geomspace(spacing, 2.2e-308, 400)):
             if n_lambda3 == spacing:
-                with pytest.raises(NumericsError, match="density underflows a double"):
+                with pytest.raises(NumericsError,
+                                   match="the density at eta = .* underflows a double"):
                     solve_fugacity(n_lambda3, model)
                 continue
             eta = solve_fugacity(n_lambda3, model)
@@ -355,12 +356,15 @@ class TestVirialSeries:
             fugacity_series(0.25)
 
     def test_fugacity_series_past_the_double_range_raises(self):
-        # x^2 overflows to inf
+        # x^2 overflows to inf; at the smallest subnormal x = n lambda^3 / g rounds to 0
         with pytest.warns(ValidityWarning), pytest.raises(
-                NumericsError, match="leaves the double range at n lambda\\^3 = 1e\\+200"):
+                NumericsError, match="at n lambda\\^3 = 1e\\+200 overflows a double"):
             fugacity_series(1e200)
+        with pytest.raises(NumericsError, match="at n lambda\\^3 = 5e-324 underflows a double"):
+            fugacity_series(5e-324)
+        assert fugacity_series(1e-323) == 5e-324
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_nonpositive_density(self, bad):
         with pytest.raises(ValueError):
             virial_pressure(bad)
@@ -426,14 +430,14 @@ class TestSolvePoint:
         # n = g e^eta leaves the double range below eta ~ -745
         assert solve_point(EXCLUSIVE, eta=-744.0).n_lambda3 > 0.0
         for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
-            with pytest.raises(NumericsError, match="underflows a double at eta = -800"):
+            with pytest.raises(NumericsError, match="a moment at eta = -800 underflows a double"):
                 solve_point(model, eta=-800.0)
 
     @pytest.mark.parametrize("moment", [density, energy_density, pressure])
     @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD, BOLTZMANN])
     def test_forward_moment_refuses_a_zero(self, moment, model):
         assert 0.0 < moment(-744.0, model) < 1e-300  # subnormal, still returned
-        with pytest.raises(NumericsError, match="underflows a double at eta = -800"):
+        with pytest.raises(NumericsError, match="a moment at eta = -800 underflows a double"):
             moment(-800.0, model)
 
     def test_overflow_is_judged_per_moment(self):

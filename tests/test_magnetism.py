@@ -164,8 +164,10 @@ class TestLandauLevelSum:
         for z, s in ((0.0, 1.0), (0.1, -1.0), (math.nan, 1.0), (0.1, math.inf)):
             with pytest.raises(ValueError):
                 landau_partition_ratio(z, s)
-        with pytest.raises(ValueError):
-            geometric_level_factor(0.0)
+        # nan and inf are bad inputs, not results past the double range
+        for s in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="s must be positive and finite"):
+                geometric_level_factor(s)
 
 
 class TestLandauSusceptibility:

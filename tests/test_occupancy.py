@@ -44,6 +44,12 @@ class TestValues:
             OccupancyModel("bad", weight=0.0)
         with pytest.raises(ValueError):
             OccupancyModel("bad", blocking=-1.0)
+        # non-finite parameters made the law nan, inf or 0 everywhere
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="weight must be positive and finite"):
+                OccupancyModel("bad", weight=bad)
+            with pytest.raises(ValueError, match="blocking must be non-negative and finite"):
+                OccupancyModel("bad", blocking=bad)
 
 
 class TestStability:
