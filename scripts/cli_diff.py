@@ -21,8 +21,9 @@ low-temperature series at ``mu-of-t --t 1e200`` for both models,
 usage errors that stop a run before its first row: ``eos --si`` without
 ``--density`` or ``--temperature``, a missing config file, a sweep with a
 bad number, one point or the wrong coordinate, ``landau --field 0`` and
-``--n-lambda3 0``, and ``compare --density`` at 0 and, with ``--at -710``
-(whose occupation row overflows), at nan and inf.  An
+``--n-lambda3 0``, ``compare --density`` at 0 and, with ``--at -710``
+(whose occupation row overflows), at nan and inf, and ``eos --si --density
+nan``; and an ``eos --si`` density whose n lambda^3 underflows.  An
 invocation still running after 600 s is stopped and reported as exit
 ``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
@@ -165,6 +166,7 @@ occupation --sweep t 0 1 3
 landau --field 0
 compare --at -710 --density nan
 compare --at -710 --density inf
+eos --si --density nan --temperature 300
 """
 
 # numerical failures (exit 2), and the non-finite or out-of-range inputs
@@ -176,6 +178,7 @@ eos --eta -800
 eos --n-lambda3 1e300
 virial --n-lambda3 1e300
 eos --si --density 1e300 --temperature 1
+eos --si --density 1e-300 --temperature 300
 landau --n-lambda3 10 --field 1e-9
 mu-of-t --t 1e-250
 heat-capacity --t 1e-250

@@ -45,11 +45,10 @@ from .degenerate import (
 )
 from .ensemble import (
     LevelSystem,
+    _enumerate_sums,
     check_capacity,
-    grand_partition_enumerate,
     grand_partition_product,
     mc_occupancy,
-    mean_occupancies_enumerate,
 )
 from .eos import (
     density,
@@ -249,7 +248,10 @@ def _cmd_eos(args, meta):
         scale = constants.k_B * temperature / volume if volume else math.inf
         positive_double(scale, f"k_B T / lambda^3 at lambda = {wavelength!r}")
         for n_si in _coords(args, "density"):
-            point = solve_point(args.model, n_lambda3=n_si * volume)
+            positive_finite("--density", n_si)
+            # a valid density can still leave the double range times lambda^3
+            x = positive_double(n_si * volume, f"n lambda^3 at --density {n_si!r}")
+            point = solve_point(args.model, n_lambda3=x)
             mu = point.eta * constants.k_B * temperature
             yield n_si, "eta", point.eta, "quadrature"
             yield n_si, "n_lambda3", point.n_lambda3, "quadrature"
@@ -388,9 +390,11 @@ def _cmd_oracle(args, meta):
         raise UsageError(f"--levels {args.levels}: {exc}") from None
     rng = np.random.default_rng([args.seed, 0])
     system = LevelSystem(tuple(rng.uniform(0.0, 5.0, args.levels)), model)
-    product = grand_partition_product(system, z)
-    enumerated = grand_partition_enumerate(system, z)
-    occ_enum = mean_occupancies_enumerate(system, z)
+    product = grand_partition_product(system, z)  # refuses a bad fugacity
+    # ln Z and the occupancies from one enumeration pass
+    shift, total, weighted = _enumerate_sums(system, z)
+    enumerated = shift + math.log(total)
+    occ_enum = weighted / total
     occ_law = occupation(np.asarray(system.energies) - math.log(z), model)
     yield (None, "log_partition_gap",
            abs(product - enumerated), "enumeration")

@@ -344,8 +344,10 @@ class ThermoPoint:
     model: OccupancyModel
 
     def __post_init__(self):
-        if self.n_lambda3 <= 0 or self.energy_density <= 0 or self.pressure <= 0:
-            raise ValueError("thermodynamic quantities must be positive")
+        positive_finite("thermodynamic quantities", self.n_lambda3, self.energy_density,
+                        self.pressure)
+        if not math.isfinite(self.eta):
+            raise ValueError("eta must be finite")
         # u / 3 first: 2 u overflows a double before u does
         if abs(self.pressure - 2.0 * (self.energy_density / 3.0)) > 1e-6 * self.pressure:
             raise InvariantError("pressure and energy density violate p = (2/3) u")

@@ -460,6 +460,7 @@ class TestExitCodes:
         # refused before the classical occupation at -710 overflows (exit 2)
         ("compare --at -710 --density nan", "--density must be positive and finite"),
         ("compare --at -710 --density inf", "--density must be positive and finite"),
+        ("eos --si --density nan --temperature 300", "--density must be positive and finite"),
     ])
     def test_usage_error_before_any_row(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -497,6 +498,9 @@ class TestExitCodes:
         (["pauli", "--eta", "-744", "--field", "1"], "eta = -744"),
         (["landau", "--field", "800"], "s = 800"),
         (["fermi", "--density", "1e-300"], "the degeneracy pressure"),
+        # a valid density whose n lambda^3 (lambda^3 ~ 8e-26 m^3) is below the range
+        (["eos", "--si", "--density", "1e-300", "--temperature", "300"],
+         "n lambda^3 at --density 1e-300"),
     ])
     def test_underflow_reports_numerics_failure(self, capsys, argv, coordinate):
         code, out, err = run_cli(capsys, *argv)

@@ -168,6 +168,26 @@ class TestBlockEnumeration:
             _, total, weighted = enumerate_by_tags(system, z)
             assert np.max(np.abs(weighted / total - law)) <= 1e-15
 
+    @pytest.mark.parametrize("model, n_levels", [(EXCLUSIVE, 8), (STANDARD_FD, 7)])
+    @pytest.mark.parametrize("gap", [709.5, 720.0, 740.0, 746.0])
+    @pytest.mark.parametrize("position", [0, -1])
+    @pytest.mark.parametrize("blocks_of_four", [False, True])
+    def test_subnormal_state_factors(self, rng, monkeypatch, model, n_levels, gap, position,
+                                     blocks_of_four):
+        """One level ``gap`` above ln z: its non-peak state factors e^{-gap} (and
+        e^{-2 gap}) are subnormal or 0, in the prefix or the tail levels."""
+        z = 0.7
+        energies = list(rng.uniform(0.0, 5.0, n_levels))
+        energies[position] = math.log(z) + gap
+        system = LevelSystem(tuple(energies), model)
+        if blocks_of_four:  # three to four prefix levels; else one block
+            monkeypatch.setattr(ensemble, "_CHUNK", system.radix**4)
+        log_z = grand_partition_product(system, z)
+        error = abs(grand_partition_enumerate(system, z) - log_z)
+        assert error <= 2e-15 * max(1.0, abs(log_z))
+        law = occupation(np.asarray(system.energies) - math.log(z), model)
+        assert np.max(np.abs(mean_occupancies_enumerate(system, z) - law)) <= 1e-15
+
     @pytest.mark.parametrize("model, n_levels", [(EXCLUSIVE, 15), (STANDARD_FD, 12)])
     @pytest.mark.parametrize("z", [1e-3, 0.7, 30.0, 1e200])
     def test_capacity_matches_product(self, rng, model, n_levels, z):

@@ -462,3 +462,15 @@ class TestSolvePoint:
                 model=EXCLUSIVE,
             )
         assert isinstance(failure.value, NumericsError)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eta", "n_lambda3", "energy_density", "pressure"])
+    def test_point_validation_rejects_non_finite_fields(self, field, bad):
+        # a consistent point, p = (2/3) u, with one field replaced
+        fields = dict(eta=0.0, n_lambda3=1.0, energy_density=1.5, pressure=1.0)
+        ThermoPoint(**fields, model=EXCLUSIVE)
+        fields[field] = bad
+        message = "eta must be finite" if field == "eta" else "must be positive and finite"
+        with pytest.raises(ValueError, match=message) as failure:
+            ThermoPoint(**fields, model=EXCLUSIVE)
+        assert not isinstance(failure.value, NumericsError)
