@@ -23,7 +23,13 @@ usage errors that stop a run before its first row: ``eos --si`` without
 bad number, one point or the wrong coordinate, ``landau --field 0`` and
 ``--n-lambda3 0``, ``compare --density`` at 0 and, with ``--at -710``
 (whose occupation row overflows), at nan and inf, and ``eos --si --density
-nan``; and an ``eos --si`` density whose n lambda^3 underflows.  An
+nan``, and sweeps with a non-finite endpoint or a span past the double
+range, refused before the grid is built (``occupation --sweep x -inf 1 3``
+and ``-1e308 1e308 3``, ``eos --sweep eta 0 inf 3``: exit 1 on both sides,
+against a parent whose NaN grid printed numpy's RuntimeWarning and blamed
+the coordinate; ``occupation --sweep x 1 inf 3 --sweep-scale log``: exit 0
+with rows at inf -> 1); and an ``eos --si`` density whose n lambda^3
+underflows.  An
 invocation still running after 600 s is stopped and reported as exit
 ``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
@@ -167,6 +173,10 @@ landau --field 0
 compare --at -710 --density nan
 compare --at -710 --density inf
 eos --si --density nan --temperature 300
+occupation --sweep x -inf 1 3
+occupation --sweep x -1e308 1e308 3
+occupation --sweep x 1 inf 3 --sweep-scale log
+eos --sweep eta 0 inf 3
 """
 
 # numerical failures (exit 2), and the non-finite or out-of-range inputs

@@ -10,31 +10,45 @@ numerical route (quadrature, explicit state enumeration, Monte Carlo, or
 ODE integration).
 
 The package namespace holds the names of the README's quick tour and model
-table; every other name is imported from the module that defines it.
+table; every other name is imported from the module that defines it.  Each
+name is resolved on first access (PEP 562), so ``import xfermi`` loads no
+submodule and no numpy.
 """
 
-from .astro import compare_star_models
-from .degenerate import fermi_energy, heat_capacity_series_coefficient, specific_heat_exact
-from .eos import solve_fugacity, solve_point
-from .magnetism import landau_susceptibility
-from .numerics import NumericsError
-from .occupancy import BOLTZMANN, EXCLUSIVE, MODELS, STANDARD_FD, OccupancyModel, occupation
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOLTZMANN",
-    "EXCLUSIVE",
-    "MODELS",
-    "NumericsError",
-    "OccupancyModel",
-    "STANDARD_FD",
-    "compare_star_models",
-    "fermi_energy",
-    "heat_capacity_series_coefficient",
-    "landau_susceptibility",
-    "occupation",
-    "solve_fugacity",
-    "solve_point",
-    "specific_heat_exact",
-]
+# each name of the namespace and the module that defines it
+_HOMES = {
+    "BOLTZMANN": "occupancy",
+    "EXCLUSIVE": "occupancy",
+    "MODELS": "occupancy",
+    "NumericsError": "numerics",
+    "OccupancyModel": "occupancy",
+    "STANDARD_FD": "occupancy",
+    "compare_star_models": "astro",
+    "fermi_energy": "occupancy",
+    "heat_capacity_series_coefficient": "degenerate",
+    "landau_susceptibility": "magnetism",
+    "occupation": "occupancy",
+    "solve_fugacity": "eos",
+    "solve_point": "eos",
+    "specific_heat_exact": "degenerate",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

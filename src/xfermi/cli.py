@@ -6,6 +6,9 @@ with how it was obtained: ``quadrature``, ``series``, ``closed-form``,
 ``monte-carlo``, or ``ode``.  Analytic claims and their numerical
 cross-checks therefore sit side by side in the output.
 
+Each handler imports the modules it uses, so ``star`` and ``fermi`` run
+without numpy, and no run loads a module that its subcommand does not use.
+
 Output is deterministic: the same invocation (and, for ``oracle``, the
 same seed) produces byte-identical output, which the test suite relies
 on.  Exit codes: 0 success, 1 usage error, 2 numerical failure, 141
@@ -24,53 +27,17 @@ import re
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
-from .astro import REFERENCE_MASS_RATIO, compare_star_models
 from .constants import codata
-from .degenerate import (
-    REFERENCE_A1,
-    REFERENCE_A2,
-    REFERENCE_HEAT_COEFFICIENT,
-    chemical_potential_exact,
-    chemical_potential_series,
-    degeneracy_pressure,
-    fermi_energy,
-    ground_state_energy,
-    heat_capacity_series_coefficient,
-    mu_series_coefficients,
-    sommerfeld_constants,
-    specific_heat_exact,
-)
-from .ensemble import (
-    LevelSystem,
-    _enumerate_sums,
-    check_capacity,
-    grand_partition_product,
-    mc_occupancy,
-)
-from .eos import (
-    density,
-    energy_density,
-    fugacity_series,
-    pressure,
-    solve_point,
-    virial_pressure,
-)
-from .magnetism import (
-    geometric_level_factor,
-    landau_partition_ratio,
-    landau_susceptibility,
-    pauli_magnetization,
-    small_field_series_factor,
-)
 from .numerics import NumericsError, positive_double, positive_finite
 from .occupancy import (
     BOLTZMANN,
     EXCLUSIVE,
     MODELS,
     STANDARD_FD,
+    degeneracy_pressure,
+    fermi_energy,
+    ground_state_energy,
     occupation,
     thermal_wavelength,
 )
@@ -187,10 +154,16 @@ def _coords(args, var: str, default=None) -> list[float]:
         raise UsageError(f"this command sweeps over {var!r}, not {svar!r}")
     if scalar is not None:
         raise UsageError(f"--{var} conflicts with --sweep {var}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"--sweep endpoints must be finite, not {raw_start} and {raw_stop}")
+    import numpy as np
+
     if args.sweep_scale == "log":
         if start <= 0 or stop <= 0:
             raise UsageError("log sweeps need positive endpoints")
         return [float(v) for v in np.geomspace(start, stop, points)]
+    if not math.isfinite(stop - start):
+        raise UsageError(f"--sweep span from {raw_start} to {raw_stop} overflows a double")
     return [float(v) for v in np.linspace(start, stop, points)]
 
 
@@ -234,6 +207,8 @@ def _point_rows(coord: float, point, eta_provenance: str):
 
 
 def _cmd_eos(args, meta):
+    from .eos import solve_point
+
     if args.si:
         _refuse(args, ("eta", "n-lambda3"), "does not apply with --si")
         if args.temperature is None:
@@ -271,6 +246,8 @@ def _cmd_eos(args, meta):
 
 
 def _cmd_virial(args, meta):
+    from .eos import fugacity_series, solve_point, virial_pressure
+
     for x in _coords(args, "n-lambda3", 0.1):
         point = solve_point(args.model, n_lambda3=x)
         yield x, "pv_over_nkt_series", virial_pressure(x, args.model), "series"
@@ -303,6 +280,8 @@ def _cmd_fermi(args, meta):
 
 
 def _cmd_sommerfeld(args, meta):
+    from .degenerate import REFERENCE_A1, REFERENCE_A2, sommerfeld_constants
+
     _require_blocking(args, "the broadened-step moments")
     a = args.model.blocking
     result = sommerfeld_constants(a)
@@ -316,6 +295,14 @@ def _cmd_sommerfeld(args, meta):
 
 
 def _cmd_mu_of_t(args, meta):
+    from .degenerate import (
+        REFERENCE_A1,
+        REFERENCE_A2,
+        chemical_potential_exact,
+        chemical_potential_series,
+        mu_series_coefficients,
+    )
+
     _require_blocking(args, "the chemical-potential expansion")
     model = args.model
     for t in _coords(args, "t", 0.05):
@@ -332,6 +319,12 @@ def _cmd_mu_of_t(args, meta):
 
 
 def _cmd_heat_capacity(args, meta):
+    from .degenerate import (
+        REFERENCE_HEAT_COEFFICIENT,
+        heat_capacity_series_coefficient,
+        specific_heat_exact,
+    )
+
     _require_blocking(args, "the heat-capacity expansion")
     model = args.model
     for t in _coords(args, "t", 0.02):
@@ -343,6 +336,8 @@ def _cmd_heat_capacity(args, meta):
 
 
 def _cmd_pauli(args, meta):
+    from .magnetism import pauli_magnetization
+
     meta["eta"] = args.eta
     for b in _coords(args, "field", 0.5):
         result = pauli_magnetization(args.eta, b, args.model)
@@ -354,6 +349,13 @@ def _cmd_pauli(args, meta):
 
 
 def _cmd_landau(args, meta):
+    from .magnetism import (
+        geometric_level_factor,
+        landau_partition_ratio,
+        landau_susceptibility,
+        small_field_series_factor,
+    )
+
     x = args.n_lambda3
     positive_finite("--n-lambda3", x)
     meta["n_lambda3"] = x
@@ -368,6 +370,8 @@ def _cmd_landau(args, meta):
 
 
 def _cmd_star(args, meta):
+    from .astro import REFERENCE_MASS_RATIO, compare_star_models
+
     comparison = compare_star_models()
     yield None, "k_nr_ratio", comparison.k_nr_ratio, "closed-form"
     yield None, "k_ur_ratio", comparison.k_ur_ratio, "closed-form"
@@ -381,6 +385,16 @@ def _cmd_star(args, meta):
 
 
 def _cmd_oracle(args, meta):
+    import numpy as np
+
+    from .ensemble import (
+        LevelSystem,
+        _enumerate_sums,
+        check_capacity,
+        grand_partition_product,
+        mc_occupancy,
+    )
+
     _require_blocking(args, "ensemble enumeration")
     model, z = args.model, args.fugacity
     meta.update(levels=args.levels, fugacity=z, samples=args.samples, seed=args.seed)
@@ -408,6 +422,9 @@ def _cmd_oracle(args, meta):
 
 
 def _cmd_compare(args, meta):
+    from .degenerate import heat_capacity_series_coefficient
+    from .eos import density, energy_density, pressure
+
     at, n0 = args.at, args.density
     positive_finite("--density", n0)
     meta.update(at=at, density=n0)
@@ -585,7 +602,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> int:
-    """``main`` for a whole process: the import heap is frozen, so no collection
-    walks it again, the forced passes at interpreter exit included."""
+    """``main`` for a whole process.  Once it returns the heap is frozen, so the
+    forced collections at interpreter exit skip it; a freeze before ``main``
+    would miss the objects of the modules that the subcommand imports."""
+    code = main()
     gc.freeze()
-    return main()
+    return code

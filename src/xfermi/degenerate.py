@@ -1,5 +1,6 @@
-"""Degenerate-limit behavior: Fermi scale, broadened-step moments, and
-low-temperature expansions.
+"""Degenerate-limit behavior: broadened-step moments and low-temperature
+expansions.  The T = 0 closed forms (Fermi energy, ground-state energy,
+degeneracy pressure) live in :mod:`xfermi.occupancy`.
 
 Reduced units hbar = m = k_B = 1 throughout, so energies are interchangeable
 with temperatures and the Fermi temperature equals the Fermi energy.
@@ -44,30 +45,6 @@ _SERIES_TRUST = 0.3
 REFERENCE_A1 = 0.34657
 REFERENCE_A2 = 1.88516
 REFERENCE_HEAT_COEFFICIENT = {"exclusive": 5.55, "fd": 4.93}
-
-
-def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
-    """Fermi energy at number density n (reduced units).
-
-    E_F = (1/2) (6 pi^2 n / s)^{2/3} with s the T = 0 step height; the
-    single-occupancy gas (s = 1) sits 2^{2/3} above the standard gas
-    (s = 2) at equal density.
-    """
-    positive_finite("density", n)
-    return positive_double(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
-                           f"the Fermi energy at density {n!r}")
-
-
-def ground_state_energy(n_particles: float, e_f: float) -> float:
-    """Total T = 0 energy, E = (3/5) N E_F."""
-    positive_finite("particle number and Fermi energy", n_particles, e_f)
-    return positive_double(0.6 * n_particles * e_f, "the ground-state energy")
-
-
-def degeneracy_pressure(n: float, e_f: float) -> float:
-    """T = 0 pressure, P = (2/5) n E_F."""
-    positive_finite("density and Fermi energy", n, e_f)
-    return positive_double(0.4 * n * e_f, "the degeneracy pressure")
 
 
 @dataclass(frozen=True)

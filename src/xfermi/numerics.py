@@ -11,7 +11,8 @@ on the Taylor series of its equation.  The three are independent routes for
 the tests (QUADPACK step moments, bracketed fugacity search, a DOP853
 Lane-Emden solve) and need scipy, which is a test dependency only; they
 stay in this module because the benchmark's ``--trace`` mode wraps them,
-and scipy's ``quad`` and ``brentq`` behind them, by name.  Everything here
+and scipy's ``quad`` and ``brentq`` behind them, by name.  numpy too is
+imported on first use, by ``integrate_ode``.  Everything here
 is a pure function of its arguments, so concurrent use needs no locking.
 """
 
@@ -21,9 +22,10 @@ import importlib
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def __getattr__(name: str):
@@ -199,6 +201,7 @@ def integrate_ode(
     steps, when ``stop_event`` is already <= 0 at ``t0``.  Raises
     :class:`EventHorizonError` if the event never fires before ``t_end``.
     """
+    import numpy as np
     from scipy.integrate import solve_ivp
 
     t0, t_end = float(t0), float(t_end)

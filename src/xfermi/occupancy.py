@@ -1,4 +1,4 @@
-"""Occupation law, occupancy models and the thermal wavelength.
+"""Occupation law, occupancy models, the thermal wavelength and the T = 0 closed forms.
 
 The whole package is built around a two-parameter mean occupancy per
 orbital,
@@ -10,14 +10,16 @@ orbital,
 blocking = 2 forbids double occupancy outright (one particle per orbital
 even for opposite spins), blocking = 1 is the ordinary spin-1/2 Fermi
 gas, and blocking = 0 recovers classical Boltzmann counting.
+
+Reduced units hbar = m = k_B = 1 throughout, so the Fermi temperature
+equals the Fermi energy.  numpy is imported on the first ``occupation``
+call: nothing else here needs array code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import REDUCED, PhysicalConstants
 from .numerics import NumericsError, positive_double, positive_finite
@@ -69,6 +71,8 @@ def occupation(x, model: OccupancyModel = EXCLUSIVE):
     and there it raises :class:`NumericsError`.  NaN is refused with
     ``ValueError``; x = +-inf gives the limits.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValueError("x must not be nan")
@@ -93,3 +97,27 @@ def thermal_wavelength(
     wavelength = math.sqrt(2.0 * math.pi * constants.hbar**2 / thermal) if thermal else math.inf
     return positive_double(
         wavelength, f"the thermal wavelength at mass {mass!r} and temperature {temperature!r}")
+
+
+def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """Fermi energy at number density n (reduced units).
+
+    E_F = (1/2) (6 pi^2 n / s)^{2/3} with s the T = 0 step height; the
+    single-occupancy gas (s = 1) sits 2^{2/3} above the standard gas
+    (s = 2) at equal density.
+    """
+    positive_finite("density", n)
+    return positive_double(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
+                           f"the Fermi energy at density {n!r}")
+
+
+def ground_state_energy(n_particles: float, e_f: float) -> float:
+    """Total T = 0 energy, E = (3/5) N E_F."""
+    positive_finite("particle number and Fermi energy", n_particles, e_f)
+    return positive_double(0.6 * n_particles * e_f, "the ground-state energy")
+
+
+def degeneracy_pressure(n: float, e_f: float) -> float:
+    """T = 0 pressure, P = (2/5) n E_F."""
+    positive_finite("density and Fermi energy", n, e_f)
+    return positive_double(0.4 * n * e_f, "the degeneracy pressure")

@@ -28,8 +28,6 @@ from xfermi.degenerate import (
     REFERENCE_A2,
     REFERENCE_HEAT_COEFFICIENT,
     chemical_potential_exact,
-    degeneracy_pressure,
-    fermi_energy,
     heat_capacity_series_coefficient,
     sommerfeld_constants,
     specific_heat_exact,
@@ -47,7 +45,14 @@ from xfermi.magnetism import (
     landau_susceptibility,
     pauli_magnetization,
 )
-from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD, occupation
+from xfermi.occupancy import (
+    BOLTZMANN,
+    EXCLUSIVE,
+    STANDARD_FD,
+    degeneracy_pressure,
+    fermi_energy,
+    occupation,
+)
 
 from oracles import fermi_sea_density, fixed_density_point, landau_level_sum, lane_emden_rk4
 

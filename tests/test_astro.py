@@ -13,9 +13,14 @@ from xfermi.astro import (
     lane_emden,
     white_dwarf_mass,
 )
-from xfermi.degenerate import degeneracy_pressure, fermi_energy
 from xfermi.numerics import NumericsError, integrate_ode
-from xfermi.occupancy import EXCLUSIVE, STANDARD_FD, OccupancyModel
+from xfermi.occupancy import (
+    EXCLUSIVE,
+    STANDARD_FD,
+    OccupancyModel,
+    degeneracy_pressure,
+    fermi_energy,
+)
 
 from oracles import lane_emden_mp, lane_emden_rk4
 

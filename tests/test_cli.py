@@ -77,6 +77,16 @@ def _no_ambient_seed(monkeypatch):
     monkeypatch.delenv("XFERMI_SEED", raising=False)
 
 
+@pytest.fixture
+def no_grid(monkeypatch):
+    """A --sweep grid built during the test fails it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(np, "geomspace", refuse)
+
+
 class TestBasics:
     def test_occupation_value(self, capsys):
         code, out, _ = run_cli(capsys, "occupation", "--x", "0")
@@ -168,6 +178,41 @@ class TestBasics:
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
         )
         assert (completed.returncode, completed.stderr) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["star"],
+        ["fermi", "--density", "2"],
+        ["fermi", "--si", "--density", "1e28"],
+        ["--version"],
+    ])
+    def test_scalar_subcommands_start_without_numpy(self, argv):
+        refused = (
+            "import runpy, sys\n"
+            "class RefuseNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            raise ImportError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, RefuseNumpy())\n"
+            "try:\n"
+            "    runpy.run_module('xfermi', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    assert 'numpy' not in sys.modules\n"
+        )
+        plain = subprocess.run([sys.executable, "-m", "xfermi", *argv],
+                               capture_output=True, timeout=60)
+        without = subprocess.run([sys.executable, "-c", refused, *argv],
+                                 capture_output=True, timeout=60)
+        assert (without.returncode, without.stderr) == (0, b"")
+        assert plain.returncode == 0
+        assert without.stdout == plain.stdout
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_each_subcommand_runs_in_a_fresh_process(self, capsys, command):
+        # in one process an earlier subcommand's imports would hide a missing one
+        completed = subprocess.run([sys.executable, "-m", "xfermi", command],
+                                   capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == run_cli(capsys, command)[1]
 
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # the kernel's Gauss-Legendre nodes and the inverse tables are literals
@@ -376,12 +421,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("points", ["1000001", "1000000000"])
     @pytest.mark.parametrize("scale", ["linear", "log"])
-    def test_point_count_is_bounded_before_the_grid(self, capsys, monkeypatch, points, scale):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid was built")
-
-        monkeypatch.setattr(np, "linspace", refuse)
-        monkeypatch.setattr(np, "geomspace", refuse)
+    def test_point_count_is_bounded_before_the_grid(self, capsys, no_grid, points, scale):
         code, out, err = run_cli(
             capsys, "occupation", "--sweep", "x", "1", "2", points, "--sweep-scale", scale
         )
@@ -416,6 +456,22 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("xfermi: usage error: ")
         assert flag in err
+
+    @pytest.mark.parametrize("argv", [
+        "occupation --sweep x -inf 1 3",
+        "occupation --sweep x 0 nan 3",
+        "occupation --sweep x 1 inf 3 --sweep-scale log",
+        "eos --sweep eta 0 inf 3",
+        # finite endpoints whose span overflows a double
+        "occupation --sweep x -1e308 1e308 3",
+        "eos --sweep eta 1.7e308 -1.7e308 3",
+    ])
+    def test_sweep_past_the_double_range_is_refused_before_the_grid(self, capsys, no_grid,
+                                                                    argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: --sweep ")
+        assert err.count("\n") == 1
 
     def test_unknown_flag(self, capsys):
         code, _, err = run_cli(capsys, "occupation", "--frequency", "3")

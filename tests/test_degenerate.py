@@ -22,9 +22,6 @@ from xfermi.degenerate import (
     REFERENCE_HEAT_COEFFICIENT,
     chemical_potential_exact,
     chemical_potential_series,
-    degeneracy_pressure,
-    fermi_energy,
-    ground_state_energy,
     heat_capacity_series_coefficient,
     mu_series_coefficients,
     sommerfeld_constants,
@@ -39,7 +36,14 @@ from xfermi.eos import (
     solve_point,
 )
 from xfermi.numerics import NumericsError
-from xfermi.occupancy import EXCLUSIVE, STANDARD_FD, ValidityWarning
+from xfermi.occupancy import (
+    EXCLUSIVE,
+    STANDARD_FD,
+    ValidityWarning,
+    degeneracy_pressure,
+    fermi_energy,
+    ground_state_energy,
+)
 
 NOT_POSITIVE_AND_FINITE = [0.0, -1.0, math.nan, math.inf, -math.inf]
 
