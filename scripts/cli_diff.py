@@ -29,7 +29,13 @@ and ``-1e308 1e308 3``, ``eos --sweep eta 0 inf 3``: exit 1 on both sides,
 against a parent whose NaN grid printed numpy's RuntimeWarning and blamed
 the coordinate; ``occupation --sweep x 1 inf 3 --sweep-scale log``: exit 0
 with rows at inf -> 1); and an ``eos --si`` density whose n lambda^3
-underflows.  An
+underflows.  The five subcommands that take only the blocking laws
+(``fermi``, ``sommerfeld``, ``mu-of-t``, ``heat-capacity``, ``oracle``) run
+under ``--model boltzmann`` (exit 1 on both sides), ``--sweep-scale``
+without ``--sweep`` is refused (``occupation --x 1 --sweep-scale log``:
+exit 0 -> 1), and SI rows past the double range exit 2 (``eos --si
+--density 1e250 --temperature 1e60``, which printed inf, and ``fermi --si``
+Fermi energies that overflow or underflow, which exited 1).  An
 invocation still running after 600 s is stopped and reported as exit
 ``timeout``.
 Stderr is not compared: it carries warnings with source line numbers.
@@ -133,7 +139,8 @@ fermi --si --density 1e28 --mass 1.67e-27 --model fd --format table
 fermi --si --sweep density 1e20 1e30 4 --sweep-scale log
 """
 
-# usage errors: exit 1, empty stdout
+# usage errors: exit 1, empty stdout (--sweep-scale without --sweep exits 0
+# against a parent that ignored it)
 REFUSED = """
 occupation --frequency 3
 star --model fd
@@ -152,6 +159,9 @@ fermi --si --density 1e28 --mass 0
 fermi --density 1 --model boltzmann
 sommerfeld --model boltzmann
 mu-of-t --model boltzmann
+heat-capacity --model boltzmann
+oracle --model boltzmann
+occupation --x 1 --sweep-scale log
 eos --rel-tol 1e-8
 occupation --x 1 --sweep x 0 1 3
 occupation --sweep x 0 1 1
@@ -270,8 +280,10 @@ oracle --samples 9223372036854775808
 # zeros -> 2); a sweep one point past the cap of 10^6 (exit 0 -> 1; the
 # parent takes about 16 s and 260 MB to print it); the classical occupation
 # 2 e^{-x} past the double range (exit 0 with inf -> 2) and at its limit
-# x = -inf (inf, exit 0, on both sides); and the mu/E_F series at t = 1e200
-# (exit 0 with -inf -> 2)
+# x = -inf (inf, exit 0, on both sides); the mu/E_F series at t = 1e200
+# (exit 0 with -inf -> 2); the --si pressure and energy density past the
+# double range (exit 0 with inf -> 2), and an SI Fermi energy that overflows
+# or underflows (exit 1, blamed on the density, -> 2)
 EDGES = """
 pauli --eta -800
 pauli --eta -750 --field 2
@@ -296,6 +308,9 @@ occupation --x -inf --model boltzmann
 compare --at -710
 mu-of-t --t 1e200
 mu-of-t --t 1e200 --model fd
+eos --si --density 1e250 --temperature 1e60
+fermi --si --density 1e300 --mass 1e-300
+fermi --si --density 1e-200 --mass 1e200
 """
 
 # level counts below one or past the enumeration capacity: usage errors

@@ -80,8 +80,8 @@ def _json_value(value):
     return value
 
 
-def _emit(fmt: str, meta: dict, header: list[str], records: list[list], out=None) -> None:
-    out = sys.stdout if out is None else out
+def _emit(fmt: str, meta: dict, header: list[str], records: list[list]) -> None:
+    out = sys.stdout
     if fmt == "csv":
         for key, value in meta.items():
             out.write(f"# {key}={_cell(value, _CSV_FMT)}\n")
@@ -136,6 +136,7 @@ def _coords(args, var: str, default=None) -> list[float]:
     """Values of the coordinate flag ``--var``: its one value, or the ``--sweep`` grid."""
     scalar = getattr(args, var.replace("-", "_"))
     if args.sweep is None:
+        _refuse(args, ("sweep-scale",), "needs --sweep")
         if scalar is not None:
             return [scalar]
         if default is None:
@@ -165,11 +166,6 @@ def _coords(args, var: str, default=None) -> list[float]:
     if not math.isfinite(stop - start):
         raise UsageError(f"--sweep span from {raw_start} to {raw_stop} overflows a double")
     return [float(v) for v in np.linspace(start, stop, points)]
-
-
-def _require_blocking(args, what: str) -> None:
-    if args.model.blocking == 0.0:
-        raise UsageError(f"{what} needs a blocking model (exclusive or fd)")
 
 
 def _refuse(args, flags: Sequence[str], reason: str) -> None:
@@ -228,11 +224,14 @@ def _cmd_eos(args, meta):
             x = positive_double(n_si * volume, f"n lambda^3 at --density {n_si!r}")
             point = solve_point(args.model, n_lambda3=x)
             mu = point.eta * constants.k_B * temperature
+            at = f"at --density {n_si!r} and --temperature {temperature!r}"
+            p_si = positive_double(point.pressure * scale, f"the pressure {at}")
+            u_si = positive_double(point.energy_density * scale, f"the energy density {at}")
             yield n_si, "eta", point.eta, "quadrature"
             yield n_si, "n_lambda3", point.n_lambda3, "quadrature"
             yield n_si, "chemical_potential_joule", mu, "quadrature"
-            yield n_si, "pressure_pascal", point.pressure * scale, "quadrature"
-            yield n_si, "energy_density_joule_m3", point.energy_density * scale, "quadrature"
+            yield n_si, "pressure_pascal", p_si, "quadrature"
+            yield n_si, "energy_density_joule_m3", u_si, "quadrature"
         return
     _refuse(args, ("density", "temperature", "mass"), "needs --si")
     if args.n_lambda3 is None and (args.sweep or [None])[0] != "n-lambda3":
@@ -257,13 +256,13 @@ def _cmd_virial(args, meta):
 
 
 def _cmd_fermi(args, meta):
-    _require_blocking(args, "the Fermi scale")
     if args.si:
         constants, mass = _si_mass(args, meta)
         for n_si in _coords(args, "density"):
             # fermi_energy is a pure power law, so feeding an SI density
             # and scaling by hbar^2/m lands in joules
-            e_f = fermi_energy(n_si, args.model) * constants.hbar**2 / mass
+            e_f = positive_double(fermi_energy(n_si, args.model) * constants.hbar**2 / mass,
+                                  f"the Fermi energy at --density {n_si!r} and --mass {mass!r}")
             yield n_si, "fermi_energy_joule", e_f, "closed-form"
             yield n_si, "fermi_energy_ev", e_f / constants.e_charge, "closed-form"
             yield n_si, "fermi_temperature_kelvin", e_f / constants.k_B, "closed-form"
@@ -282,7 +281,6 @@ def _cmd_fermi(args, meta):
 def _cmd_sommerfeld(args, meta):
     from .degenerate import REFERENCE_A1, REFERENCE_A2, sommerfeld_constants
 
-    _require_blocking(args, "the broadened-step moments")
     a = args.model.blocking
     result = sommerfeld_constants(a)
     yield a, "a1", result.a1, "quadrature"
@@ -303,7 +301,6 @@ def _cmd_mu_of_t(args, meta):
         mu_series_coefficients,
     )
 
-    _require_blocking(args, "the chemical-potential expansion")
     model = args.model
     for t in _coords(args, "t", 0.05):
         yield t, "mu_over_ef", chemical_potential_exact(t, model), "quadrature"
@@ -325,7 +322,6 @@ def _cmd_heat_capacity(args, meta):
         specific_heat_exact,
     )
 
-    _require_blocking(args, "the heat-capacity expansion")
     model = args.model
     for t in _coords(args, "t", 0.02):
         yield t, "heat_coefficient", specific_heat_exact(t, model), "quadrature"
@@ -395,7 +391,6 @@ def _cmd_oracle(args, meta):
         mc_occupancy,
     )
 
-    _require_blocking(args, "ensemble enumeration")
     model, z = args.model, args.fugacity
     meta.update(levels=args.levels, fugacity=z, samples=args.samples, seed=args.seed)
     try:  # before the draw, which would allocate a huge count's energies
@@ -405,10 +400,7 @@ def _cmd_oracle(args, meta):
     rng = np.random.default_rng([args.seed, 0])
     system = LevelSystem(tuple(rng.uniform(0.0, 5.0, args.levels)), model)
     product = grand_partition_product(system, z)  # refuses a bad fugacity
-    # ln Z and the occupancies from one enumeration pass
-    shift, total, weighted = _enumerate_sums(system, z)
-    enumerated = shift + math.log(total)
-    occ_enum = weighted / total
+    enumerated, occ_enum = _enumerate_sums(system, z)  # from one enumeration pass
     occ_law = occupation(np.asarray(system.energies) - math.log(z), model)
     yield (None, "log_partition_gap",
            abs(product - enumerated), "enumeration")
@@ -476,15 +468,18 @@ def _build_parser() -> _Parser:
                       help="file of key=value lines, each read as the flag --key=value; "
                            "flags on the command line override them")
 
-    modeled = argparse.ArgumentParser(add_help=False)
-    modeled.add_argument("--model", choices=tuple(MODELS), default="exclusive",
-                         help="occupancy model (default %(default)s)")
+    # the degenerate limit, the step moments and enumeration need blocking > 0
+    blocking = tuple(name for name, model in MODELS.items() if model.blocking > 0)
+    modeled, blocked = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for parent, names in ((modeled, tuple(MODELS)), (blocked, blocking)):
+        parent.add_argument("--model", choices=names, default="exclusive",
+                            help="occupancy model (default %(default)s)")
 
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument("--sweep", nargs=4, metavar=("VAR", "START", "STOP", "POINTS"),
                        help="evaluate on a grid of the named coordinate")
-    sweep.add_argument("--sweep-scale", choices=("linear", "log"), default="linear",
-                       help="grid spacing (default %(default)s)")
+    sweep.add_argument("--sweep-scale", choices=("linear", "log"),
+                       help="grid spacing (default linear)")
 
     parser = _Parser(
         prog="xfermi",
@@ -511,21 +506,21 @@ def _build_parser() -> _Parser:
                        help="dilute-limit virial and fugacity series vs quadrature")
     p.add_argument("--n-lambda3", type=float, help="degeneracy parameter (default 0.1)")
 
-    p = sub.add_parser("fermi", parents=[base, modeled, sweep],
+    p = sub.add_parser("fermi", parents=[base, blocked, sweep],
                        help="Fermi energy and degeneracy pressure at a density")
     p.add_argument("--density", type=float,
                    help="number density (reduced; m^-3 with --si; default 1)")
     p.add_argument("--si", action="store_true", help="report in SI units")
     p.add_argument("--mass", type=float, help="particle mass in kg (default electron)")
 
-    sub.add_parser("sommerfeld", parents=[base, modeled],
+    sub.add_parser("sommerfeld", parents=[base, blocked],
                    help="broadened-step moments A1, A2 vs their closed forms")
 
-    p = sub.add_parser("mu-of-t", parents=[base, modeled, sweep],
+    p = sub.add_parser("mu-of-t", parents=[base, blocked, sweep],
                        help="chemical potential vs temperature at fixed density")
     p.add_argument("--t", type=float, help="reduced temperature kT/E_F (default 0.05)")
 
-    p = sub.add_parser("heat-capacity", parents=[base, modeled, sweep],
+    p = sub.add_parser("heat-capacity", parents=[base, blocked, sweep],
                        help="low-temperature heat-capacity coefficient")
     p.add_argument("--t", type=float, help="reduced temperature kT/E_F (default 0.02)")
 
@@ -544,7 +539,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("star", parents=[base],
                    help="degenerate-star consequences of the occupancy step")
 
-    p = sub.add_parser("oracle", parents=[base, modeled],
+    p = sub.add_parser("oracle", parents=[base, blocked],
                        help="cross-check closed forms against enumeration and Monte Carlo")
     p.add_argument("--levels", type=int, default=6,
                    help="number of orbital levels (default %(default)s)")

@@ -104,8 +104,8 @@ def mu_series_coefficients(model: OccupancyModel = EXCLUSIVE) -> tuple[float, fl
 
 def chemical_potential_series(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Series route to mu/E_F at reduced temperature t = kT/E_F."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be non-negative and finite")
     if t >= _SERIES_TRUST:
         warnings.warn(
             f"low-temperature series used at t = {t:g} >= {_SERIES_TRUST}",

@@ -123,11 +123,11 @@ def _outer_product(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, float, np.ndarray]:
-    """Partition sum and per-level occupancy-weighted sums, by enumeration.
+def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, np.ndarray]:
+    """ln Z and the mean occupancy of every level, by enumeration.
 
-    Returns (log of the largest configuration weight, sums scaled by that
-    weight); the scaling keeps every weight at most 1, so none overflows.
+    The sums are scaled by the largest configuration weight, which keeps
+    every weight at most 1, so none overflows; ln Z adds its log back.
     A configuration's weight is the product of one factor per level, each
     level's state factors exponentiated once from their peak-shifted
     log-weights.  Configurations are visited in blocks that share their
@@ -135,6 +135,7 @@ def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, float, np.nda
     outer product times its prefix's weight, so each configuration's weight
     is still formed, and added to the sums, on its own.
     """
+    positive_finite("fugacity", z)
     radix, levels = system.radix, len(system.energies)
     occ = _OCCUPANCY_OF_TAG[:radix]
     # state log-weights occ_t (ln z - eps_l), one row per level; each level's
@@ -172,21 +173,17 @@ def _enumerate_sums(system: LevelSystem, z: float) -> tuple[float, float, np.nda
             level -= 1
     total, prefix_sums = _collapse(block_totals, occ)
     _, tail_sums = _collapse(partial[0], occ)
-    return shift, total, np.array(prefix_sums + tail_sums)
+    return shift + math.log(total), np.array(prefix_sums + tail_sums) / total
 
 
 def grand_partition_enumerate(system: LevelSystem, fugacity: float) -> float:
     """Log of the grand partition function, summed configuration by configuration."""
-    positive_finite("fugacity", fugacity)
-    shift, total, _ = _enumerate_sums(system, fugacity)
-    return shift + math.log(total)
+    return _enumerate_sums(system, fugacity)[0]
 
 
 def mean_occupancies_enumerate(system: LevelSystem, fugacity: float) -> np.ndarray:
     """Mean occupancy of every level, from the enumerated ensemble average."""
-    positive_finite("fugacity", fugacity)
-    _, total, weighted = _enumerate_sums(system, fugacity)
-    return weighted / total
+    return _enumerate_sums(system, fugacity)[1]
 
 
 def mc_occupancy(

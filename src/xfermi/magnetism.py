@@ -91,8 +91,10 @@ def landau_partition_ratio(
     contributes sqrt(pi) density(ln z - s(2n+1)) per V/lambda^3.  The
     first N levels, those with a z e^{-s(2n+1)} > 1/2, go through the
     moment kernel as arrays (more than MAX_DEGENERATE_LEVELS of them raise
-    :class:`LevelBudgetError`); for the rest the fugacity expansion of the
-    log converges, and its sum over levels is geometric:
+    :class:`LevelBudgetError`, and a 2 a z that overflows a double, from
+    z ~ 4.5e307 exclusive, :class:`NumericsError`); for the rest the
+    fugacity expansion of the log converges, and its sum over levels is
+    geometric:
 
         ratio = (2s/(g z)) Sum_{n<N} density(ln z - s(2n+1))
                 + e^{-s(2N+1)} Sum_k (-1)^{k+1} w^{k-1} 2s / (k^{3/2} (1 - e^{-2ks}))
@@ -105,7 +107,10 @@ def landau_partition_ratio(
     """
     positive_finite("fugacity and s", fugacity, s)
     az = model.blocking * fugacity
-    levels = (math.log(2.0 * az) / s - 1.0) / 2.0 if az > 0.5 else 0.0
+    levels = 0.0
+    if az > 0.5:
+        two_az = positive_double(2.0 * az, f"2 a z at z = {fugacity!r}")
+        levels = (math.log(two_az) / s - 1.0) / 2.0
     if levels > MAX_DEGENERATE_LEVELS:
         raise LevelBudgetError(f"{levels:.3g} degenerate Landau levels, over the budget")
     levels = math.ceil(levels)
@@ -145,7 +150,13 @@ def geometric_level_factor(s: float) -> float:
 
 
 def small_field_series_factor(s: float) -> float:
-    """Quadratic truncation of s/sinh(s): 1 - s^2/6."""
+    """Quadratic truncation of s/sinh(s): 1 - s^2/6.
+
+    Past s ~ 1.3e154, where s^2 overflows a double: :class:`NumericsError`.
+    """
+    positive_finite("s", s)
+    if s * s == math.inf:
+        raise NumericsError(f"s^2 overflows a double at s = {s!r}")
     return 1.0 - s * s / 6.0
 
 
@@ -161,8 +172,10 @@ def landau_susceptibility(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -
 
     up to terms of order e^{-pi^2/s}, all at eta = ln z.  Hence
     chi = -(dn/deta)/(3 g z) = -(1/3) f_{1/2}(a z)/(a z), exactly -1/3 for
-    the classical model and the dilute limit of the others.
+    the classical model and the dilute limit of the others.  Past
+    n lambda^3 ~ 6e307, where 3 g z overflows a double: :class:`NumericsError`.
     """
     positive_finite("n_lambda3", n_lambda3)
     z = n_lambda3 / model.weight
-    return -float(_moments(math.log(z), model, [3])[0]) / (3.0 * model.weight * z)
+    three_gz = positive_double(3.0 * model.weight * z, f"3 g z at n_lambda3 = {n_lambda3!r}")
+    return -float(_moments(math.log(z), model, [3])[0]) / three_gz

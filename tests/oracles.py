@@ -424,8 +424,8 @@ def enumerate_by_tags(system: LevelSystem, z: float) -> tuple[float, float, np.n
 
     Every configuration index is unravelled into one state tag per level,
     and its weight is built from those tags.  Returns (log of the largest
-    configuration weight, sums scaled by that weight), as
-    ``xfermi.ensemble._enumerate_sums`` does.
+    configuration weight, sums scaled by that weight), the sums from which
+    ``xfermi.ensemble._enumerate_sums`` forms ln Z and the occupancies.
     """
     energies = np.asarray(system.energies)[:, None]
     log_z = math.log(z)

@@ -18,7 +18,13 @@ from oracles import polylog_moments
 import xfermi
 from xfermi import astro, degenerate, eos
 from xfermi.cli import _HANDLERS, main
-from xfermi.occupancy import MODELS
+from xfermi.ensemble import (
+    LevelSystem,
+    grand_partition_enumerate,
+    grand_partition_product,
+    mean_occupancies_enumerate,
+)
+from xfermi.occupancy import MODELS, occupation
 
 # the CLI prints 10 significant digits
 CLI_REL = 1e-9
@@ -61,13 +67,15 @@ def _table_cell(value):
         return value
 
 
+# the subcommands whose --model takes only the blocking laws
+_BLOCKING_ONLY = ("fermi", "sommerfeld", "mu-of-t", "heat-capacity", "oracle")
+
 # every subcommand under each model it accepts; oracle with fewer samples
 _MODEL_RUNS = [
     (command, model)
     for command in sorted(_HANDLERS)
     for model in ((None,) if command in ("star", "compare") else sorted(MODELS))
-    if not (model == "boltzmann" and command in
-            ("fermi", "sommerfeld", "mu-of-t", "heat-capacity", "oracle"))
+    if not (model == "boltzmann" and command in _BLOCKING_ONLY)
 ]
 _FAST_ARGS = {"oracle": ("--samples", "2000")}
 
@@ -450,6 +458,8 @@ class TestExitCodes:
         (["fermi", "--density", "2", "--mass", "1"], "--mass"),
         (["fermi", "--si", "--density", "1e28", "--mass", "-1"], "--mass"),
         (["fermi", "--si", "--density", "1e28", "--mass", "0"], "--mass"),
+        (["occupation", "--x", "1", "--sweep-scale", "log"], "--sweep-scale"),
+        (["eos", "--eta", "1", "--sweep-scale", "linear"], "--sweep-scale"),
     ])
     def test_ignored_flag_is_refused(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -478,10 +488,20 @@ class TestExitCodes:
         assert code == 1
         assert err
 
-    def test_degenerate_commands_reject_classical_model(self, capsys):
-        code, _, err = run_cli(capsys, "fermi", "--density", "1", "--model", "boltzmann")
-        assert code == 1
-        assert "blocking" in err
+    @pytest.mark.parametrize("argv", [
+        ["fermi", "--density", "1"], ["sommerfeld"], ["mu-of-t", "--t", "0.05"],
+        ["heat-capacity", "--t", "0.02"], ["oracle", "--samples", "1000"],
+    ], ids=lambda argv: argv[0])
+    def test_degenerate_commands_reject_classical_model(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--model", "boltzmann")
+        assert (code, out) == (1, "")
+        assert err.startswith("xfermi: usage error: ")
+        assert "--model" in err
+        # the parser refuses it, so the help lists only the blocking laws
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], "--help"])
+        assert excinfo.value.code == 0
+        assert "--model {exclusive,fd}" in capsys.readouterr().out
 
     def test_unattainable_tolerance_reports_numerics_failure(self, capsys, monkeypatch):
         # edge weights 1e-9 heavier, beyond the 1e-12 agreement check
@@ -587,6 +607,20 @@ class TestExitCodes:
         assert err.startswith("xfermi: numerical failure: ")
         assert err.endswith(("underflows" if "--mass" in argv else "overflows") + " a double\n")
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("eos --si --density 1e250 --temperature 1e60",
+         "the pressure at --density 1e+250 and --temperature 1e+60 overflows a double"),
+        ("fermi --si --density 1e300 --mass 1e-300",
+         "the Fermi energy at --density 1e+300 and --mass 1e-300 overflows a double"),
+        ("fermi --si --density 1e-200 --mass 1e200",
+         "the Fermi energy at --density 1e-200 and --mass 1e+200 underflows a double"),
+    ])
+    def test_si_row_past_the_double_range_reports_numerics_failure(self, capsys, argv,
+                                                                   message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"xfermi: numerical failure: {message}\n"
 
     @pytest.mark.parametrize("temperature", ["inf", "nan"])
     def test_si_non_finite_temperature_is_a_usage_error(self, capsys, temperature):
@@ -776,6 +810,25 @@ class TestPhysicsOutput:
         gap = float(rows[("", "log_partition_gap")][0])
         ln_z = 6.0 * math.log(1e200)  # 6 exclusive levels, each about ln z
         assert math.isfinite(gap) and gap <= 1e-15 * ln_z
+
+    @pytest.mark.parametrize("model, levels, seed, fugacity", [
+        ("exclusive", 6, 0, 0.5), ("exclusive", 15, 3, 2.0), ("fd", 12, 7, 0.1)])
+    def test_oracle_gaps_match_the_library_routes(self, capsys, model, levels, seed,
+                                                  fugacity):
+        code, out, _ = run_cli(capsys, "oracle", "--model", model, "--levels", str(levels),
+                               "--seed", str(seed), "--fugacity", str(fugacity),
+                               "--samples", "1000")
+        assert code == 0
+        rows = long_rows(out)
+        # the same draw as the CLI: stream 0 of the seed
+        energies = np.random.default_rng([seed, 0]).uniform(0.0, 5.0, levels)
+        system = LevelSystem(tuple(energies), MODELS[model])
+        log_gap = abs(grand_partition_product(system, fugacity)
+                      - grand_partition_enumerate(system, fugacity))
+        law = occupation(energies - math.log(fugacity), MODELS[model])
+        occ_gap = float(np.max(np.abs(mean_occupancies_enumerate(system, fugacity) - law)))
+        assert rows[("", "log_partition_gap")][0] == "%.10g" % log_gap
+        assert rows[("", "occupancy_gap")][0] == "%.10g" % occ_gap
 
     def test_sommerfeld_reports_both_routes(self, capsys):
         _, out, _ = run_cli(capsys, "sommerfeld")

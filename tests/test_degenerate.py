@@ -282,6 +282,12 @@ class TestChemicalPotential:
         with pytest.raises(ValueError):
             chemical_potential_series(-0.01)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_series_refuses_non_finite_t(self, t):
+        # a bad input, not a series past the double range (that is t = 1e200)
+        with pytest.raises(ValueError, match="t must be non-negative and finite"):
+            chemical_potential_series(t)
+
 
 class TestHeatCapacity:
     def test_closed_form_coefficient_is_universal(self):

@@ -137,6 +137,15 @@ class TestLandauLevelSum:
         gap = abs(landau_partition_ratio(1e-6, 0.1) - small_field_series_factor(0.1))
         assert gap < 3e-6
 
+    def test_small_field_series_edges(self):
+        assert small_field_series_factor(5e-324) == 1.0  # s^2 underflows to a harmless 0
+        assert small_field_series_factor(1e154) == 1.0 - 1e308 / 6.0
+        for s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="s must be positive and finite"):
+                small_field_series_factor(s)
+        with pytest.raises(NumericsError, match="s\\^2 overflows a double at s = 1e\\+200"):
+            small_field_series_factor(1e200)
+
     @pytest.mark.parametrize("z, s", [(1e-3, 1e-310), (0.2, 5e-324), (1e-3, 1e-320)])
     def test_subnormal_spacing_keeps_the_zero_field_value(self, z, s):
         for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
@@ -159,6 +168,17 @@ class TestLandauLevelSum:
         for s in (745.0, 800.0):  # a subnormal ratio (3 digits left), and zero
             with pytest.raises(NumericsError, match=f"underflows a double at s = {s!r}"):
                 landau_partition_ratio(0.05, s, model)
+
+    @pytest.mark.parametrize("model, edge", [(EXCLUSIVE, 4.5e307), (STANDARD_FD, 9e307)],
+                             ids=["exclusive", "fd"])
+    def test_fugacity_at_the_top_of_the_double_range(self, model, edge):
+        # 2 a z overflows: the cause is named, not the level budget
+        with pytest.raises(NumericsError, match="2 a z at z = .* overflows a double") as info:
+            landau_partition_ratio(edge, 0.5, model)
+        assert not isinstance(info.value, LevelBudgetError)
+        assert 0.0 < landau_partition_ratio(edge / 1.01, 0.5, model) < math.inf
+        # the classical model has no degenerate levels to count
+        assert 0.0 < landau_partition_ratio(edge, 0.5, BOLTZMANN) < math.inf
 
     def test_validation(self):
         for z, s in ((0.0, 1.0), (0.1, -1.0), (math.nan, 1.0), (0.1, math.inf)):
@@ -195,6 +215,21 @@ class TestLandauSusceptibility:
             slope = polylog_moments(math.log(z), model)[3]
             assert math.isclose(chi, -slope / (3.0 * model.weight * z), rel_tol=1e-13)
             assert math.isclose(chi, extrapolated_susceptibility(n_lambda3, model), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD, BOLTZMANN])
+    def test_ends_of_the_double_range(self, model):
+        # 3 g z = 3 n lambda^3 overflows from 6e307, where -0.0 came back; just below
+        # it the classical chi is still -1/3, and the degenerate ones tiny but negative
+        chi = landau_susceptibility(5.9e307, model)
+        if model is BOLTZMANN:
+            assert math.isclose(chi, -1.0 / 3.0, rel_tol=1e-12)
+        else:
+            assert -1e-300 < chi < 0.0
+        with pytest.raises(NumericsError, match="3 g z at n_lambda3 = 6e\\+307 overflows"):
+            landau_susceptibility(6e307, model)
+        # z = n lambda^3 / 2 rounds to 0, where ln z raised a bare math domain error
+        with pytest.raises(NumericsError, match="3 g z at n_lambda3 = 5e-324 underflows"):
+            landau_susceptibility(5e-324, model)
 
     def test_validation(self):
         with pytest.raises(ValueError):
