@@ -5,41 +5,12 @@ report each one whose stdout or exit code differs.
 
 ``--parent`` and ``--change`` are source checkouts, each with its own
 ``src/``.  Every invocation runs in the checkout's directory with
-``PYTHONPATH=<checkout>/src`` and ``XFERMI_SEED`` unset.  The list covers
-the help texts, every subcommand under each model it accepts in csv, json
-and table, linear and log sweeps, both ``--si`` modes, refused flags,
-numerical failures, both sides of the joins of the inversion's start table,
-points solved from the inversion's own kernel call, negative values
-spelled with an exponent or as ``-inf``, subnormal densities, and Monte
-Carlo sample counts up to and past 2^63 - 1, spin populations, Landau
-spacings and SI scales past the double range, ``compare --at -800``,
-where every moment underflows, a sweep of 1000001 points, one past the
-cap, the classical occupation past the double range (``occupation --x
--710`` and ``-inf`` with ``--model boltzmann``, ``compare --at -710``), the
-low-temperature series at ``mu-of-t --t 1e200`` for both models,
-``oracle --levels`` at -1, 0, 13 with ``--model fd`` and 100000, and
-usage errors that stop a run before its first row: ``eos --si`` without
-``--density`` or ``--temperature``, a missing config file, a sweep with a
-bad number, one point or the wrong coordinate, ``landau --field 0`` and
-``--n-lambda3 0``, ``compare --density`` at 0 and, with ``--at -710``
-(whose occupation row overflows), at nan and inf, and ``eos --si --density
-nan``, and sweeps with a non-finite endpoint or a span past the double
-range, refused before the grid is built (``occupation --sweep x -inf 1 3``
-and ``-1e308 1e308 3``, ``eos --sweep eta 0 inf 3``: exit 1 on both sides,
-against a parent whose NaN grid printed numpy's RuntimeWarning and blamed
-the coordinate; ``occupation --sweep x 1 inf 3 --sweep-scale log``: exit 0
-with rows at inf -> 1); and an ``eos --si`` density whose n lambda^3
-underflows.  The five subcommands that take only the blocking laws
-(``fermi``, ``sommerfeld``, ``mu-of-t``, ``heat-capacity``, ``oracle``) run
-under ``--model boltzmann`` (exit 1 on both sides), ``--sweep-scale``
-without ``--sweep`` is refused (``occupation --x 1 --sweep-scale log``:
-exit 0 -> 1), and SI rows past the double range exit 2 (``eos --si
---density 1e250 --temperature 1e60``, which printed inf, and ``fermi --si``
-Fermi energies that overflow or underflow, which exited 1).  An
-invocation still running after 600 s is stopped and reported as exit
-``timeout``.
-Stderr is not compared: it carries warnings with source line numbers.
-Exits 1 if any invocation differs, else 0.
+``PYTHONPATH=<checkout>/src`` and ``XFERMI_SEED`` unset.  The invocations
+are the help texts, every subcommand under each model it accepts in each
+format, and the case lists below.  An invocation still running after 600 s
+is stopped and reported as exit ``timeout``.  Stderr is not compared: it
+carries warnings with source line numbers.  Exits 1 if any invocation
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -174,6 +145,7 @@ compare --density 0
 oracle --levels 20
 oracle --samples 0
 oracle --seed x
+oracle --seed -1
 eos --config /nonexistent/xfermi.cfg
 eos --si --temperature 300
 eos --sweep eta 0 x 3
@@ -190,8 +162,11 @@ eos --sweep eta 0 inf 3
 """
 
 # numerical failures (exit 2), and the non-finite or out-of-range inputs
-# at the edges of the closed forms
+# at the edges of the closed forms; at n lambda^3 = 5e-324 the Landau
+# fugacity n lambda^3 / g rounds to 0 (exit 1, a usage error, -> 2)
 FAILURES = """
+landau --n-lambda3 5e-324
+landau --n-lambda3 5e-324 --model fd
 eos --eta 800
 eos --eta 800 --model boltzmann
 eos --eta -800

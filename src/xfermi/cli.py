@@ -355,7 +355,7 @@ def _cmd_landau(args, meta):
     x = args.n_lambda3
     positive_finite("--n-lambda3", x)
     meta["n_lambda3"] = x
-    z = x / args.model.weight
+    z = positive_double(x / args.model.weight, f"the fugacity at --n-lambda3 {x!r}")
     for s in _coords(args, "field", 0.5):
         positive_finite("--field", s)
         yield s, "partition_ratio", landau_partition_ratio(z, s, args.model), "series"
@@ -393,6 +393,8 @@ def _cmd_oracle(args, meta):
 
     model, z = args.model, args.fugacity
     meta.update(levels=args.levels, fugacity=z, samples=args.samples, seed=args.seed)
+    if args.seed < 0:  # numpy's own refusal names neither the flag nor the seed
+        raise UsageError(f"--seed must be non-negative, not {args.seed}")
     try:  # before the draw, which would allocate a huge count's energies
         check_capacity(args.levels, model)
     except ValueError as exc:

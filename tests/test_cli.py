@@ -393,6 +393,12 @@ class TestConfigAndSeed:
         _, flagged, _ = run_cli(capsys, "oracle", "--samples", "2000", "--seed", "0")
         assert flagged == baseline
 
+    def test_negative_seed_environment_variable_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("XFERMI_SEED", "-1")
+        code, out, err = run_cli(capsys, "oracle")
+        assert (code, out) == (1, "")
+        assert err == "xfermi: usage error: --seed must be non-negative, not -1\n"
+
     def test_seed_changes_the_draws(self, capsys):
         _, a, _ = run_cli(capsys, "oracle", "--samples", "2000", "--seed", "0")
         _, b, _ = run_cli(capsys, "oracle", "--samples", "2000", "--seed", "1")
@@ -537,6 +543,7 @@ class TestExitCodes:
         ("compare --at -710 --density nan", "--density must be positive and finite"),
         ("compare --at -710 --density inf", "--density must be positive and finite"),
         ("eos --si --density nan --temperature 300", "--density must be positive and finite"),
+        ("oracle --seed -1", "--seed must be non-negative, not -1"),
     ])
     def test_usage_error_before_any_row(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -577,6 +584,10 @@ class TestExitCodes:
         # a valid density whose n lambda^3 (lambda^3 ~ 8e-26 m^3) is below the range
         (["eos", "--si", "--density", "1e-300", "--temperature", "300"],
          "n lambda^3 at --density 1e-300"),
+        # z = n lambda^3 / g rounds to 0
+        (["landau", "--n-lambda3", "5e-324"], "the fugacity at --n-lambda3 5e-324"),
+        (["landau", "--n-lambda3", "5e-324", "--model", "fd"],
+         "the fugacity at --n-lambda3 5e-324"),
     ])
     def test_underflow_reports_numerics_failure(self, capsys, argv, coordinate):
         code, out, err = run_cli(capsys, *argv)

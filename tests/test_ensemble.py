@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -128,11 +129,12 @@ class TestBlockEnumeration:
             assert np.max(np.abs(occupancies - weighted / total)) <= 1e-15
 
     @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
-    def test_many_blocks_match_one(self, rng, monkeypatch, model):
+    @pytest.mark.parametrize("tail_levels", [2, 1])  # 1: five prefix levels, the deepest
+    def test_many_blocks_match_one(self, rng, monkeypatch, model, tail_levels):
         system = LevelSystem(tuple(rng.uniform(0.0, 5.0, 6)), model)
         log_z = grand_partition_enumerate(system, 0.7)
         occupancies = mean_occupancies_enumerate(system, 0.7)
-        monkeypatch.setattr(ensemble, "_CHUNK", 16)  # blocks of two levels
+        monkeypatch.setattr(ensemble, "_CHUNK", system.radix**tail_levels)
         assert abs(grand_partition_enumerate(system, 0.7) - log_z) <= 1e-15
         assert np.max(np.abs(mean_occupancies_enumerate(system, 0.7) - occupancies)) <= 1e-15
 
@@ -247,6 +249,14 @@ class TestValidation:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    @pytest.mark.parametrize("energy", [1e308, math.inf])
+    def test_level_far_above_the_fugacity_stays_empty(self, model, energy):
+        # every state but the empty one has weight 0, with no nan or overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mc_occupancy(energy, 0.5, 1000, seed=1, model=model) == (0.0, 0.0)
+
     def test_within_three_sigma_of_law(self):
         for model in (EXCLUSIVE, STANDARD_FD):
             for energy, z in ((0.0, 1.0), (1.5, 0.5), (3.0, 1.8)):
