@@ -163,8 +163,15 @@ eos --sweep eta 0 inf 3
 
 # numerical failures (exit 2), and the non-finite or out-of-range inputs
 # at the edges of the closed forms; at n lambda^3 = 5e-324 the Landau
-# fugacity n lambda^3 / g rounds to 0 (exit 1, a usage error, -> 2)
+# fugacity n lambda^3 / g rounds to 0 (exit 1, a usage error, -> 2); the
+# classical moments g e^eta at both ends of the double range: the energy row
+# overflows at eta = 709 and every row at 709.5, the density underflows at
+# -746, and at -740 with field 3 both spin populations are subnormal
 FAILURES = """
+eos --eta 709 --model boltzmann
+eos --eta -746 --model boltzmann
+pauli --eta -740 --field 3 --model boltzmann
+compare --at 709.5 --density 1
 landau --n-lambda3 5e-324
 landau --n-lambda3 5e-324 --model fd
 eos --eta 800

@@ -106,7 +106,9 @@ _DILUTE_E = np.exp(-_DILUTE_X)
 _DILUTE_W = (_PANEL_WIDTH * _W_LO + (_TAIL - _PANEL_WIDTH) * _W_SPAN) * _DILUTE_E
 _DILUTE_W *= np.sqrt(_DILUTE_X) * _TWO_OVER_SQRT_PI
 _DILUTE_W = np.stack((_DILUTE_W, _DILUTE_W * _DILUTE_X, _DILUTE_W, _DILUTE_W))[:, None, :]
-_CLASSICAL = np.array([[1.0], [1.5], [1.0], [1.0]])  # (n, u, p, dn/deta) / (g e^eta) at a = 0
+# (n, u, p, dn/deta) / (g e^eta) at a = 0: the classical moments in closed
+# form, and the values the dilute correction is taken from
+_CLASSICAL = np.array([[1.0], [1.5], [1.0], [1.0]])
 
 
 def _dilute(w: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -116,7 +118,8 @@ def _dilute(w: np.ndarray, rows: list[int]) -> np.ndarray:
     (2/sqrt(pi)) Int x^j e^{-x} psi(y) dx, where psi = y/(1 + y) for the
     density (j = 1/2) and energy (j = 3/2), 1 - ln(1 + y)/y for the
     pressure (j = 1/2), and y(2 + y)/(1 + y)^2 for dn/deta (j = 1/2).
-    At a = 0 the correction vanishes exactly.
+    At a = 0 the correction vanishes exactly; ``_moments`` answers that
+    case in closed form and never calls this.
     """
     y = w[:, None] * _DILUTE_E
     occupied = y / (1.0 + y)
@@ -132,12 +135,13 @@ def _moments(eta, model: OccupancyModel, rows=(0, 1, 2, 3)) -> np.ndarray:
 
     Returns the chosen ``rows``: shape (len(rows),) for a scalar,
     (len(rows), m) for m values.  The shift identity n_{g,a}(eta) =
-    (g/a) n_FD(eta + ln a) reduces every model to one Fermi integral at
-    k = eta + ln a.  For k <= 0, and for the classical model (a = 0), the
-    fugacity-scaled form keeps relative accuracy down to e^eta near the
-    bottom of the double range.  Only the chosen rows are computed and
-    checked for overflow, so a moment that fits a double is returned even
-    when a larger one at the same eta does not.
+    (g/a) n_FD(eta + ln a) reduces every blocking model to one Fermi
+    integral at k = eta + ln a.  For k <= 0 the fugacity-scaled form keeps
+    relative accuracy down to e^eta near the bottom of the double range.
+    The classical model (a = 0) is closed form, g e^eta (1, 3/2, 1, 1),
+    with no quadrature.  Only the chosen rows are computed and checked for
+    overflow, so a moment that fits a double is returned even when a larger
+    one at the same eta does not.
     """
     flat = np.atleast_1d(np.asarray(eta, dtype=float))
     if flat.ndim != 1 or not np.isfinite(flat).all():
@@ -148,7 +152,9 @@ def _moments(eta, model: OccupancyModel, rows=(0, 1, 2, 3)) -> np.ndarray:
     out = np.empty((len(rows), flat.size))
     dilute = k <= 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        if dilute.any():
+        if a == 0.0:
+            out[:] = g * np.exp(flat) * _CLASSICAL[rows]
+        elif dilute.any():
             z = np.exp(flat[dilute])
             out[:, dilute] = g * z * _dilute(a * z, rows)
         if not dilute.all():

@@ -1,6 +1,7 @@
 """Reduced equation of state: integrals, inversion, virial series."""
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from xfermi.eos import (
     solve_point,
     virial_pressure,
 )
+from xfermi.magnetism import landau_partition_ratio, landau_susceptibility, pauli_magnetization
 from xfermi.numerics import NumericsError, RootConvergenceError
 from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD, ValidityWarning
 
@@ -187,6 +189,51 @@ class TestDiluteLimit:
         assert math.isclose(density(eta, BOLTZMANN), 2.0 * z, rel_tol=1e-10)
         assert math.isclose(energy_density(eta, BOLTZMANN), 3.0 * z, rel_tol=1e-10)
         assert pressure(eta, BOLTZMANN) == 2.0 * z
+
+
+class TestClassicalClosedForm:
+    """The classical model (a = 0) is g e^eta times (1, 3/2, 1, 1), with no quadrature."""
+
+    ROW_SETS = [rows for size in range(1, 5) for rows in itertools.combinations(range(4), size)]
+
+    def test_never_reaches_the_quadrature(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the classical model reached the quadrature")
+
+        monkeypatch.setattr(eos, "_dilute", refuse)
+        monkeypatch.setattr(eos, "_degenerate", refuse)
+        for moment in KINDS.values():
+            moment(-5.0, BOLTZMANN)
+        solve_point(BOLTZMANN, eta=-5.0)
+        solve_point(BOLTZMANN, n_lambda3=0.3)
+        solve_fugacity(0.3, BOLTZMANN)
+        pauli_magnetization(-5.0, 0.5, BOLTZMANN)
+        landau_susceptibility(0.3, BOLTZMANN)
+        landau_partition_ratio(0.1, 0.2, BOLTZMANN)
+
+    def test_moments_are_the_closed_form_bit_for_bit(self):
+        grid = np.linspace(-745.2, 709.78, 20_001)
+        for rows in self.ROW_SETS:
+            with np.errstate(over="ignore"):
+                expected = 2.0 * np.exp(grid) * np.array([1.0, 1.5, 1.0, 1.0])[list(rows), None]
+            fits = np.isfinite(expected).all(axis=0)
+            assert _moments(grid[fits], BOLTZMANN, rows).tobytes() == expected[:, fits].tobytes()
+            for i in [*range(0, grid.size, 97), grid.size - 1]:  # the last overflows
+                if fits[i]:
+                    got = _moments(float(grid[i]), BOLTZMANN, rows)
+                    assert got.tobytes() == expected[:, i].tobytes(), (rows, grid[i])
+                else:
+                    with pytest.raises(FugacityOverflowError):
+                        _moments(float(grid[i]), BOLTZMANN, rows)
+
+    def test_edges_of_the_double_range(self):
+        assert density(709.0, BOLTZMANN) == 2.0 * math.exp(709.0)
+        with pytest.raises(FugacityOverflowError):
+            energy_density(709.0, BOLTZMANN)
+        with pytest.raises(FugacityOverflowError):
+            pressure(709.5, BOLTZMANN)
+        with pytest.raises(NumericsError):
+            density(-746.0, BOLTZMANN)
 
 
 class TestFugacityInversion:
