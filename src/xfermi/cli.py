@@ -76,7 +76,8 @@ def _cell(value, fmt: str) -> str:
 
 def _json_value(value):
     if isinstance(value, float):
-        return float(f"{value:.10g}")  # match the csv precision
+        # the csv precision; RFC 8259 has no inf or nan, so those print as null
+        return float(f"{value:.10g}") if math.isfinite(value) else None
     return value
 
 
@@ -192,14 +193,21 @@ def _cmd_occupation(args, meta):
         yield x, "occupation", occupation(x, args.model), "closed-form"
 
 
+def _moment_route(model) -> str:
+    """Provenance of a row built on the moment integrals: the classical
+    model's (blocking 0) are the closed form g e^eta (1, 3/2, 1, 1)."""
+    return "quadrature" if model.blocking else "closed-form"
+
+
 def _point_rows(coord: float, point, eta_provenance: str):
+    route = _moment_route(point.model)
     yield coord, "eta", point.eta, eta_provenance
     yield coord, "fugacity", point.fugacity, eta_provenance
-    yield coord, "n_lambda3", point.n_lambda3, "quadrature"
-    yield coord, "energy_density", point.energy_density, "quadrature"
-    yield coord, "pressure", point.pressure, "quadrature"
-    yield coord, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"
-    yield coord, "u_per_particle", point.energy_density / point.n_lambda3, "quadrature"
+    yield coord, "n_lambda3", point.n_lambda3, route
+    yield coord, "energy_density", point.energy_density, route
+    yield coord, "pressure", point.pressure, route
+    yield coord, "pv_over_nkt", point.pressure / point.n_lambda3, route
+    yield coord, "u_per_particle", point.energy_density / point.n_lambda3, route
 
 
 def _cmd_eos(args, meta):
@@ -218,6 +226,7 @@ def _cmd_eos(args, meta):
             volume = math.inf
         scale = constants.k_B * temperature / volume if volume else math.inf
         positive_double(scale, f"k_B T / lambda^3 at lambda = {wavelength!r}")
+        route = _moment_route(args.model)
         for n_si in _coords(args, "density"):
             positive_finite("--density", n_si)
             # a valid density can still leave the double range times lambda^3
@@ -227,11 +236,11 @@ def _cmd_eos(args, meta):
             at = f"at --density {n_si!r} and --temperature {temperature!r}"
             p_si = positive_double(point.pressure * scale, f"the pressure {at}")
             u_si = positive_double(point.energy_density * scale, f"the energy density {at}")
-            yield n_si, "eta", point.eta, "quadrature"
-            yield n_si, "n_lambda3", point.n_lambda3, "quadrature"
-            yield n_si, "chemical_potential_joule", mu, "quadrature"
-            yield n_si, "pressure_pascal", p_si, "quadrature"
-            yield n_si, "energy_density_joule_m3", u_si, "quadrature"
+            yield n_si, "eta", point.eta, route
+            yield n_si, "n_lambda3", point.n_lambda3, route
+            yield n_si, "chemical_potential_joule", mu, route
+            yield n_si, "pressure_pascal", p_si, route
+            yield n_si, "energy_density_joule_m3", u_si, route
         return
     _refuse(args, ("density", "temperature", "mass"), "needs --si")
     if args.n_lambda3 is None and (args.sweep or [None])[0] != "n-lambda3":
@@ -241,18 +250,20 @@ def _cmd_eos(args, meta):
         raise UsageError("give either --eta or --n-lambda3, not both")
     else:
         for x in _coords(args, "n-lambda3"):
-            yield from _point_rows(x, solve_point(args.model, n_lambda3=x), "quadrature")
+            yield from _point_rows(x, solve_point(args.model, n_lambda3=x),
+                                   _moment_route(args.model))
 
 
 def _cmd_virial(args, meta):
     from .eos import fugacity_series, solve_point, virial_pressure
 
+    route = _moment_route(args.model)
     for x in _coords(args, "n-lambda3", 0.1):
         point = solve_point(args.model, n_lambda3=x)
         yield x, "pv_over_nkt_series", virial_pressure(x, args.model), "series"
-        yield x, "pv_over_nkt", point.pressure / point.n_lambda3, "quadrature"
+        yield x, "pv_over_nkt", point.pressure / point.n_lambda3, route
         yield x, "fugacity_series", fugacity_series(x, args.model), "series"
-        yield x, "fugacity", point.fugacity, "quadrature"
+        yield x, "fugacity", point.fugacity, route
 
 
 def _cmd_fermi(args, meta):
@@ -335,12 +346,13 @@ def _cmd_pauli(args, meta):
     from .magnetism import pauli_magnetization
 
     meta["eta"] = args.eta
+    route = _moment_route(args.model)
     for b in _coords(args, "field", 0.5):
         result = pauli_magnetization(args.eta, b, args.model)
-        yield b, "n_up", result.n_up, "quadrature"
-        yield b, "n_down", result.n_down, "quadrature"
-        yield b, "magnetization", result.magnetization, "quadrature"
-        yield b, "m_per_particle", result.per_particle, "quadrature"
+        yield b, "n_up", result.n_up, route
+        yield b, "n_down", result.n_down, route
+        yield b, "magnetization", result.magnetization, route
+        yield b, "m_per_particle", result.per_particle, route
         yield b, "tanh_field", math.tanh(b), "closed-form"
 
 
@@ -361,7 +373,7 @@ def _cmd_landau(args, meta):
         yield s, "partition_ratio", landau_partition_ratio(z, s, args.model), "series"
         yield s, "geometric_factor", geometric_level_factor(s), "closed-form"
         yield s, "small_field_factor", small_field_series_factor(s), "series"
-    yield None, "chi_reduced", landau_susceptibility(x, args.model), "quadrature"
+    yield None, "chi_reduced", landau_susceptibility(x, args.model), _moment_route(args.model)
     yield None, "chi_leading_order", -1.0 / 3.0, "closed-form"
 
 
@@ -411,8 +423,9 @@ def _cmd_oracle(args, meta):
     for i, energy in enumerate(system.energies[:3]):
         mean, se = mc_occupancy(energy, z, args.samples, args.seed, model, stream=i + 1)
         yield energy, "mc_occupancy", mean, "monte-carlo", se
+        # no z-score without a finite, non-zero spread (one sample has se = inf)
         yield (energy, "mc_z_score",
-               None if se == 0.0 else (mean - occ_law[i]) / se, "monte-carlo")
+               (mean - occ_law[i]) / se if 0.0 < se < math.inf else None, "monte-carlo")
 
 
 def _cmd_compare(args, meta):
@@ -422,6 +435,8 @@ def _cmd_compare(args, meta):
     at, n0 = args.at, args.density
     positive_finite("--density", n0)
     meta.update(at=at, density=n0)
+    # one provenance a row, for the blocking models: the boltzmann column's
+    # moments are the closed form g e^eta
     for quantity, fn, provenance in (
         ("occupation", lambda m: occupation(at, m), "closed-form"),
         ("density", lambda m: density(at, m), "quadrature"),

@@ -82,8 +82,9 @@ _W_SPAN = np.concatenate((_HEAD, np.tile(_GL_V, _PANELS) / (2.0 * _PANELS)))
 
 def _degenerate(k: np.ndarray, rows: list[int]) -> np.ndarray:
     """``rows`` of (2/sqrt(pi)) (F_{1/2}, F_{3/2}, Int sqrt(x) ln(1 + e^{k-x}) dx,
-    F_{-1/2}/2) at k > 0.  Row 3, dF_{1/2}/dk, is integrated by parts,
-    (1/2) Int x^{-1/2} f dx, which the u-panel keeps finite at 0: the direct
+    F_{-1/2}/2) at k > 0, written into one array from one set of node arrays;
+    rows 0 and 1 share the occupation.  Row 3, dF_{1/2}/dk, is integrated by
+    parts, (1/2) Int x^{-1/2} f dx, which the u-panel keeps finite at 0: the direct
     Int sqrt(x) f (1 - f) dx lives on the Fermi edge alone, which the x-panels
     lose once k passes ~1e16 and they collapse to zero width in doubles.
     """
@@ -93,9 +94,15 @@ def _degenerate(k: np.ndarray, rows: list[int]) -> np.ndarray:
     d = x - k[:, None]
     r = np.sqrt(x)
     denominator = 1.0 + np.exp(d)
-    integrand = (lambda: r / denominator, lambda: r / denominator * x,
-                 lambda: r * np.logaddexp(0.0, -d), lambda: 0.5 / (r * denominator))
-    integrands = np.stack([integrand[i]() for i in rows])
+    occupied = r / denominator if 0 in rows or 1 in rows else None
+    integrands = np.empty((len(rows), *x.shape))
+    for row, integrand in zip(rows, integrands):
+        if row < 2:
+            np.multiply(occupied, x if row else 1.0, out=integrand)
+        elif row == 2:
+            np.multiply(r, np.logaddexp(0.0, -d, out=integrand), out=integrand)
+        else:
+            np.divide(0.5, np.multiply(r, denominator, out=integrand), out=integrand)
     # summed row by row, so each value is independent of the others in k
     return _TWO_OVER_SQRT_PI * (integrands * (lo * _W_LO + span * _W_SPAN)).sum(axis=-1)
 
@@ -118,15 +125,18 @@ def _dilute(w: np.ndarray, rows: list[int]) -> np.ndarray:
     (2/sqrt(pi)) Int x^j e^{-x} psi(y) dx, where psi = y/(1 + y) for the
     density (j = 1/2) and energy (j = 3/2), 1 - ln(1 + y)/y for the
     pressure (j = 1/2), and y(2 + y)/(1 + y)^2 for dn/deta (j = 1/2).
-    At a = 0 the correction vanishes exactly; ``_moments`` answers that
-    case in closed form and never calls this.
+    At a = 0 the correction vanishes exactly and ``_moments`` never calls
+    this.  The rows are written into one array and share y, 1 + y and y/(1 + y).
     """
     y = w[:, None] * _DILUTE_E
-    occupied = y / (1.0 + y)
-    correction = (lambda: occupied, lambda: occupied,
-                  lambda: 1.0 - np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0),
-                  lambda: occupied * (2.0 + y) / (1.0 + y))
-    corrections = np.stack([correction[i]() for i in rows])
+    plus = 1.0 + y
+    occupied = y / plus
+    corrections = np.empty((len(rows), *y.shape))
+    for row, correction in zip(rows, corrections):
+        if row == 2:
+            correction[:] = 1.0 - np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0)
+        else:
+            correction[:] = occupied if row < 2 else occupied * (2.0 + y) / plus
     return _CLASSICAL[rows] - (corrections * _DILUTE_W[rows]).sum(axis=-1)
 
 

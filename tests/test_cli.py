@@ -1,6 +1,7 @@
 """Command-line interface: formats, precedence, determinism, exit codes."""
 
 import csv
+import difflib
 import gc
 import io
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cli_invocations import GOLDEN, block, header, invocations, preamble, run_all
 from oracles import polylog_moments
 import xfermi
 from xfermi import astro, degenerate, eos
@@ -762,7 +764,7 @@ class TestPhysicsOutput:
         exact = polylog_moments(-30.0, MODELS[model])
         for quantity, expected in zip(("n_lambda3", "energy_density", "pressure"), exact):
             value, provenance, _ = rows[("-30", quantity)]
-            assert provenance == "quadrature"
+            assert provenance == ("closed-form" if model == "boltzmann" else "quadrature")
             assert math.isclose(float(value), expected, rel_tol=CLI_REL)
 
     @pytest.mark.parametrize("command", sorted(_HANDLERS))
@@ -780,14 +782,42 @@ class TestPhysicsOutput:
         assert "--rel-tol" in err
 
     @pytest.mark.filterwarnings("error")  # a warning would otherwise reach stderr
-    def test_oracle_without_spread_has_no_z_score(self, capsys):
+    @pytest.mark.parametrize("argv, spread", [
         # at z = 1e-9 every draw is empty, so the standard error is 0
-        code, out, err = run_cli(capsys, "oracle", "--fugacity", "1e-9", "--samples", "1000")
+        (("--fugacity", "1e-9", "--samples", "1000"), "0"),
+        # one draw has an infinite standard error (null in JSON)
+        (("--samples", "1"), "inf"),
+    ], ids=["zero", "infinite"])
+    def test_oracle_without_spread_has_no_z_score(self, capsys, argv, spread):
+        code, out, err = run_cli(capsys, "oracle", *argv)
         assert code == 0
         assert err == ""
         rows = long_rows(out)
         z_scores = [v for (_, q), v in rows.items() if q == "mc_z_score"]
         assert z_scores and all(v == ("", "monte-carlo", "") for v in z_scores)
+        assert {v[2] for (_, q), v in rows.items() if q == "mc_occupancy"} == {spread}
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("argv, quantities", [
+        (("eos", "--eta", "-5"),
+         ("n_lambda3", "energy_density", "pressure", "pv_over_nkt", "u_per_particle")),
+        (("eos", "--n-lambda3", "0.3"),
+         ("eta", "fugacity", "n_lambda3", "energy_density", "pressure", "pv_over_nkt",
+          "u_per_particle")),
+        (("eos", "--si", "--density", "1e25", "--temperature", "300"),
+         ("eta", "n_lambda3", "chemical_potential_joule", "pressure_pascal",
+          "energy_density_joule_m3")),
+        (("virial",), ("pv_over_nkt", "fugacity")),
+        (("pauli",), ("n_up", "n_down", "magnetization", "m_per_particle")),
+        (("landau",), ("chi_reduced",)),
+    ], ids=["eos-eta", "eos-n-lambda3", "eos-si", "virial", "pauli", "landau"])
+    def test_moment_rows_name_their_route(self, capsys, model, argv, quantities):
+        # the classical moments are the closed form g e^eta, the others Gauss-Legendre sums
+        code, out, _ = run_cli(capsys, *argv, "--model", model)
+        assert code == 0
+        route = "closed-form" if model == "boltzmann" else "quadrature"
+        got = {q: v[1] for (_, q), v in long_rows(out).items() if q in quantities}
+        assert got == dict.fromkeys(quantities, route)
 
     def test_oracle_refuses_samples_beyond_int64(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--samples", str(2**63))
@@ -888,3 +918,49 @@ def test_readme_quick_tour_runs_and_names_the_namespace():
     assert set(xfermi.__all__) == toured | {"BOLTZMANN", "MODELS", "OccupancyModel", "NumericsError"}
     for name in xfermi.__all__:
         getattr(xfermi, name)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.fixture(scope="module")
+def transcript():
+    """Each invocation of ``cli_invocations`` with its exit code and stdout,
+    run once in this interpreter."""
+    runs = invocations()
+    return [(argv, *done) for argv, done in zip(runs, run_all(runs))]
+
+
+class TestTranscript:
+    """The CLI's stdout and exit codes against the committed transcript; after an
+    intended change, ``python3 scripts/cli_diff.py --write`` rewrites it."""
+
+    def test_output_matches_the_golden_transcript(self, transcript):
+        first, *parts = re.split(r"(?m)^(?=\$ xfermi)", GOLDEN.read_text())
+        expected = {part.split("\n", 1)[0]: part for part in parts}
+        got = {header(argv): block(argv, code, out) for argv, code, out in transcript}
+        if first != preamble():  # argparse formats help texts its own way in each Python
+            expected, got = ({name: part for name, part in blocks.items()
+                              if "--help" not in name.split()} for blocks in (expected, got))
+        if list(got.items()) == list(expected.items()):
+            return
+        differ = [name for name in {**expected, **got}
+                  if expected.get(name) != got.get(name)]
+        report = [f"{len(differ)} invocations differ from {GOLDEN}; the first three:"]
+        for name in differ[:3]:
+            report.append(name)
+            report += difflib.unified_diff(expected.get(name, "").splitlines(),
+                                           got.get(name, "").splitlines(),
+                                           "golden", "now", lineterm="", n=1)
+        report.append("rewrite it with python3 scripts/cli_diff.py --write if intended")
+        pytest.fail("\n".join(report), pytrace=False)
+
+    def test_json_output_is_strict(self, transcript):
+        parsed = 0
+        for argv, code, out in transcript:
+            if "json" in argv and out:
+                assert code == 0, argv
+                json.loads(out, parse_constant=_refuse_constant)
+                parsed += 1
+        assert parsed >= 38

@@ -48,6 +48,14 @@ POLYLOG_REL = 1e-12
 DOMAIN = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 
+def mixed_etas(model):
+    """Points on both sides of the dilute/degenerate switch and the bulk cut, as
+    the Pauli species and the Landau levels pass them; deep degeneracy too for
+    the blocking models."""
+    etas = np.array([-700.0, -30.0, -0.7, 0.0, 0.2, 5.0, 39.0, 41.0, 650.0])
+    return np.append(etas, [1e3, 1e6]) if model.blocking else etas
+
+
 def assert_matches_polylog(eta, model):
     got = (density(eta, model), energy_density(eta, model), pressure(eta, model),
            float(_moments(eta, model, [3])[0]))
@@ -156,10 +164,7 @@ class TestWholeDomain:
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_array_form_matches_scalar_calls(self, model):
-        # the Pauli species and the Landau levels pass arrays that mix regimes
-        etas = np.array([-700.0, -30.0, -0.7, 0.0, 0.2, 5.0, 39.0, 41.0, 650.0])
-        if model.blocking:
-            etas = np.append(etas, [1e3, 1e6])
+        etas = mixed_etas(model)
         batch = _moments(etas, model)
         for i, eta in enumerate(etas):
             assert np.array_equal(batch[:, i], _moments(float(eta), model))
@@ -192,9 +197,22 @@ class TestDiluteLimit:
 
 
 class TestClassicalClosedForm:
-    """The classical model (a = 0) is g e^eta times (1, 3/2, 1, 1), with no quadrature."""
+    """The classical model (a = 0) is g e^eta times (1, 3/2, 1, 1), with no
+    quadrature; every model answers each ordered row subset with the bits of
+    the full call."""
 
-    ROW_SETS = [rows for size in range(1, 5) for rows in itertools.combinations(range(4), size)]
+    # every ordered subset of the four rows: 4 + 12 + 24 + 24
+    ROW_SETS = [rows for size in range(1, 5) for rows in itertools.permutations(range(4), size)]
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_row_subsets_match_the_full_call(self, model):
+        etas = mixed_etas(model)
+        full = _moments(etas, model)
+        for rows in self.ROW_SETS:
+            assert _moments(etas, model, rows).tobytes() == full[list(rows)].tobytes(), rows
+            for eta in map(float, etas):
+                got = _moments(eta, model, rows)
+                assert got.tobytes() == _moments(eta, model)[list(rows)].tobytes(), (rows, eta)
 
     def test_never_reaches_the_quadrature(self, monkeypatch):
         def refuse(*args):
