@@ -55,7 +55,7 @@ def eos_coefficient(model: OccupancyModel, regime: Regime) -> float:
         k = 0.2 * packing ** (2.0 / 3.0)
     else:
         k = 0.25 * packing ** (1.0 / 3.0)
-    return positive_double(k, f"K of step height {model.step_height!r}")
+    return positive_double(k, "K of step height %r", model.step_height)
 
 
 @dataclass(frozen=True)

@@ -225,17 +225,19 @@ def _cmd_eos(args, meta):
         except OverflowError:  # the scale below then underflows
             volume = math.inf
         scale = constants.k_B * temperature / volume if volume else math.inf
-        positive_double(scale, f"k_B T / lambda^3 at lambda = {wavelength!r}")
+        positive_double(scale, "k_B T / lambda^3 at lambda = %r", wavelength)
         route = _moment_route(args.model)
+        si_row = "%s at --density %r and --temperature %r"
         for n_si in _coords(args, "density"):
             positive_finite("--density", n_si)
             # a valid density can still leave the double range times lambda^3
-            x = positive_double(n_si * volume, f"n lambda^3 at --density {n_si!r}")
+            x = positive_double(n_si * volume, "n lambda^3 at --density %r", n_si)
             point = solve_point(args.model, n_lambda3=x)
             mu = point.eta * constants.k_B * temperature
-            at = f"at --density {n_si!r} and --temperature {temperature!r}"
-            p_si = positive_double(point.pressure * scale, f"the pressure {at}")
-            u_si = positive_double(point.energy_density * scale, f"the energy density {at}")
+            p_si = positive_double(point.pressure * scale, si_row, "the pressure", n_si,
+                                   temperature)
+            u_si = positive_double(point.energy_density * scale, si_row, "the energy density",
+                                   n_si, temperature)
             yield n_si, "eta", point.eta, route
             yield n_si, "n_lambda3", point.n_lambda3, route
             yield n_si, "chemical_potential_joule", mu, route
@@ -273,7 +275,7 @@ def _cmd_fermi(args, meta):
             # fermi_energy is a pure power law, so feeding an SI density
             # and scaling by hbar^2/m lands in joules
             e_f = positive_double(fermi_energy(n_si, args.model) * constants.hbar**2 / mass,
-                                  f"the Fermi energy at --density {n_si!r} and --mass {mass!r}")
+                                  "the Fermi energy at --density %r and --mass %r", n_si, mass)
             yield n_si, "fermi_energy_joule", e_f, "closed-form"
             yield n_si, "fermi_energy_ev", e_f / constants.e_charge, "closed-form"
             yield n_si, "fermi_temperature_kelvin", e_f / constants.k_B, "closed-form"
@@ -367,7 +369,7 @@ def _cmd_landau(args, meta):
     x = args.n_lambda3
     positive_finite("--n-lambda3", x)
     meta["n_lambda3"] = x
-    z = positive_double(x / args.model.weight, f"the fugacity at --n-lambda3 {x!r}")
+    z = positive_double(x / args.model.weight, "the fugacity at --n-lambda3 %r", x)
     for s in _coords(args, "field", 0.5):
         positive_finite("--field", s)
         yield s, "partition_ratio", landau_partition_ratio(z, s, args.model), "series"

@@ -128,7 +128,7 @@ def _fixed_density(t: float, model: OccupancyModel) -> float:
         raise FugacityOverflowError(
             f"n lambda^3 at fixed density overflows a double at t = {t!r}"
         ) from None
-    return positive_double(target, f"n lambda^3 at fixed density at t = {t!r}")
+    return positive_double(target, "n lambda^3 at fixed density at t = %r", t)
 
 
 def chemical_potential_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:

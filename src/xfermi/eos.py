@@ -93,7 +93,7 @@ def _degenerate(k: np.ndarray, rows: list[int]) -> np.ndarray:
     x = lo * _X_LO + span * _X_SPAN
     d = x - k[:, None]
     r = np.sqrt(x)
-    denominator = 1.0 + np.exp(d)
+    denominator = 1.0 + np.exp(d) if rows != [2] else None  # the pressure alone needs none
     occupied = r / denominator if 0 in rows or 1 in rows else None
     integrands = np.empty((len(rows), *x.shape))
     for row, integrand in zip(rows, integrands):
@@ -148,27 +148,34 @@ def _moments(eta, model: OccupancyModel, rows=(0, 1, 2, 3)) -> np.ndarray:
     (g/a) n_FD(eta + ln a) reduces every blocking model to one Fermi
     integral at k = eta + ln a.  For k <= 0 the fugacity-scaled form keeps
     relative accuracy down to e^eta near the bottom of the double range.
-    The classical model (a = 0) is closed form, g e^eta (1, 3/2, 1, 1),
-    with no quadrature.  Only the chosen rows are computed and checked for
-    overflow, so a moment that fits a double is returned even when a larger
-    one at the same eta does not.
+    When every point is on one side of k = 0, as a scalar always is, that
+    form's output is the result; only an array across k = 0 is split by
+    masks into a preallocated output.  The classical model (a = 0) is
+    closed form, g e^eta (1, 3/2, 1, 1), with no quadrature.  Only the
+    chosen rows are computed and checked for overflow, so a moment that
+    fits a double is returned even when a larger one at the same eta does not.
     """
     flat = np.atleast_1d(np.asarray(eta, dtype=float))
     if flat.ndim != 1 or not np.isfinite(flat).all():
         raise ValueError("eta must be a finite scalar or 1-D array")
     g, a = model.weight, model.blocking
-    k = flat + math.log(a) if a > 0.0 else np.full_like(flat, -np.inf)
     rows = list(rows)
-    out = np.empty((len(rows), flat.size))
-    dilute = k <= 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         if a == 0.0:
-            out[:] = g * np.exp(flat) * _CLASSICAL[rows]
-        elif dilute.any():
-            z = np.exp(flat[dilute])
-            out[:, dilute] = g * z * _dilute(a * z, rows)
-        if not dilute.all():
-            out[:, ~dilute] = (g / a) * _degenerate(k[~dilute], rows)
+            out = g * np.exp(flat) * _CLASSICAL[rows]
+        else:
+            k = flat + math.log(a)
+            dilute = k <= 0.0
+            n_dilute = np.count_nonzero(dilute)
+            if n_dilute == flat.size:  # one regime: its kernel's output is the result
+                z = np.exp(flat)
+                out = g * z * _dilute(a * z, rows)
+            elif n_dilute == 0:
+                out = (g / a) * _degenerate(k, rows)
+            else:  # an array across k = 0: each regime on its own points
+                out = np.empty((len(rows), flat.size))
+                out[:, dilute] = _moments(flat[dilute], model, rows)
+                out[:, ~dilute] = _moments(flat[~dilute], model, rows)
     if not np.isfinite(out).all():  # only the largest eta can overflow
         raise FugacityOverflowError(f"a moment overflows a double at eta = {flat.max():g}")
     return out if np.ndim(eta) else out[:, 0]
@@ -176,7 +183,7 @@ def _moments(eta, model: OccupancyModel, rows=(0, 1, 2, 3)) -> np.ndarray:
 
 def _moment(eta: float, model: OccupancyModel, row: int) -> float:
     """One row of ``_moments`` at scalar eta, refused once it underflows to 0."""
-    return positive_double(float(_moments(eta, model, [row])[0]), f"a moment at eta = {eta:g}")
+    return positive_double(float(_moments(eta, model, [row])[0]), "a moment at eta = %g", eta)
 
 
 def density(eta: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -291,7 +298,7 @@ def _newton(
     for _ in range(_NEWTON_STEPS):
         values = _moments(eta, model, rows)
         # a subnormal n lambda^3 that the kernel rounds to 0 is refused
-        n, slope = positive_double(values[0], f"the density at eta = {eta:g}"), values[1]
+        n, slope = positive_double(values[0], "the density at eta = %g", eta), values[1]
         step = float((target - math.log(n)) * n / slope)
         eta += step
         # rounding in ln n limits each step to ~1e-15 eta; stop above that.  A
@@ -346,7 +353,7 @@ def fugacity_series(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -> floa
     _check_series("fugacity", n_lambda3)
     x = n_lambda3 / model.weight
     return positive_double(x * (1.0 + model.blocking * x / (2.0 * math.sqrt(2.0))),
-                           f"the fugacity series at n lambda^3 = {n_lambda3!r}")
+                           "the fugacity series at n lambda^3 = %r", n_lambda3)
 
 
 @dataclass(frozen=True)
@@ -399,7 +406,7 @@ def solve_point(
         n, u, p = n + slope * step, u + 1.5 * n * step, p + n * step
     else:
         n, u, p = _moments(eta, model, [0, 1, 2])
-    positive_double(min(n, u, p), f"a moment at eta = {eta:g}")  # e^eta below the range
+    positive_double(min(n, u, p), "a moment at eta = %g", eta)  # e^eta below the range
     return ThermoPoint(
         eta=float(eta),
         n_lambda3=float(n),

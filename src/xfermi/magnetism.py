@@ -109,7 +109,7 @@ def landau_partition_ratio(
     az = model.blocking * fugacity
     levels = 0.0
     if az > 0.5:
-        two_az = positive_double(2.0 * az, f"2 a z at z = {fugacity!r}")
+        two_az = positive_double(2.0 * az, "2 a z at z = %r", fugacity)
         levels = (math.log(two_az) / s - 1.0) / 2.0
     if levels > MAX_DEGENERATE_LEVELS:
         raise LevelBudgetError(f"{levels:.3g} degenerate Landau levels, over the budget")
@@ -146,7 +146,7 @@ def geometric_level_factor(s: float) -> float:
         factor = 1.0 / (2.0 * math.sinh(s))
     except OverflowError:
         factor = 0.0
-    return positive_double(factor, f"1/(2 sinh s) at s = {s!r}")
+    return positive_double(factor, "1/(2 sinh s) at s = %r", s)
 
 
 def small_field_series_factor(s: float) -> float:
@@ -177,5 +177,5 @@ def landau_susceptibility(n_lambda3: float, model: OccupancyModel = EXCLUSIVE) -
     """
     positive_finite("n_lambda3", n_lambda3)
     z = n_lambda3 / model.weight
-    three_gz = positive_double(3.0 * model.weight * z, f"3 g z at n_lambda3 = {n_lambda3!r}")
+    three_gz = positive_double(3.0 * model.weight * z, "3 g z at n_lambda3 = %r", n_lambda3)
     return -float(_moments(math.log(z), model, [3])[0]) / three_gz

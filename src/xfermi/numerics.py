@@ -51,10 +51,11 @@ def positive_finite(what: str, *values: float) -> None:
             raise ValueError(f"{what} must be positive and finite")
 
 
-def positive_double(value: float, what: str) -> float:
-    """``value``, unless it overflowed to inf or underflowed to 0."""
+def positive_double(value: float, what: str, *args) -> float:
+    """``value``, unless it overflowed to inf or underflowed to 0; the error
+    names the result ``what % args``, formatted only when it is raised."""
     if not 0.0 < value < math.inf:
-        raise NumericsError(f"{what} {'overflows' if value else 'underflows'} a double")
+        raise NumericsError(f"{what % args} {'overflows' if value else 'underflows'} a double")
     return value
 
 

@@ -96,7 +96,7 @@ def thermal_wavelength(
     thermal = mass * constants.k_B * temperature
     wavelength = math.sqrt(2.0 * math.pi * constants.hbar**2 / thermal) if thermal else math.inf
     return positive_double(
-        wavelength, f"the thermal wavelength at mass {mass!r} and temperature {temperature!r}")
+        wavelength, "the thermal wavelength at mass %r and temperature %r", mass, temperature)
 
 
 def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
@@ -108,7 +108,7 @@ def fermi_energy(n: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """
     positive_finite("density", n)
     return positive_double(0.5 * (6.0 * math.pi**2 * n / model.step_height) ** (2.0 / 3.0),
-                           f"the Fermi energy at density {n!r}")
+                           "the Fermi energy at density %r", n)
 
 
 def ground_state_energy(n_particles: float, e_f: float) -> float:

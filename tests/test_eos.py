@@ -199,20 +199,31 @@ class TestDiluteLimit:
 class TestClassicalClosedForm:
     """The classical model (a = 0) is g e^eta times (1, 3/2, 1, 1), with no
     quadrature; every model answers each ordered row subset with the bits of
-    the full call."""
+    the full call, whether a point comes alone, in an array on one side of
+    k = 0 or in an array across it."""
 
     # every ordered subset of the four rows: 4 + 12 + 24 + 24
     ROW_SETS = [rows for size in range(1, 5) for rows in itertools.permutations(range(4), size)]
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_row_subsets_match_the_full_call(self, model):
-        etas = mixed_etas(model)
+        etas, regimes = mixed_etas(model), []
+        if model.blocking:  # k = 0 exactly, the last dilute point, and the next double up
+            edge = -math.log(model.blocking)
+            etas = np.sort(np.append(etas, [edge, np.nextafter(edge, np.inf)]))
+            k = etas + math.log(model.blocking)
+            regimes = [k <= 0.0, k > 0.0]
         full = _moments(etas, model)
         for rows in self.ROW_SETS:
-            assert _moments(etas, model, rows).tobytes() == full[list(rows)].tobytes(), rows
-            for eta in map(float, etas):
+            mixed = _moments(etas, model, rows)
+            assert mixed.tobytes() == full[list(rows)].tobytes(), rows
+            for regime in regimes:  # all dilute, then all degenerate
+                got = _moments(etas[regime], model, rows)
+                assert got.tobytes() == mixed[:, regime].tobytes(), rows
+            for i, eta in enumerate(map(float, etas)):
                 got = _moments(eta, model, rows)
                 assert got.tobytes() == _moments(eta, model)[list(rows)].tobytes(), (rows, eta)
+                assert got.tobytes() == mixed[:, i].tobytes(), (rows, eta)
 
     def test_never_reaches_the_quadrature(self, monkeypatch):
         def refuse(*args):

@@ -8,17 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xfermi import numerics
+from xfermi import degenerate, eos, magnetism, numerics
+from xfermi.astro import Regime, eos_coefficient
 from xfermi.numerics import (
     BracketError,
     EventHorizonError,
     IntegrandDomainError,
+    NumericsError,
     QuadratureError,
     find_root,
     integrate_ode,
     integrate_semi_infinite,
+    positive_double,
 )
-from xfermi.occupancy import OccupancyModel
+from xfermi.occupancy import OccupancyModel, fermi_energy, thermal_wavelength
 
 from oracles import halfline_moment
 
@@ -181,6 +184,42 @@ def test_quadrature_error_carries_bound(monkeypatch):
         assert np.isfinite(exc.best_estimate)
     else:  # some platforms may genuinely hit the tolerance; value must be right
         assert integrate_semi_infinite(lambda x: math.exp(-x)) == pytest.approx(1.0)
+
+
+def test_guard_formats_its_message_only_when_it_raises():
+    # "%g" of a string raises TypeError, so formatting on success would show
+    assert positive_double(1.5, "a moment at eta = %g", "not a number") == 1.5
+    with pytest.raises(TypeError):
+        positive_double(0.0, "a moment at eta = %g", "not a number")
+
+
+# each guard that passes its numbers to positive_double, with the text it had
+# when it formatted them itself
+@pytest.mark.parametrize("call, message", [
+    (lambda: eos.density(-800.0), "a moment at eta = -800 underflows a double"),
+    (lambda: eos.solve_fugacity(5e-324), "the density at eta = -745.633 underflows a double"),
+    (lambda: eos.solve_point(eta=-800.0), "a moment at eta = -800 underflows a double"),
+    (lambda: eos.fugacity_series(5e-324),
+     "the fugacity series at n lambda^3 = 5e-324 underflows a double"),
+    (lambda: degenerate.specific_heat_exact(1e300),
+     "n lambda^3 at fixed density at t = 1e+300 underflows a double"),
+    (lambda: magnetism.landau_partition_ratio(1e308, 1.0),
+     "2 a z at z = 1e+308 overflows a double"),
+    (lambda: magnetism.geometric_level_factor(800.0),
+     "1/(2 sinh s) at s = 800.0 underflows a double"),
+    (lambda: magnetism.landau_susceptibility(5e-324),
+     "3 g z at n_lambda3 = 5e-324 underflows a double"),
+    (lambda: eos_coefficient(OccupancyModel("tall", 1e300, 1e-10), Regime.NON_RELATIVISTIC),
+     "K of step height inf underflows a double"),
+    (lambda: thermal_wavelength(1e-300, 1e-300),
+     "the thermal wavelength at mass 1e-300 and temperature 1e-300 overflows a double"),
+    (lambda: fermi_energy(1e308), "the Fermi energy at density 1e+308 overflows a double"),
+], ids=["moment", "newton", "point", "fugacity-series", "fixed-density", "landau-2az",
+        "level-factor", "landau-3gz", "polytrope-k", "wavelength", "fermi-energy"])
+def test_guards_keep_their_messages(call, message):
+    with pytest.raises(NumericsError) as failure:
+        call()
+    assert str(failure.value) == message
 
 
 def test_names_the_benchmark_traces_resolve():
