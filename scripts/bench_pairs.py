@@ -11,8 +11,9 @@ line is kept; per side the script records the median and quartiles of
 every end-to-end metric that the change checkout's ``BENCHMARK.json``
 declares, and per metric how many pairs the change won in the declared
 direction.  ``--trace 1`` runs one traced pair instead and keeps the
-per-layer metrics.  Results for other workloads already in ``--out`` are
-kept, so one file collects all workloads.
+per-layer metrics.  Every set already in ``--out`` is kept, so one file
+collects all workloads; a set whose workload is already there goes under
+the next free key, ``<workload> (2)``, ``(3)``, and so on.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def store(bench: dict, key: str, entry: dict) -> str:
+    """Add ``entry`` to ``bench`` under ``key``, or the next free ``key (i)``; return the key."""
+    workloads = bench.setdefault("workloads", {})
+    free, i = key, 1
+    while free in workloads:
+        i += 1
+        free = f"{key} ({i})"
+    workloads[free] = entry
+    return free
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -84,8 +96,9 @@ def main() -> int:
     if not args.trace:
         declared = json.loads((args.change / "BENCHMARK.json").read_text())
         entry["end_to_end"] = summarise(pairs, declared["end_to_end"])
-    bench.setdefault("workloads", {})[key] = entry
+    key = store(bench, key, entry)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"stored as {key!r} in {args.out}", file=sys.stderr)
     return 0
 
 

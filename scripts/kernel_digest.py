@@ -16,6 +16,10 @@ call per point; ``density``, ``energy_density``, ``pressure`` and
 raises adds its error's type and message in place of its value.  ``--src``
 hashes the checkout at DIR (its ``src/``) in place of this one.  Takes
 about 20 s.
+
+Stdout is the one total digest.  Stderr adds one digest per recorded
+function over the same bytes, so two checkouts' lists show which
+functions a change moves.
 """
 
 from __future__ import annotations
@@ -34,24 +38,29 @@ import numpy as np
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def digest() -> str:
+def digest() -> tuple[str, dict[str, str]]:
+    """The total digest, and one digest per recorded function by its label."""
     from xfermi import degenerate, eos, magnetism
     from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD
 
     sha = hashlib.sha256()
+    parts = {}
 
-    def record(call, *args):
+    def record(call, *args, label=None):  # a lambda or local function is given a label
+        label = label or f"{call.__module__.removeprefix('xfermi.')}.{call.__name__}"
         try:
             value = call(*args)
         except Exception as error:  # the error is part of what is hashed
-            sha.update(f"{type(error).__name__}: {error}".encode())
-            return
-        if isinstance(value, np.ndarray):
-            sha.update(value.tobytes())
-        elif isinstance(value, tuple):
-            sha.update(struct.pack(f"{len(value)}d", *value))
+            data = f"{type(error).__name__}: {error}".encode()
         else:
-            sha.update(struct.pack("d", value))
+            if isinstance(value, np.ndarray):
+                data = value.tobytes()
+            elif isinstance(value, tuple):
+                data = struct.pack(f"{len(value)}d", *value)
+            else:
+                data = struct.pack("d", value)
+        sha.update(data)
+        parts.setdefault(label, hashlib.sha256()).update(data)
 
     def fields(point):  # a ThermoPoint's numbers
         return point.eta, point.n_lambda3, point.energy_density, point.pressure
@@ -71,16 +80,18 @@ def digest() -> str:
             [-1e-300, 0.0, 1e-300, 709.78, 710.0, 1e100, 1e130, 1e200, 1e300],
             edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))))
         for subset in rows:
-            record(eos._moments, etas, model, subset)
-            record(eos._moments, etas[etas < 700.0], model, subset)
+            record(eos._moments, etas, model, subset, label="eos._moments array")
+            record(eos._moments, etas[etas < 700.0], model, subset, label="eos._moments array")
             for eta in etas:
-                record(eos._moments, float(eta), model, subset)
+                record(eos._moments, float(eta), model, subset, label="eos._moments scalar")
         for eta in map(float, etas):
             for moment in (eos.density, eos.energy_density, eos.pressure):
                 record(moment, eta, model)
-            record(lambda e: fields(eos.solve_point(model, eta=e)), eta)
+            record(lambda e: fields(eos.solve_point(model, eta=e)), eta,
+                   label="eos.solve_point(eta)")
         for n in densities:
-            record(lambda x: fields(eos.solve_point(model, n_lambda3=x)), n)
+            record(lambda x: fields(eos.solve_point(model, n_lambda3=x)), n,
+                   label="eos.solve_point(n_lambda3)")
             record(eos.solve_fugacity, n, model)
             record(magnetism.landau_susceptibility, n, model)
         for t in temperatures:
@@ -88,11 +99,11 @@ def digest() -> str:
             record(degenerate.specific_heat_exact, t, model)
         for eta in np.linspace(-745.0, 700.0, 60):
             for b in (-30.0, -1.0, 0.0, 1e-3, 2.0, 50.0):
-                record(populations, eta, b, model)
+                record(populations, eta, b, model, label="magnetism.pauli_magnetization")
         for z in fugacities:
             for s in (5e-3, 0.1, 1.0, 30.0):
                 record(magnetism.landau_partition_ratio, z, s, model)
-    return sha.hexdigest()
+    return sha.hexdigest(), {label: part.hexdigest() for label, part in parts.items()}
 
 
 def main() -> int:
@@ -104,7 +115,10 @@ def main() -> int:
     warnings.simplefilter("ignore")
     import xfermi
     print(f"hashing {Path(xfermi.__file__).parent}", file=sys.stderr)
-    print(digest())
+    total, parts = digest()
+    for label, part in parts.items():
+        print(f"{part}  {label}", file=sys.stderr)
+    print(total)
     return 0
 
 

@@ -140,27 +140,26 @@ def specific_heat_exact(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
     """Low-temperature heat-capacity coefficient c/(k_B t) per particle.
 
     At fixed density C/(N k_B) = (5/2) u/n - (9/4) n/(dn/deta), that is
-    (15/4) F_{3/2}/F_{1/2} - (9/4) F_{1/2}/F_{-1/2}, all at the eta of one
-    inversion; it tends to pi^2/2 as t -> 0 for every blocking parameter.
-    The two terms cancel to ~3/k^2 of their size, so past k = 40 the ratio
-    is integrated by parts onto f(1 - f): (3/2) Var(y) / <k + y> under the
-    measure sqrt(k + y) f(1 - f) dy, with no cancellation.
+    (15/4) F_{3/2}/F_{1/2} - (9/4) F_{1/2}/F_{-1/2}, all at the eta that
+    holds the density; it tends to pi^2/2 as t -> 0 for every blocking
+    parameter.  The two terms cancel to ~3/k^2 of their size, so past
+    k = 40 the ratio is integrated by parts onto f(1 - f): (3/2) Var(y) /
+    <k + y> under the measure sqrt(k + y) f(1 - f) dy, with no cancellation.
 
-    Below k = 40 the moments come from the inversion's confirming kernel
-    call, at eta - step, within 1e-13 max(1, |eta|) of the root.  The route
-    is chosen at the tabled start, within 1e-15 max(1, |k|) of the root, so
-    that the energy row is requested only below k = 40: past it the energy
-    can overflow a double where the density does not.
+    The route is chosen at the tabled start of the inversion, within
+    1e-15 max(1, |k|) of the root.  Below k = 40 the moments come from
+    Newton's confirming kernel call, at eta - step, within
+    1e-13 max(1, |eta|) of the root.  Past it the edge form reads k only
+    through sqrt(1 + y/k) and k + y, so it takes the tabled k and makes no
+    kernel call (nor could it read the energy, which there can overflow a
+    double where the density does not).
     """
     target = _fixed_density(t, model)
     eta = _fugacity_start(target, model)
-    ln_a = math.log(model.blocking)
-    bulk = eta + ln_a < _EDGE
-    eta, values, _ = _newton(target, model, eta, (1,) if bulk else ())
-    if bulk:
-        n, slope, u = values
+    k = eta + math.log(model.blocking)
+    if k < _EDGE:
+        n, slope, u = _newton(target, model, eta, (1,))[1]
         return float((2.5 * u / n - 2.25 * n / slope) / t)
-    k = eta + ln_a
     measure = _EDGE_W * np.sqrt(1.0 + _EDGE_Y / k)
     mean = (_EDGE_Y * measure).sum() / measure.sum()
     spread = ((_EDGE_Y - mean) ** 2 * measure).sum()

@@ -5,12 +5,14 @@ routes: dense fixed grids on the occupation law, adaptive QUADPACK
 (the route the package used before), and mpmath's polylogarithm.  Its
 Newton inversion and analytic heat capacity are checked against the
 bracketed root search and the Richardson-differenced energy they
-replaced, its closed-form Landau susceptibility against the level sum
-differenced in the field and extrapolated to zero, and its Fermi-edge
-step moments against adaptive QUADPACK.  Its deep-degeneracy moments,
-the ratios at fixed density and the Fermi-energy round trip are checked
-against the Sommerfeld series, the fixed-density target and the
-density-of-states route, each written out here.  The Chebyshev start of its
+replaced, its Fermi-edge heat at the tabled start of the inversion
+against the same form at Newton's confirmed root, its closed-form
+Landau susceptibility against the level sum differenced in the field
+and extrapolated to zero, and its Fermi-edge step moments against
+adaptive QUADPACK.  Its deep-degeneracy moments, the ratios at fixed
+density and the Fermi-energy round trip are checked against the
+Sommerfeld series, the fixed-density target and the density-of-states
+route, each written out here.  The Chebyshev start of its
 inversion is checked against the 30-digit inverse of mpmath's polylog.
 Its block-wise enumeration of level configurations is checked against
 the tag-by-tag enumeration it replaced.  Its Monte Carlo, one multinomial
@@ -37,7 +39,8 @@ from scipy import integrate
 
 from xfermi.constants import REDUCED, PhysicalConstants
 from xfermi.ensemble import LevelSystem
-from xfermi.eos import density, energy_density
+from xfermi.degenerate import _EDGE, _EDGE_W, _EDGE_Y
+from xfermi.eos import _fugacity_start, _newton, density, energy_density
 from xfermi.magnetism import landau_partition_ratio
 from xfermi.numerics import (
     BracketError,
@@ -175,6 +178,31 @@ def richardson_heat(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
 
     h = 1e-3 * t
     return (4.0 * slope(0.5 * h) - slope(h)) / 3.0 / t
+
+
+def newton_confirmed_heat(t: float, model: OccupancyModel = EXCLUSIVE) -> float:
+    """c/(k_B t) at fixed density, with k = eta + ln a from Newton's confirmed root.
+
+    The route the package used before its Fermi-edge form read k from the
+    tabled start of the inversion: Newton runs to its confirming kernel
+    call on both sides of k = 40.  Below k = 40 (tabled) the heat is
+    (5/2) u/n - (9/4) n/(dn/deta) from that call's moments; past it, the
+    edge form (3/2) Var(y) / <k + y> under sqrt(k + y) f(1 - f) dy over
+    the package's edge nodes, at the confirmed root.
+    """
+    target = fixed_density_point(t, model)
+    eta = _fugacity_start(target, model)
+    ln_a = math.log(model.blocking)
+    bulk = eta + ln_a < _EDGE
+    eta, values, _ = _newton(target, model, eta, (1,) if bulk else ())
+    if bulk:
+        n, slope, u = values
+        return float((2.5 * u / n - 2.25 * n / slope) / t)
+    k = eta + ln_a
+    measure = _EDGE_W * np.sqrt(1.0 + _EDGE_Y / k)
+    mean = (_EDGE_Y * measure).sum() / measure.sum()
+    spread = ((_EDGE_Y - mean) ** 2 * measure).sum()
+    return float(1.5 * spread / ((k + _EDGE_Y) * measure).sum() / t)
 
 
 def _log1p_exp(y: float) -> float:

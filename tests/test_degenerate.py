@@ -9,6 +9,7 @@ from oracles import (
     dos_coefficient,
     fermi_sea_density,
     fixed_density_point,
+    newton_confirmed_heat,
     polylog_heat,
     quad_step_moment,
     richardson_heat,
@@ -338,6 +339,19 @@ class TestHeatCapacity:
             assert math.isclose(specific_heat_exact(t, model), expected, rel_tol=1e-12), t
             fresh += 1
         assert fresh > 50  # about half the range lies below k = 40
+
+    @pytest.mark.parametrize("model", [EXCLUSIVE, STANDARD_FD])
+    def test_edge_heat_matches_the_newton_confirmed_root(self, model):
+        # past k = 40 the edge form takes k from the tabled start, which
+        # Newton's root moves by at most 1e-13 max(1, |eta|); the heat feels
+        # it only through sqrt(1 + y/k) and k + y
+        n_edge = density(degenerate._EDGE - math.log(model.blocking), model)
+        t_edge = (fixed_density_point(1.0, model) / n_edge) ** (2.0 / 3.0)
+        ts = [*np.geomspace(1e-205, t_edge, 1001),
+              *(t_edge * side for side in (1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-6))]
+        for t in map(float, ts):
+            expected = newton_confirmed_heat(t, model)
+            assert math.isclose(specific_heat_exact(t, model), expected, rel_tol=1e-14), t
 
     @pytest.mark.parametrize("t", [0.01, 0.03, 0.1, 0.2])
     def test_analytic_heat_matches_richardson_oracle(self, t):

@@ -20,7 +20,7 @@ from oracles import (
     quad_moment,
     sommerfeld_series,
 )
-from xfermi import eos
+from xfermi import degenerate, eos
 from xfermi.degenerate import _EDGE, specific_heat_exact
 from xfermi.eos import (
     FugacityOverflowError,
@@ -304,11 +304,11 @@ class TestFugacityInversion:
             calls.append(args[0])
             return _moments(*args, **kwargs)
 
-        def one_call(fn, *args, **kwargs):
+        def kernel_calls(expected, fn, *args, **kwargs):
             calls.clear()
             with contextlib.suppress(FugacityOverflowError):  # the energy row past ~1e186
                 fn(*args, **kwargs)
-            assert len(calls) == 1, (fn.__name__, args, kwargs, calls)
+            assert len(calls) == expected, (fn.__name__, args, kwargs, calls)
 
         points = list(np.geomspace(1e-300, 1e300, 601))
         if model.blocking > 0:  # n lambda^3 = nu g/a at both joins of the table, and each side
@@ -318,13 +318,19 @@ class TestFugacityInversion:
             points += [density(_EDGE - math.log(model.blocking), model) * side
                        for side in (1 - 1e-9, 1 + 1e-9)]
         monkeypatch.setattr(eos, "_moments", counted)
+        routes = set()
         for n_lambda3 in points:
             n_lambda3 = float(n_lambda3)
-            one_call(solve_fugacity, n_lambda3, model)
-            one_call(solve_point, model, n_lambda3=n_lambda3)
+            kernel_calls(1, solve_fugacity, n_lambda3, model)
+            kernel_calls(1, solve_point, model, n_lambda3=n_lambda3)
             if model.blocking > 0:  # the temperature at which a fixed density has this n lambda^3
                 t = (4.0 / (3.0 * math.sqrt(math.pi)) * model.step_height / n_lambda3) ** (2 / 3)
-                one_call(specific_heat_exact, t, model)
+                # one confirming call below the tabled k = 40, none past it
+                start = eos._fugacity_start(degenerate._fixed_density(t, model), model)
+                bulk = start + math.log(model.blocking) < _EDGE
+                kernel_calls(int(bulk), specific_heat_exact, t, model)
+                routes.add(bulk)
+        assert routes == ({True, False} if model.blocking > 0 else set())
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_subnormal_density_is_a_numerics_error(self, model):
