@@ -11,11 +11,17 @@ up to 1e300, as one array, as the array below eta = 700 and as one scalar
 call per point; ``density``, ``energy_density``, ``pressure`` and
 ``solve_point`` from eta; ``solve_point`` from n lambda^3 and
 ``solve_fugacity`` over 1e-320..1e300; ``chemical_potential_exact`` and
-``specific_heat_exact``; ``pauli_magnetization``,
-``landau_susceptibility`` and ``landau_partition_ratio``.  A call that
-raises adds its error's type and message in place of its value.  ``--src``
-hashes the checkout at DIR (its ``src/``) in place of this one.  Takes
-about 20 s.
+``specific_heat_exact`` over 1e-210..1e300, across the fixed-density
+overflow at 3.1e-206 (``exclusive``) and 4.1e-206 (``fd``);
+``pauli_magnetization``, ``landau_susceptibility`` and
+``landau_partition_ratio``; and, as
+``astro.lane_emden``, xi_1 and the mass integral for 980 indices on
+[0, 4.9), n = nextafter(4.9, 0) and 1e-300, with the refused -0.1, 4.9
+and nan, and as ``astro.compare_star_models`` its four ratios and both
+solutions' xi_1 and mass integral.  A call that raises adds its error's
+type and message in place of its value.  ``--src`` hashes the checkout at
+DIR (its ``src/``) in place of this one.  Takes about 12 s on a 2-CPU
+Xeon, of which the Lane-Emden records are about 1 s.
 
 Stdout is the one total digest.  Stderr adds one digest per recorded
 function over the same bytes, so two checkouts' lists show which
@@ -40,7 +46,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 
 def digest() -> tuple[str, dict[str, str]]:
     """The total digest, and one digest per recorded function by its label."""
-    from xfermi import degenerate, eos, magnetism
+    from xfermi import astro, degenerate, eos, magnetism
     from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD
 
     sha = hashlib.sha256()
@@ -65,13 +71,23 @@ def digest() -> tuple[str, dict[str, str]]:
     def fields(point):  # a ThermoPoint's numbers
         return point.eta, point.n_lambda3, point.energy_density, point.pressure
 
+    def solution(index):
+        s = astro.lane_emden(index)
+        return s.xi1, s.mass_integral
+
+    def star_numbers():
+        c = astro.compare_star_models()
+        nr, ur = c.nr_solution, c.ur_solution
+        return (c.k_nr_ratio, c.k_ur_ratio, nr.xi1, nr.mass_integral, ur.xi1, ur.mass_integral,
+                c.nr_mass_ratio, c.limiting_mass_ratio)
+
     def populations(eta, b, model):
         m = magnetism.pauli_magnetization(eta, b, model)
         return m.n_up, m.n_down, m.magnetization
 
     rows = [r for size in range(1, 5) for r in itertools.permutations(range(4), size)]
     densities = [*np.geomspace(1e-320, 1e300, 620), 5e-324, 0.0, -1.0, math.inf]
-    temperatures = [*np.geomspace(1e-8, 1e300, 200), 0.02, 0.05, 0.0, math.inf]
+    temperatures = [*np.geomspace(1e-210, 1e300, 331), 0.02, 0.05, 0.0, math.inf]
     fugacities = np.geomspace(1e-300, 1e3, 40)
     for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
         edge = np.array([-math.log(model.blocking)] if model.blocking else [])  # k = 0
@@ -103,6 +119,11 @@ def digest() -> tuple[str, dict[str, str]]:
         for z in fugacities:
             for s in (5e-3, 0.1, 1.0, 30.0):
                 record(magnetism.landau_partition_ratio, z, s, model)
+    indices = [*np.linspace(0.0, 4.9, 981)[:-1], np.nextafter(4.9, 0.0), 1e-300,
+               -0.1, 4.9, math.nan]
+    for index in map(float, indices):
+        record(solution, index, label="astro.lane_emden")
+    record(star_numbers, label="astro.compare_star_models")
     return sha.hexdigest(), {label: part.hexdigest() for label, part in parts.items()}
 
 

@@ -35,7 +35,7 @@ _ORDER = 24
 _STEP_EPS = 1e-20
 _SURFACE_TOL = 2.0**-56  # theta' tail at the surface, relative to theta'
 _ULP = 2.0**-52
-_MAX_STEPS = 300  # n in [0, 4.9) needs at most about 60
+_MAX_STEPS = 300  # n in [0, 4.9) needs at most 60
 
 
 class Regime(Enum):
@@ -74,7 +74,8 @@ def lane_emden(index: float) -> LaneEmdenSolution:
     theta is a series in u = xi^2, so the coordinate singularity needs no
     offset.  Off centre, at xi = a, the series of
     xi theta'' + 2 theta' + xi theta^n = 0 gives the coefficients of theta
-    one by one, with theta^n from J.C.P. Miller's power recurrence.  Each
+    one by one, with theta^n from J.C.P. Miller's power recurrence: the
+    source series, built once per index and used at every step.  Each
     step of the order-24 series is as long as its last two terms allow for
     a 1e-20 truncation (Jorba and Zou, Exp. Math. 14 (2005) 99), and at
     most half the way to the zero of the tangent line: for non-integer n,
@@ -85,8 +86,8 @@ def lane_emden(index: float) -> LaneEmdenSolution:
     """
     if not 0.0 <= index < 4.9:
         raise ValueError("polytropic index must lie in [0, 4.9)")
-    weights = _miller_weights(index)
-    centre = _centre_series(weights)
+    source = _power_source(index)
+    centre = _centre_series(source)
     # first step in u; theta >= 1 - u/6 >= 1/2 up to u = 3 for every n >= 0
     u = min(_step_length(centre), 3.0)
     a = math.sqrt(u)
@@ -94,7 +95,7 @@ def lane_emden(index: float) -> LaneEmdenSolution:
     slope = 2.0 * a * dtheta_du
     for _ in range(_MAX_STEPS):
         reach = -theta / slope  # zero of the tangent line
-        t = _local_series(a, reach, theta, slope, index, weights)
+        t = _local_series(a, reach, theta, slope, source)
         # the theta' tail at the tangent zero, (K-1)|t_{K-1}| + K|t_K| over
         # reach, against |theta'|; or the round-off floor: a step that short
         # cannot move xi
@@ -111,39 +112,38 @@ def lane_emden(index: float) -> LaneEmdenSolution:
     )
 
 
-def _miller_weights(n: float) -> list[list[float]]:
-    """Row k holds (n+1) j - k for j = 1..k, the weights of Miller's recurrence
-    p_k = sum_j ((n+1) j - k) t_j p_{k-j} / (k t_0) for p = t^n."""
-    return [[(n + 1.0) * j - k for j in range(1, k + 1)] for k in range(_ORDER + 1)]
+def _power_source(n: float):
+    """The source theta^n as a series: ``source(p, t)`` appends p_k from t_0..t_k,
+    first p_0 = t_0^n, then J.C.P. Miller's recurrence
+    p_k = sum_j ((n+1) j - k) t_j p_{k-j} / (k t_0), j = 1..k."""
+    weights = [[(n + 1.0) * j - k for j in range(1, k + 1)] for k in range(_ORDER + 1)]
+
+    def source(p: list[float], t: list[float]) -> None:
+        k, higher = len(p), iter(t)
+        t0 = next(higher)  # higher now runs over t_1.., with no copy of t[1:]
+        p.append(sum(map(mul, map(mul, weights[k], higher), reversed(p))) / (k * t0) if k
+                 else t0**n)
+
+    return source
 
 
-def _extend_power(p: list[float], t: list[float], weights: list[list[float]]) -> None:
-    """Append p_k of t^n from t_0..t_k and p_0..p_{k-1}."""
-    k = len(p)
-    p.append(sum(map(mul, map(mul, weights[k], t[1:]), reversed(p))) / (k * t[0]))
-
-
-def _centre_series(weights: list[list[float]]) -> list[float]:
-    """theta = sum c_k u^k with u = xi^2: 2(k+1)(2k+3) c_{k+1} = -[theta^n]_k."""
-    c, p = [1.0], [1.0]
+def _centre_series(source) -> list[float]:
+    """theta = sum c_k u^k with u = xi^2: 2(k+1)(2k+3) c_{k+1} = -[source]_k."""
+    c, p = [1.0], []
     for k in range(_ORDER):
-        if k:
-            _extend_power(p, c, weights)
+        source(p, c)
         c.append(-p[k] / (2.0 * (k + 1) * (2 * k + 3)))
     return c
 
 
-def _local_series(
-    a: float, r: float, theta: float, slope: float, n: float, weights: list[list[float]]
-) -> list[float]:
+def _local_series(a: float, r: float, theta: float, slope: float, source) -> list[float]:
     """Scaled coefficients t_k r^k of theta in s = (xi - a)/r, from the series
-    of xi theta'' + 2 theta' + xi theta^n = 0; the scale r keeps them finite
+    of xi theta'' + 2 theta' + xi [source] = 0; the scale r keeps them finite
     however near the surface a lies."""
     rho, r2 = r / a, r * r
-    t, p = [theta, slope * r], [theta**n]
+    t, p = [theta, slope * r], []
     for k in range(_ORDER - 1):
-        if k:
-            _extend_power(p, t, weights)
+        source(p, t)
         lower = p[k] + rho * p[k - 1] if k else p[0]
         t.append(-(rho * t[k + 1] + r2 * lower / ((k + 1) * (k + 2))))
     return t

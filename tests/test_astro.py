@@ -1,7 +1,10 @@
 """Polytropic stars: EOS coefficients, Lane-Emden, mass scaling."""
 
+import functools
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from xfermi import astro
@@ -108,6 +111,39 @@ class TestLaneEmden:
         monkeypatch.setattr(astro, "_MAX_STEPS", 2)
         with pytest.raises(NumericsError, match="surface not located within 2 steps"):
             lane_emden(1.5)
+
+    def test_step_budget_under_the_cap(self, monkeypatch):
+        # the _MAX_STEPS comment: n in [0, 4.9) needs at most 60 local series
+        local_series, calls = astro._local_series, []
+
+        def counted(*args):
+            calls.append(args)
+            return local_series(*args)
+
+        monkeypatch.setattr(astro, "_local_series", counted)
+        for i in range(98):
+            calls.clear()
+            lane_emden(0.05 * i)
+            assert 0 < len(calls) <= 60, (0.05 * i, len(calls))
+
+    @pytest.mark.parametrize("n", [2.0, 3.0, 1.5, 0.2])
+    def test_power_source_matches_the_power_of_the_series(self, n):
+        # the source routine alone, fed t_0..t_k for its k-th coefficient
+        rng = np.random.default_rng(35)
+        t = [1.0 + rng.uniform(), *rng.uniform(-1.0, 1.0, astro._ORDER)]
+        source, p = astro._power_source(n), []
+        for k in range(len(t)):
+            source(p, t[: k + 1])
+        assert p[0] == t[0] ** n
+        if n.is_integer():
+            expected = functools.reduce(np.convolve, [t] * int(n))[: len(t)]
+        else:
+            with mpmath.workdps(40):
+                expected = mpmath.taylor(lambda x: mpmath.polyval(t[::-1], x) ** n, 0, len(t) - 1)
+        assert len(p) == len(t)
+        scale = max(map(abs, p))
+        for k, (pk, ek) in enumerate(zip(p, expected)):
+            assert abs(pk - float(ek)) <= 1e-14 * scale, k
 
     def test_published_values(self):
         three_halves = lane_emden(1.5)
