@@ -1,36 +1,34 @@
 """Print one SHA-256 over the bits of the moment kernel and everything built on it.
 
-    python3 scripts/kernel_digest.py
-    python3 scripts/kernel_digest.py --src ../parent
+    PYTHONPATH=src python3 scripts/kernel_digest.py
+    PYTHONPATH=../parent/src python3 scripts/kernel_digest.py
 
-A change meant to keep every number bit for bit prints the same digest as
-its parent.  The digest covers, for all three models: ``_moments`` for
-every ordered subset of its four rows, on an eta grid from -745 to 1e6
-(with k = eta + ln a = 0 exactly and the doubles beside it) and a few etas
-up to 1e300, as one array, as the array below eta = 700 and as one scalar
-call per point; ``density``, ``energy_density``, ``pressure`` and
-``solve_point`` from eta; ``solve_point`` from n lambda^3 and
-``solve_fugacity`` over 1e-320..1e300; ``chemical_potential_exact`` and
-``specific_heat_exact`` over 1e-210..1e300, across the fixed-density
-overflow at 3.1e-206 (``exclusive``) and 4.1e-206 (``fd``);
-``pauli_magnetization``, ``landau_susceptibility`` and
-``landau_partition_ratio``; and, as
+It hashes the ``xfermi`` on the import path.  A change meant to keep every
+number bit for bit prints the same digest as its parent.  The digest
+covers, for all three models: ``_moments`` for every ordered subset of its
+four rows, on an eta grid from -745 to 1e6 (with k = eta + ln a = 0
+exactly and the doubles beside it) and a few etas up to 1e300, as one
+array, as the array below eta = 700 and as one scalar call per point;
+``density``, ``energy_density``, ``pressure`` and ``solve_point`` from
+eta; ``solve_point`` from n lambda^3 and ``solve_fugacity`` over
+1e-320..1e300; ``chemical_potential_exact`` and ``specific_heat_exact``
+over 1e-210..1e300, across the fixed-density overflow at 3.1e-206
+(``exclusive``) and 4.1e-206 (``fd``); ``pauli_magnetization``,
+``landau_susceptibility`` and ``landau_partition_ratio``; and, as
 ``astro.lane_emden``, xi_1 and the mass integral for 980 indices on
 [0, 4.9), n = nextafter(4.9, 0) and 1e-300, with the refused -0.1, 4.9
 and nan, and as ``astro.compare_star_models`` its four ratios and both
 solutions' xi_1 and mass integral.  A call that raises adds its error's
-type and message in place of its value.  ``--src`` hashes the checkout at
-DIR (its ``src/``) in place of this one.  Takes about 12 s on a 2-CPU
-Xeon, of which the Lane-Emden records are about 1 s.
+type and message in place of its value.  Takes about 14 s on a 2-CPU Xeon,
+of which the Lane-Emden records are about 1 s.
 
-Stdout is the one total digest.  Stderr adds one digest per recorded
-function over the same bytes, so two checkouts' lists show which
-functions a change moves.
+Stdout is the one total digest.  Stderr names the package directory it
+hashed and adds one digest per recorded function over the same bytes, so
+two checkouts' lists show which functions a change moves.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import math
@@ -40,8 +38,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
-_ROOT = Path(__file__).resolve().parent.parent
 
 
 def digest() -> tuple[str, dict[str, str]]:
@@ -128,11 +124,6 @@ def digest() -> tuple[str, dict[str, str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=_ROOT, metavar="DIR",
-                        help="checkout whose src/ is hashed (default: this one)")
-    args = parser.parse_args()
-    sys.path.insert(0, str(args.src.resolve() / "src"))
     warnings.simplefilter("ignore")
     import xfermi
     print(f"hashing {Path(xfermi.__file__).parent}", file=sys.stderr)

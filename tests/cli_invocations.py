@@ -1,6 +1,10 @@
-"""The fixed list of ``xfermi`` invocations that ``scripts/cli_diff.py``
-compares between checkouts and that ``tests/golden/cli.txt`` records, and
-the in-process runner that writes and checks that transcript.
+"""The fixed list of ``xfermi`` invocations that ``tests/golden/cli.txt``
+records, and the in-process runner that writes and checks that transcript.
+Run as a script, it prints the transcript of the ``xfermi`` on the import
+path, to rewrite the record or to compare another checkout's ``src/`` with it:
+
+    PYTHONPATH=src python3 tests/cli_invocations.py > tests/golden/cli.txt
+    PYTHONPATH=../parent/src python3 tests/cli_invocations.py | cmp - tests/golden/cli.txt
 
 Each invocation runs through ``xfermi.cli.main`` with ``XFERMI_SEED`` unset
 and ``COLUMNS=80``, the width argparse wraps the ``--help`` texts to.  After
@@ -15,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import shlex
 import sys
 import warnings
@@ -360,3 +365,24 @@ def run_all(runs: list[list[str]]) -> list[tuple[int, str]]:
 def block(argv: list[str], code: int, out: str) -> str:
     """One invocation's part of the transcript."""
     return f"{header(argv)}\nexit {code}\n{out}"
+
+
+def transcript(runs: list[list[str]], done: list[tuple[int, str]]) -> str:
+    """The transcript text of ``runs`` given their ``run_all`` results."""
+    return preamble() + "".join(block(argv, code, out) for argv, (code, out) in zip(runs, done))
+
+
+def split_blocks(text: str) -> tuple[str, dict[str, str]]:
+    """A transcript's first line, and its blocks by their ``$ xfermi`` line."""
+    first, *parts = re.split(r"(?m)^(?=\$ xfermi)", text)
+    return first, {part.split("\n", 1)[0]: part for part in parts}
+
+
+def main() -> None:
+    """Print the transcript of ``invocations()`` for the ``xfermi`` on the import path."""
+    runs = invocations()
+    sys.stdout.write(transcript(runs, run_all(runs)))
+
+
+if __name__ == "__main__":
+    main()

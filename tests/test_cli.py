@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cli_invocations import GOLDEN, block, header, invocations, preamble, run_all
+from cli_invocations import GOLDEN, invocations, run_all, split_blocks, transcript
 from oracles import polylog_moments
 import xfermi
 from xfermi import astro, degenerate, eos
@@ -933,22 +933,22 @@ def _refuse_constant(name):
 
 
 @pytest.fixture(scope="module")
-def transcript():
-    """Each invocation of ``cli_invocations`` with its exit code and stdout,
-    run once in this interpreter."""
+def ran():
+    """The invocations of ``cli_invocations``, and each one's exit code and
+    stdout, run once in this interpreter."""
     runs = invocations()
-    return [(argv, *done) for argv, done in zip(runs, run_all(runs))]
+    return runs, run_all(runs)
 
 
 class TestTranscript:
     """The CLI's stdout and exit codes against the committed transcript; after an
-    intended change, ``python3 scripts/cli_diff.py --write`` rewrites it."""
+    intended change, ``PYTHONPATH=src python3 tests/cli_invocations.py >
+    tests/golden/cli.txt`` rewrites it."""
 
-    def test_output_matches_the_golden_transcript(self, transcript):
-        first, *parts = re.split(r"(?m)^(?=\$ xfermi)", GOLDEN.read_text())
-        expected = {part.split("\n", 1)[0]: part for part in parts}
-        got = {header(argv): block(argv, code, out) for argv, code, out in transcript}
-        if first != preamble():  # argparse formats help texts its own way in each Python
+    def test_output_matches_the_golden_transcript(self, ran):
+        first, expected = split_blocks(GOLDEN.read_text())
+        now, got = split_blocks(transcript(*ran))
+        if first != now:  # argparse formats help texts its own way in each Python
             expected, got = ({name: part for name, part in blocks.items()
                               if "--help" not in name.split()} for blocks in (expected, got))
         if list(got.items()) == list(expected.items()):
@@ -961,12 +961,13 @@ class TestTranscript:
             report += difflib.unified_diff(expected.get(name, "").splitlines(),
                                            got.get(name, "").splitlines(),
                                            "golden", "now", lineterm="", n=1)
-        report.append("rewrite it with python3 scripts/cli_diff.py --write if intended")
+        report.append("if intended, rewrite it with "
+                      "PYTHONPATH=src python3 tests/cli_invocations.py > tests/golden/cli.txt")
         pytest.fail("\n".join(report), pytrace=False)
 
-    def test_json_output_is_strict(self, transcript):
+    def test_json_output_is_strict(self, ran):
         parsed = 0
-        for argv, code, out in transcript:
+        for argv, (code, out) in zip(*ran):
             if "json" in argv and out:
                 assert code == 0, argv
                 json.loads(out, parse_constant=_refuse_constant)

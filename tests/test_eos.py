@@ -535,15 +535,16 @@ class TestSolvePoint:
             energy_density(eta, EXCLUSIVE)
 
     def test_point_validation_rejects_inconsistent_pressure(self):
-        with pytest.raises(ValueError, match="p = ") as failure:
-            ThermoPoint(
-                eta=0.0,
-                n_lambda3=1.0,
-                energy_density=1.0,
-                pressure=1.0,
-                model=EXCLUSIVE,
-            )
-        assert isinstance(failure.value, NumericsError)
+        # p = (2/3) u holds to 1e-13 relative, where the kernel meets about 6e-15; a
+        # subnormal p, here one step of 5e-324 from 2 (u / 3), keeps the former 1e-6
+        for energy_density, pressure in [(1.0, 1.0), (1.5, 1.0 + 1e-12)]:
+            with pytest.raises(ValueError, match="p = ") as failure:
+                ThermoPoint(eta=0.0, n_lambda3=1.0, energy_density=energy_density,
+                            pressure=pressure, model=EXCLUSIVE)
+            assert isinstance(failure.value, NumericsError)
+        for energy_density, pressure in [(1.5, 1.0 + 1e-14), (1.5e-315, 1e-315)]:
+            ThermoPoint(eta=0.0, n_lambda3=1.0, energy_density=energy_density,
+                        pressure=pressure, model=EXCLUSIVE)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["eta", "n_lambda3", "energy_density", "pressure"])

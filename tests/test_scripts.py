@@ -1,9 +1,14 @@
-"""The scripts that record benchmarks, run on stand-in results."""
+"""The scripts that record benchmarks and check outputs, run on stand-in
+results or small inputs."""
 
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
+
+import cli_invocations
+import xfermi
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,3 +41,24 @@ def test_bench_pairs_keeps_every_set_of_one_workload(tmp_path, monkeypatch):
     workloads = json.loads(out.read_text())["workloads"]
     assert list(workloads) == ["eos-inverse", "eos-inverse (2)", "eos-inverse (3)"]
     assert [entry["pairs"][0]["parent"]["seed"] for entry in workloads.values()] == [2, 5, 8]
+
+
+def test_cli_invocations_prints_the_transcript_of_its_list(monkeypatch, capsys):
+    runs = [["--version"], ["occupation", "--x", "-800"], ["eos", "--density", "1e25"]]
+    monkeypatch.setattr(cli_invocations, "invocations", lambda: runs)
+    cli_invocations.main()
+    blocks = cli_invocations.split_blocks(cli_invocations.GOLDEN.read_text())[1]
+    expected = [blocks[cli_invocations.header(argv)] for argv in runs]
+    assert capsys.readouterr().out == cli_invocations.preamble() + "".join(expected)
+
+
+def test_kernel_digest_hashes_the_xfermi_on_the_import_path(monkeypatch, capsys):
+    kernel_digest = load("kernel_digest")
+    monkeypatch.setattr(kernel_digest, "digest", lambda: ("total", {"eos.density": "part"}))
+    path = list(sys.path)
+    with warnings.catch_warnings():
+        assert kernel_digest.main() == 0
+    out, err = capsys.readouterr()
+    assert out == "total\n"
+    assert f"hashing {Path(xfermi.__file__).parent}\n" in err
+    assert sys.path == path
