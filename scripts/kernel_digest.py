@@ -3,24 +3,27 @@
     PYTHONPATH=src python3 scripts/kernel_digest.py
     PYTHONPATH=../parent/src python3 scripts/kernel_digest.py
 
-It hashes the ``xfermi`` on the import path.  A change meant to keep every
-number bit for bit prints the same digest as its parent.  The digest
-covers, for all three models: ``_moments`` for every ordered subset of its
-four rows, on an eta grid from -745 to 1e6 (with k = eta + ln a = 0
-exactly and the doubles beside it) and a few etas up to 1e300, as one
-array, as the array below eta = 700 and as one scalar call per point;
-``density``, ``energy_density``, ``pressure`` and ``solve_point`` from
-eta; ``solve_point`` from n lambda^3 and ``solve_fugacity`` over
-1e-320..1e300; ``chemical_potential_exact`` and ``specific_heat_exact``
-over 1e-210..1e300, across the fixed-density overflow at 3.1e-206
+It hashes the ``xfermi`` on the import path.  A change meant to keep
+every number bit for bit prints the same digest as its parent.  The
+digest covers, for all three models: ``occupation`` on a grid over
+[-745, 745] with +-0, +-inf, the x beside the classical overflow at
+-709.09 and the refused nan, one scalar call per point and as arrays;
+``_moments`` for every ordered subset of its four rows, on an eta grid
+from -745 to 1e6 (with k = eta + ln a = 0 exactly and the doubles beside
+it) and a few etas up to 1e300, as one array, as the array below eta =
+700 and as one scalar call per point; ``density``, ``energy_density``,
+``pressure`` and ``solve_point`` from eta; ``solve_point`` from n
+lambda^3 and ``solve_fugacity`` over 1e-320..1e300;
+``chemical_potential_exact`` and ``specific_heat_exact`` over
+1e-210..1e300, across the fixed-density overflow at 3.1e-206
 (``exclusive``) and 4.1e-206 (``fd``); ``pauli_magnetization``,
 ``landau_susceptibility`` and ``landau_partition_ratio``; and, as
-``astro.lane_emden``, xi_1 and the mass integral for 980 indices on
-[0, 4.9), n = nextafter(4.9, 0) and 1e-300, with the refused -0.1, 4.9
-and nan, and as ``astro.compare_star_models`` its four ratios and both
+``astro.lane_emden``, xi_1 and the mass integral for 980 indices on [0,
+4.9), n = nextafter(4.9, 0) and 1e-300, with the refused -0.1, 4.9 and
+nan, and as ``astro.compare_star_models`` its four ratios and both
 solutions' xi_1 and mass integral.  A call that raises adds its error's
-type and message in place of its value.  Takes about 14 s on a 2-CPU Xeon,
-of which the Lane-Emden records are about 1 s.
+type and message in place of its value.  Takes about 14 s on a 2-CPU
+Xeon, of which the Lane-Emden records are about 1 s.
 
 Stdout is the one total digest.  Stderr names the package directory it
 hashed and adds one digest per recorded function over the same bytes, so
@@ -42,7 +45,7 @@ import numpy as np
 
 def digest() -> tuple[str, dict[str, str]]:
     """The total digest, and one digest per recorded function by its label."""
-    from xfermi import astro, degenerate, eos, magnetism
+    from xfermi import astro, degenerate, eos, magnetism, occupancy
     from xfermi.occupancy import BOLTZMANN, EXCLUSIVE, STANDARD_FD
 
     sha = hashlib.sha256()
@@ -85,7 +88,14 @@ def digest() -> tuple[str, dict[str, str]]:
     densities = [*np.geomspace(1e-320, 1e300, 620), 5e-324, 0.0, -1.0, math.inf]
     temperatures = [*np.geomspace(1e-210, 1e300, 331), 0.02, 0.05, 0.0, math.inf]
     fugacities = np.geomspace(1e-300, 1e3, 40)
+    beside = -709.0895657128241  # the first x whose classical 2 e^{-x} overflows
+    xs = np.concatenate((np.linspace(-745.0, 745.0, 20001), [0.0, -0.0, math.inf, -math.inf],
+                         beside + np.spacing(beside) * np.arange(-3, 4)))
     for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
+        for x in [*map(float, xs), math.nan]:
+            record(occupancy.occupation, x, model, label="occupancy.occupation scalar")
+        for grid in (xs, xs[(xs > beside) | (xs == -math.inf)], np.array([math.nan])):
+            record(occupancy.occupation, grid, model, label="occupancy.occupation array")
         edge = np.array([-math.log(model.blocking)] if model.blocking else [])  # k = 0
         etas = np.unique(np.concatenate((
             np.linspace(-745.0, 50.0, 800), np.geomspace(50.0, 1e6, 200),
