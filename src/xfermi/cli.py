@@ -6,8 +6,8 @@ with how it was obtained: ``quadrature``, ``series``, ``closed-form``,
 ``monte-carlo``, or ``ode``.  Analytic claims and their numerical
 cross-checks therefore sit side by side in the output.
 
-Each handler imports the modules it uses, so ``star`` and ``fermi`` run
-without numpy, and no run loads a module that its subcommand does not use.
+No run loads a module that its subcommand does not use: each handler imports
+its own, so ``occupation``, ``fermi`` and ``star`` run without numpy.
 
 Output is deterministic: the same invocation (and, for ``oracle``, the
 same seed) produces byte-identical output, which the test suite relies
@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import json
 import math
 import os
 import re
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import __version__
 from .constants import codata
@@ -91,6 +90,8 @@ def _emit(fmt: str, meta: dict, header: list[str], records: list[list]) -> None:
         for rec in records:
             writer.writerow([_cell(v, _CSV_FMT) for v in rec])
     elif fmt == "json":
+        import json
+
         payload = {
             "meta": {k: _json_value(v) for k, v in meta.items()},
             "rows": [dict(zip(header, map(_json_value, rec))) for rec in records],
@@ -615,10 +616,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def entry() -> int:
-    """``main`` for a whole process.  Once it returns the heap is frozen, so the
-    forced collections at interpreter exit skip it; a freeze before ``main``
-    would miss the objects of the modules that the subcommand imports."""
+def entry() -> NoReturn:
+    """``main`` for a whole process: no cyclic collector, and ``os._exit`` after
+    the flush, skipping the interpreter's teardown and ``atexit``.  An exception
+    that escapes ``main`` leaves the normal way, with its traceback."""
+    gc.disable()
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 141
+    os._exit(code)

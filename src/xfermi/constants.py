@@ -7,7 +7,6 @@ boundary, using the versioned table shipped with the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -30,5 +29,7 @@ REDUCED = PhysicalConstants("reduced", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 @lru_cache(maxsize=1)
 def codata() -> PhysicalConstants:
     """SI constants loaded from the pinned data file."""
+    import json
+
     text = resources.files("xfermi").joinpath("data/constants_si.json").read_text()
     return PhysicalConstants(**json.loads(text))

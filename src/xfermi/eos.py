@@ -371,9 +371,9 @@ class ThermoPoint:
                         self.pressure)
         if not math.isfinite(self.eta):
             raise ValueError("eta must be finite")
-        # u / 3 first, as 2 u overflows first; a subnormal p has too few digits for 1e-13
-        rel = 1e-13 if self.pressure >= 2.2250738585072014e-308 else 1e-6
-        if abs(self.pressure - 2.0 * (self.energy_density / 3.0)) > rel * self.pressure:
+        # u / 3 first, as 2 u overflows first; a subnormal p may be one step off
+        bound = max(1e-13 * self.pressure, _SUBNORMAL_STEP)
+        if abs(self.pressure - 2.0 * (self.energy_density / 3.0)) > bound:
             raise InvariantError("pressure and energy density violate p = (2/3) u")
 
     @property

@@ -12,8 +12,8 @@ even for opposite spins), blocking = 1 is the ordinary spin-1/2 Fermi
 gas, and blocking = 0 recovers classical Boltzmann counting.
 
 Reduced units hbar = m = k_B = 1 throughout, so the Fermi temperature
-equals the Fermi energy.  numpy is imported on the first ``occupation``
-call: nothing else here needs array code.
+equals the Fermi energy.  numpy is imported by the first ``occupation``
+call for an array: nothing else here needs array code.
 """
 
 from __future__ import annotations
@@ -69,20 +69,28 @@ def occupation(x, model: OccupancyModel = EXCLUSIVE):
     for x >= 0 and weight/(w + blocking) below.  Only the classical law
     weight*e^{-x} leaves the double range (below x ~ -709.09 at weight 2),
     and there it raises :class:`NumericsError`.  NaN is refused with
-    ``ValueError``; x = +-inf gives the limits.
+    ``ValueError``; x = +-inf gives the limits.  A scalar runs without numpy.
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise ValueError("x must not be nan")
     g, a = model.weight, model.blocking
-    w = np.exp(-np.abs(x))
-    with np.errstate(over="ignore", divide="ignore"):
-        out = np.where(x >= 0.0, g * w / (1.0 + a * w), g / (w + a))
-    if a == 0.0 and (np.isinf(out) & np.isfinite(x)).any():
+    if isinstance(x, (int, float)):  # libm's exp may differ from numpy's by 1 ulp
+        if math.isnan(x):
+            raise ValueError("x must not be nan")
+        w = math.exp(-abs(x))
+        out = g * w / (1.0 + a * w) if x >= 0.0 else g / (w + a) if w + a else math.inf
+        overflow = math.isinf(out) and math.isfinite(x)
+    else:
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ValueError("x must not be nan")
+        w = np.exp(-np.abs(x))
+        with np.errstate(over="ignore", divide="ignore"):
+            out = np.where(x >= 0.0, g * w / (1.0 + a * w), g / (w + a))
+        overflow = (np.isinf(out) & np.isfinite(x)).any()
+    if a == 0.0 and overflow:
         raise NumericsError("the classical occupation weight e^{-x} overflows a double")
-    return float(out) if out.ndim == 0 else out
+    return out if isinstance(out, float) or out.ndim else float(out)
 
 
 def thermal_wavelength(

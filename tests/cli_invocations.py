@@ -241,11 +241,15 @@ eos --sweep eta -1e1 -5e0 3
 
 # subnormal n lambda^3, where Newton's steps go back and forth across the
 # root at the spacing 2^-1074 of n (exit 2 against a parent that stopped
-# only on a relative step of 1e-13)
+# only on a relative step of 1e-13); at 1.0037e-319, p and 2 (u / 3) are one
+# such step apart (exit 2 against a parent that allowed 1e-6 p there)
 SUBNORMAL = """
 eos --n-lambda3 1e-315
 eos --n-lambda3 1e-315 --model fd
 eos --n-lambda3 1e-315 --model boltzmann
+eos --n-lambda3 1.0037e-319
+eos --n-lambda3 1.0037e-319 --model fd
+eos --n-lambda3 1.0037e-319 --model boltzmann
 """
 
 # sample counts whose cost grew with the count while each sample was drawn

@@ -126,26 +126,33 @@ class TestBasics:
         assert "0.6666666667" in completed.stdout
 
     def test_main_leaves_the_collector_alone(self, capsys):
-        frozen = gc.get_freeze_count()
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
         assert run_cli(capsys, "occupation", "--x", "0")[0] == 0
-        assert gc.get_freeze_count() == frozen
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
-    def test_entry_freezes_the_import_heap(self):
+    def test_entry_writes_all_of_a_large_output_before_the_hard_exit(self, capsys):
+        # 2.3 MB, some 35 times what the pipe holds: os._exit must come after the last byte
+        argv = ["eos", "--sweep", "eta", "-5", "5", "2000", "--format", "json"]
+        completed = subprocess.run([sys.executable, "-m", "xfermi", *argv],
+                                   stdout=subprocess.PIPE, timeout=60)
+        assert completed.returncode == 0
+        assert completed.stdout.decode() == run_cli(capsys, *argv)[1]
+
+    def test_an_exception_from_main_leaves_with_its_traceback(self):
         script = (
-            "import gc, sys\n"
-            "from xfermi.cli import entry\n"
-            "sys.argv = ['xfermi', 'occupation', '--x', '0']\n"
-            "assert gc.get_freeze_count() == 0\n"
-            "code = entry()\n"
-            "print(code, gc.get_freeze_count())\n"
+            "import atexit, xfermi.cli\n"
+            "atexit.register(print, 'teardown ran')\n"
+            "def main():\n"
+            "    raise RuntimeError('escaped main')\n"
+            "xfermi.cli.main = main\n"
+            "xfermi.cli.entry()\n"
         )
-        completed = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-        )
-        assert (completed.returncode, completed.stderr) == (0, "")
-        assert "0.6666666667" in completed.stdout
-        code, frozen = map(int, completed.stdout.splitlines()[-1].split())
-        assert code == 0 and frozen > 1000  # numpy's and xfermi's objects
+        completed = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                   text=True, timeout=60)
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("Traceback")
+        assert "RuntimeError: escaped main" in completed.stderr
+        assert completed.stdout == "teardown ran\n"
 
     def test_script_target_is_the_entry(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+
@@ -189,20 +196,30 @@ class TestBasics:
         )
         assert (completed.returncode, completed.stderr) == (0, "")
 
-    @pytest.mark.parametrize("argv", [
-        ["star"],
-        ["fermi", "--density", "2"],
-        ["fermi", "--si", "--density", "1e28"],
-        ["--version"],
+    @pytest.mark.parametrize("argv, code", [
+        (["star"], 0),
+        (["fermi", "--density", "2"], 0),
+        (["fermi", "--si", "--density", "1e28"], 0),
+        (["--version"], 0),
+        (["occupation"], 0),
+        (["occupation", "--x", "-inf", "--model", "boltzmann"], 0),
+        (["occupation", "--format", "json"], 0),
+        (["occupation", "--x", "-710", "--model", "boltzmann"], 2),
+        (["occupation", "--x", "nan"], 1),
     ])
-    def test_scalar_subcommands_start_without_numpy(self, argv):
+    def test_scalar_subcommands_start_without_numpy(self, argv, code):
+        # entry's os._exit becomes a SystemExit, so that the check after the run
+        # is reached on every way out, argparse's SystemExit after --version too
         refused = (
-            "import runpy, sys\n"
+            "import os, runpy, sys\n"
             "class RefuseNumpy:\n"
             "    def find_spec(self, name, path=None, target=None):\n"
             "        if name.partition('.')[0] == 'numpy':\n"
             "            raise ImportError(f'{name} refused')\n"
             "sys.meta_path.insert(0, RefuseNumpy())\n"
+            "def leave_normally(code):\n"
+            "    raise SystemExit(code)\n"
+            "os._exit = leave_normally\n"
             "try:\n"
             "    runpy.run_module('xfermi', run_name='__main__', alter_sys=True)\n"
             "finally:\n"
@@ -212,8 +229,8 @@ class TestBasics:
                                capture_output=True, timeout=60)
         without = subprocess.run([sys.executable, "-c", refused, *argv],
                                  capture_output=True, timeout=60)
-        assert (without.returncode, without.stderr) == (0, b"")
-        assert plain.returncode == 0
+        assert (without.returncode, without.stderr) == (code, plain.stderr)
+        assert plain.returncode == code
         assert without.stdout == plain.stdout
 
     @pytest.mark.parametrize("command", sorted(_HANDLERS))

@@ -356,6 +356,13 @@ class TestFugacityInversion:
             classical = math.log(n_lambda3 / model.weight)
             assert abs(eta - classical) <= max(1e-13 * abs(eta), 2.0 * spacing / n_lambda3)
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_subnormal_points_pass_the_pressure_check(self, model):
+        # their p and 2 (u / 3) can be one step of 2^-1074 apart, which is more
+        # than 1e-13 p below p ~ 5e-311
+        for n_lambda3 in map(float, np.geomspace(1e-323, 1e-290, 2000)):
+            solve_point(model, n_lambda3=n_lambda3)
+
     def test_newton_step_budget_is_a_numerics_error(self, monkeypatch):
         # a slope that never lets the step shrink
         monkeypatch.setattr("xfermi.eos._moments", lambda eta, model, rows: np.ones(2))
@@ -535,14 +542,17 @@ class TestSolvePoint:
             energy_density(eta, EXCLUSIVE)
 
     def test_point_validation_rejects_inconsistent_pressure(self):
-        # p = (2/3) u holds to 1e-13 relative, where the kernel meets about 6e-15; a
-        # subnormal p, here one step of 5e-324 from 2 (u / 3), keeps the former 1e-6
-        for energy_density, pressure in [(1.0, 1.0), (1.5, 1.0 + 1e-12)]:
+        # p = (2/3) u holds to 1e-13 relative, where the kernel meets about 6e-15,
+        # or to one step of 2^-1074 where a subnormal p has fewer digits than that
+        step = math.ulp(0.0)
+        for energy_density, pressure in [(1.0, 1.0), (1.5, 1.0 + 1e-12),
+                                         (1503 * step, 1000 * step)]:  # two steps apart
             with pytest.raises(ValueError, match="p = ") as failure:
                 ThermoPoint(eta=0.0, n_lambda3=1.0, energy_density=energy_density,
                             pressure=pressure, model=EXCLUSIVE)
             assert isinstance(failure.value, NumericsError)
-        for energy_density, pressure in [(1.5, 1.0 + 1e-14), (1.5e-315, 1e-315)]:
+        for energy_density, pressure in [(1.5, 1.0 + 1e-14), (1.5e-315, 1e-315),
+                                         (1500 * step, 1001 * step)]:  # one step apart
             ThermoPoint(eta=0.0, n_lambda3=1.0, energy_density=energy_density,
                         pressure=pressure, model=EXCLUSIVE)
 

@@ -1,6 +1,7 @@
 """Occupation law, models, and the reduced-variable plumbing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,19 +88,31 @@ class TestStability:
             values = occupation(grid, model)
             assert np.all(np.isfinite(values))
 
-    def test_array_path_matches_scalar_path(self):
-        # numpy's vectorized exp and libm may differ in the last ulp
-        grid = np.linspace(-720.0, 720.0, 2001)
+    @pytest.mark.parametrize("grid", [
+        [*map(float, np.linspace(-720.0, 720.0, 2001))],
+        # the ends of the domain: signed zeros, infinities, Python ints, nan, both
+        # sides of the classical overflow at x = -709.0895657128241 and results
+        # that are subnormal (x > 708.4) or round to 0
+        [0.0, -0.0, math.inf, -math.inf, 0, 1, -1, 709, -709, -710, math.nan,
+         -709.089565712824, -709.0895657128241, -709.0895657128239, -709.0895657128243,
+         -745.2, 708.5, 720.0, 744.4, 745.1, 746.0],
+    ])
+    def test_array_path_matches_scalar_path(self, grid):
+        # the scalar path's libm exp and numpy's may differ in the last ulp
         for model in (EXCLUSIVE, STANDARD_FD, BOLTZMANN):
-            # the classical law raises below x ~ -709.09, on both paths alike
-            finite = grid > -709.09 if model is BOLTZMANN else np.full(grid.size, True)
-            arr = occupation(grid[finite], model)
-            with np.errstate(over="ignore"):
-                scalars = np.array([occupation(float(x), model) for x in grid[finite]])
+            # nan, and the classical law below x ~ -709.09, raise on both paths alike
+            refused = [x for x in grid if math.isnan(x)
+                       or (model is BOLTZMANN and -math.inf < x < -709.089565712824)]
+            for x in refused:
+                with pytest.raises((ValueError, NumericsError)) as scalar:
+                    occupation(x, model)
+                with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+                    occupation(np.array([x], dtype=float), model)
+            kept = [x for x in grid if x not in refused]
+            scalars = [occupation(x, model) for x in kept]
+            assert all(type(value) is float for value in scalars)
+            arr = occupation(np.array(kept, dtype=float), model)
             assert np.all(np.isclose(arr, scalars, rtol=5e-16, atol=0.0))
-            for x in grid[~finite]:
-                with pytest.raises(NumericsError, match="overflows a double"):
-                    occupation(float(x), model)
 
     def test_scalar_return_type(self):
         assert isinstance(occupation(1.0), float)
