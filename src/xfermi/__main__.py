@@ -3,4 +3,4 @@
 from .cli import entry
 
 if __name__ == "__main__":
-    raise SystemExit(entry())
+    entry()

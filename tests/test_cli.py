@@ -231,6 +231,7 @@ class TestBasics:
                                  capture_output=True, timeout=60)
         assert (without.returncode, without.stderr) == (code, plain.stderr)
         assert plain.returncode == code
+        assert code or plain.stderr == b""
         assert without.stdout == plain.stdout
 
     @pytest.mark.parametrize("command", sorted(_HANDLERS))
