@@ -20,10 +20,9 @@ lambda^3 and ``solve_fugacity`` over 1e-320..1e300;
 ``landau_susceptibility`` and ``landau_partition_ratio``; and, as
 ``astro.lane_emden``, xi_1 and the mass integral for 980 indices on [0,
 4.9), n = nextafter(4.9, 0) and 1e-300, with the refused -0.1, 4.9 and
-nan, and as ``astro.compare_star_models`` its four ratios and both
-solutions' xi_1 and mass integral.  A call that raises adds its error's
-type and message in place of its value.  Takes about 14 s on a 2-CPU
-Xeon, of which the Lane-Emden records are about 1 s.
+nan.  A call that raises adds its error's type and message in place of
+its value.  Takes about 14 s on a 2-CPU Xeon, of which the Lane-Emden
+records are about 1 s.
 
 Stdout is the one total digest.  Stderr names the package directory it
 hashed and adds one digest per recorded function over the same bytes, so
@@ -74,12 +73,6 @@ def digest() -> tuple[str, dict[str, str]]:
         s = astro.lane_emden(index)
         return s.xi1, s.mass_integral
 
-    def star_numbers():
-        c = astro.compare_star_models()
-        nr, ur = c.nr_solution, c.ur_solution
-        return (c.k_nr_ratio, c.k_ur_ratio, nr.xi1, nr.mass_integral, ur.xi1, ur.mass_integral,
-                c.nr_mass_ratio, c.limiting_mass_ratio)
-
     def populations(eta, b, model):
         m = magnetism.pauli_magnetization(eta, b, model)
         return m.n_up, m.n_down, m.magnetization
@@ -129,7 +122,6 @@ def digest() -> tuple[str, dict[str, str]]:
                -0.1, 4.9, math.nan]
     for index in map(float, indices):
         record(solution, index, label="astro.lane_emden")
-    record(star_numbers, label="astro.compare_star_models")
     return sha.hexdigest(), {label: part.hexdigest() for label, part in parts.items()}
 
 

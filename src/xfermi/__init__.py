@@ -27,7 +27,6 @@ _HOMES = {
     "NumericsError": "numerics",
     "OccupancyModel": "occupancy",
     "STANDARD_FD": "occupancy",
-    "compare_star_models": "astro",
     "fermi_energy": "occupancy",
     "heat_capacity_series_coefficient": "degenerate",
     "landau_susceptibility": "magnetism",

@@ -25,7 +25,7 @@ from enum import Enum
 from operator import mul
 
 from .numerics import NumericsError, positive_double, positive_finite
-from .occupancy import EXCLUSIVE, STANDARD_FD, OccupancyModel
+from .occupancy import OccupancyModel
 
 REFERENCE_MASS_RATIO = 1.6  # quoted limiting-mass enhancement, cf. exact sqrt(2)
 
@@ -206,33 +206,3 @@ def white_dwarf_mass(
     except OverflowError:
         mass = math.inf
     return positive_double(mass, "the stellar mass")
-
-
-@dataclass(frozen=True)
-class StellarComparison:
-    """Side-by-side consequences of halving the occupancy step height."""
-
-    k_nr_ratio: float  # non-relativistic K, exclusive / standard = 2^{2/3}
-    k_ur_ratio: float  # ultra-relativistic K, exclusive / standard = 2^{1/3}
-    nr_solution: LaneEmdenSolution  # n = 3/2
-    ur_solution: LaneEmdenSolution  # n = 3
-    nr_mass_ratio: float  # fixed central density, n = 3/2: K^{3/2} = 2
-    limiting_mass_ratio: float  # n = 3, density-independent: sqrt(2)
-
-
-def compare_star_models() -> StellarComparison:
-    """Both occupation laws through the whole pipeline, EOS coefficient ->
-    Lane-Emden -> mass formula, at unit central density and G = 1.
-
-    The K ratios 2^{2/3} and 2^{1/3} propagate as K^{3/2} to mass ratios of
-    2 and, at n = 3 where the density drops out, exactly sqrt(2).
-    """
-    k_ratios, solutions, mass_ratios = [], [], []
-    for regime, index in ((Regime.NON_RELATIVISTIC, 1.5), (Regime.ULTRA_RELATIVISTIC, 3.0)):
-        k = [eos_coefficient(m, regime) for m in (EXCLUSIVE, STANDARD_FD)]
-        solution = lane_emden(index)
-        masses = [white_dwarf_mass(c, 1.0, solution) for c in k]
-        k_ratios.append(k[0] / k[1])
-        solutions.append(solution)
-        mass_ratios.append(masses[0] / masses[1])
-    return StellarComparison(*k_ratios, *solutions, *mass_ratios)

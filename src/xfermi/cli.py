@@ -27,7 +27,7 @@ import sys
 from typing import NoReturn, Sequence
 
 from . import __version__
-from .constants import codata
+from .constants import CODATA
 from .numerics import NumericsError, positive_double, positive_finite
 from .occupancy import (
     BOLTZMANN,
@@ -90,13 +90,17 @@ def _emit(fmt: str, meta: dict, header: list[str], records: list[list]) -> None:
         for rec in records:
             writer.writerow([_cell(v, _CSV_FMT) for v in rec])
     elif fmt == "json":
+        import itertools
         import json
 
         payload = {
             "meta": {k: _json_value(v) for k, v in meta.items()},
             "rows": [dict(zip(header, map(_json_value, rec))) for rec in records],
         }
-        json.dump(payload, out, indent=2)
+        # the encoder yields a chunk per token: write them in slices, not one by one
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        while batch := list(itertools.islice(chunks, 8192)):
+            out.write("".join(batch))
         out.write("\n")
     else:
         for key, value in meta.items():
@@ -178,11 +182,10 @@ def _refuse(args, flags: Sequence[str], reason: str) -> None:
 
 
 def _si_mass(args, meta):
-    """CODATA constants and the particle mass of an --si run (default electron)."""
-    constants = codata()
-    meta["mass"] = constants.m_e if args.mass is None else args.mass
+    """The particle mass of an --si run in kg (default electron)."""
+    meta["mass"] = CODATA.m_e if args.mass is None else args.mass
     positive_finite("--mass", meta["mass"])
-    return constants, meta["mass"]
+    return meta["mass"]
 
 
 # -------------------------------------------------------------- commands
@@ -219,13 +222,13 @@ def _cmd_eos(args, meta):
         if args.temperature is None:
             raise UsageError("--si needs --temperature (kelvin)")
         meta["temperature"] = temperature = args.temperature
-        constants, mass = _si_mass(args, meta)
-        wavelength = thermal_wavelength(mass, temperature, constants)
+        mass = _si_mass(args, meta)
+        wavelength = thermal_wavelength(mass, temperature, CODATA)
         try:
             volume = wavelength**3
         except OverflowError:  # the scale below then underflows
             volume = math.inf
-        scale = constants.k_B * temperature / volume if volume else math.inf
+        scale = CODATA.k_B * temperature / volume if volume else math.inf
         positive_double(scale, "k_B T / lambda^3 at lambda = %r", wavelength)
         route = _moment_route(args.model)
         si_row = "%s at --density %r and --temperature %r"
@@ -234,7 +237,7 @@ def _cmd_eos(args, meta):
             # a valid density can still leave the double range times lambda^3
             x = positive_double(n_si * volume, "n lambda^3 at --density %r", n_si)
             point = solve_point(args.model, n_lambda3=x)
-            mu = point.eta * constants.k_B * temperature
+            mu = point.eta * CODATA.k_B * temperature
             p_si = positive_double(point.pressure * scale, si_row, "the pressure", n_si,
                                    temperature)
             u_si = positive_double(point.energy_density * scale, si_row, "the energy density",
@@ -271,15 +274,15 @@ def _cmd_virial(args, meta):
 
 def _cmd_fermi(args, meta):
     if args.si:
-        constants, mass = _si_mass(args, meta)
+        mass = _si_mass(args, meta)
         for n_si in _coords(args, "density"):
             # fermi_energy is a pure power law, so feeding an SI density
             # and scaling by hbar^2/m lands in joules
-            e_f = positive_double(fermi_energy(n_si, args.model) * constants.hbar**2 / mass,
+            e_f = positive_double(fermi_energy(n_si, args.model) * CODATA.hbar**2 / mass,
                                   "the Fermi energy at --density %r and --mass %r", n_si, mass)
             yield n_si, "fermi_energy_joule", e_f, "closed-form"
-            yield n_si, "fermi_energy_ev", e_f / constants.e_charge, "closed-form"
-            yield n_si, "fermi_temperature_kelvin", e_f / constants.k_B, "closed-form"
+            yield n_si, "fermi_energy_ev", e_f / CODATA.e_charge, "closed-form"
+            yield n_si, "fermi_temperature_kelvin", e_f / CODATA.k_B, "closed-form"
             yield (n_si, "degeneracy_pressure_pascal",
                    degeneracy_pressure(n_si, e_f), "closed-form")
         return
@@ -381,16 +384,18 @@ def _cmd_landau(args, meta):
 
 
 def _cmd_star(args, meta):
-    from .astro import REFERENCE_MASS_RATIO, compare_star_models
+    from .astro import REFERENCE_MASS_RATIO, Regime, eos_coefficient, lane_emden
 
-    comparison = compare_star_models()
-    yield None, "k_nr_ratio", comparison.k_nr_ratio, "closed-form"
-    yield None, "k_ur_ratio", comparison.k_ur_ratio, "closed-form"
-    for solution in (comparison.nr_solution, comparison.ur_solution):
+    k_nr, k_ur = (eos_coefficient(EXCLUSIVE, regime) / eos_coefficient(STANDARD_FD, regime)
+                  for regime in (Regime.NON_RELATIVISTIC, Regime.ULTRA_RELATIVISTIC))
+    yield None, "k_nr_ratio", k_nr, "closed-form"
+    yield None, "k_ur_ratio", k_ur, "closed-form"
+    for solution in (lane_emden(1.5), lane_emden(3.0)):
         yield solution.index, "xi1", solution.xi1, "ode"
         yield solution.index, "mass_integral", solution.mass_integral, "ode"
-    yield None, "nr_mass_ratio", comparison.nr_mass_ratio, "ode"
-    yield None, "limiting_mass_ratio", comparison.limiting_mass_ratio, "ode"
+    # one central density and one Lane-Emden solution: the mass goes as K^{3/2}
+    yield None, "nr_mass_ratio", k_nr**1.5, "closed-form"
+    yield None, "limiting_mass_ratio", k_ur**1.5, "closed-form"
     yield None, "limiting_mass_ratio_closed_form", math.sqrt(2.0), "closed-form"
     yield None, "limiting_mass_ratio_reference", REFERENCE_MASS_RATIO, "reference"
 

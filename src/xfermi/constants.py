@@ -2,14 +2,12 @@
 
 All internal computation is done in reduced units (hbar = m = k_B = 1, and
 c = 1 where relativity enters); conversion to SI happens only at the
-boundary, using the versioned table shipped with the package.
+boundary, using the versioned CODATA set below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
 
 @dataclass(frozen=True)
@@ -24,12 +22,6 @@ class PhysicalConstants:
 
 
 REDUCED = PhysicalConstants("reduced", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-
-@lru_cache(maxsize=1)
-def codata() -> PhysicalConstants:
-    """SI constants loaded from the pinned data file."""
-    import json
-
-    text = resources.files("xfermi").joinpath("data/constants_si.json").read_text()
-    return PhysicalConstants(**json.loads(text))
+CODATA = PhysicalConstants("si-2018", hbar=1.054571817e-34, k_B=1.380649e-23,
+                           m_e=9.1093837015e-31, c=299792458.0, G=6.6743e-11,
+                           e_charge=1.602176634e-19)

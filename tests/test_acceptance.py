@@ -17,7 +17,6 @@ import pytest
 from xfermi.astro import (
     REFERENCE_MASS_RATIO,
     Regime,
-    compare_star_models,
     eos_coefficient,
     lane_emden,
     white_dwarf_mass,
@@ -225,17 +224,17 @@ def test_11_stellar_structure_pipeline(capsys):
     xi1, _ = lane_emden_rk4(3.0, step=1e-4)
     assert math.isclose(lane_emden(3.0).xi1, xi1, rel_tol=1e-5)
 
-    comparison = compare_star_models()
-    assert math.isclose(comparison.limiting_mass_ratio, math.sqrt(2.0), rel_tol=1e-10)
-    k_ur = eos_coefficient(EXCLUSIVE, Regime.ULTRA_RELATIVISTIC)
-    assert math.isclose(
-        white_dwarf_mass(k_ur, 100.0, comparison.ur_solution),
-        white_dwarf_mass(k_ur, 1.0, comparison.ur_solution),
-        rel_tol=1e-8,
-    )
-    assert math.isclose(comparison.k_nr_ratio, 2.0 ** (2.0 / 3.0), rel_tol=1e-10)
-    assert math.isclose(comparison.k_ur_ratio, 2.0 ** (1.0 / 3.0), rel_tol=1e-10)
-    assert math.isclose(comparison.nr_mass_ratio, 2.0, rel_tol=1e-10)
+    # both laws through EOS coefficient -> Lane-Emden -> mass, at unit density and G = 1
+    nr, ur = lane_emden(1.5), lane_emden(3.0)
+    k_nr, k_ur = ([eos_coefficient(m, regime) for m in (EXCLUSIVE, STANDARD_FD)]
+                  for regime in (Regime.NON_RELATIVISTIC, Regime.ULTRA_RELATIVISTIC))
+    nr_masses = [white_dwarf_mass(k, 1.0, nr) for k in k_nr]
+    ur_masses = [white_dwarf_mass(k, 1.0, ur) for k in k_ur]
+    assert math.isclose(ur_masses[0] / ur_masses[1], math.sqrt(2.0), rel_tol=1e-10)
+    assert math.isclose(white_dwarf_mass(k_ur[0], 100.0, ur), ur_masses[0], rel_tol=1e-8)
+    assert math.isclose(k_nr[0] / k_nr[1], 2.0 ** (2.0 / 3.0), rel_tol=1e-10)
+    assert math.isclose(k_ur[0] / k_ur[1], 2.0 ** (1.0 / 3.0), rel_tol=1e-10)
+    assert math.isclose(nr_masses[0] / nr_masses[1], 2.0, rel_tol=1e-10)
     assert REFERENCE_MASS_RATIO == 1.6
 
     assert main(["star"]) == 0

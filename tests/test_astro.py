@@ -11,7 +11,6 @@ from xfermi import astro
 from xfermi.astro import (
     REFERENCE_MASS_RATIO,
     Regime,
-    compare_star_models,
     eos_coefficient,
     lane_emden,
     white_dwarf_mass,
@@ -236,13 +235,19 @@ class TestMassFormula:
 
 class TestOccupancyConsequences:
     def test_model_comparison_bundle(self):
-        comparison = compare_star_models()
-        assert math.isclose(comparison.k_nr_ratio, 2.0 ** (2.0 / 3.0), rel_tol=1e-12)
-        assert math.isclose(comparison.k_ur_ratio, 2.0 ** (1.0 / 3.0), rel_tol=1e-12)
-        assert math.isclose(comparison.nr_mass_ratio, 2.0, rel_tol=1e-10)
-        assert math.isclose(comparison.limiting_mass_ratio, math.sqrt(2.0), rel_tol=1e-10)
-        assert comparison.nr_solution.index == 1.5
-        assert comparison.ur_solution.index == 3.0
+        # both laws through EOS coefficient -> Lane-Emden -> mass, at unit density and G = 1
+        ratios = []
+        for regime, index in ((Regime.NON_RELATIVISTIC, 1.5), (Regime.ULTRA_RELATIVISTIC, 3.0)):
+            solution = lane_emden(index)
+            assert solution.index == index
+            k = [eos_coefficient(m, regime) for m in (EXCLUSIVE, STANDARD_FD)]
+            masses = [white_dwarf_mass(c, 1.0, solution) for c in k]
+            ratios += [k[0] / k[1], masses[0] / masses[1]]
+        k_nr, nr_mass, k_ur, limiting = ratios
+        assert math.isclose(k_nr, 2.0 ** (2.0 / 3.0), rel_tol=1e-12)
+        assert math.isclose(k_ur, 2.0 ** (1.0 / 3.0), rel_tol=1e-12)
+        assert math.isclose(nr_mass, 2.0, rel_tol=1e-10)
+        assert math.isclose(limiting, math.sqrt(2.0), rel_tol=1e-10)
 
     def test_quoted_ratio_is_recorded(self):
         # the rounded literature figure, kept for comparison output

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -255,6 +256,21 @@ class TestBasics:
         )
         assert (completed.returncode, completed.stderr) == (0, "")
 
+    def test_import_loads_neither_resources_nor_json(self):
+        # the SI constants are a literal, and json is imported for --format json only
+        script = (
+            "import sys\n"
+            "import xfermi.cli\n"
+            "loaded = [m for m in ('importlib.resources', 'json') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        completed = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (completed.returncode, completed.stderr) == (0, "")
+
 
 class TestFormats:
     def test_csv_and_json_agree(self, capsys):
@@ -291,6 +307,21 @@ class TestFormats:
         expected = [key(row) for row in data]
         assert [key([row[name] for name in header]) for row in payload["rows"]] == expected
         assert [key(row) for row in table] == expected
+
+    def test_json_is_written_in_batches(self, monkeypatch):
+        # a write per encoder chunk made a 20000-point sweep take seconds
+        writes = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["eos", "--sweep", "eta", "-5", "5", "2000", "--format", "json"]) == 0
+        text = "".join(writes)
+        assert len(writes) < 100
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_table_format(self, capsys):
         _, out, _ = run_cli(capsys, "eos", "--eta", "0", "--format", "table")
@@ -739,9 +770,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command",
-        ["eos", "virial", "mu-of-t", "heat-capacity", "pauli", "compare", "sommerfeld"],
+        ["eos", "virial", "mu-of-t", "heat-capacity", "pauli", "landau", "compare",
+         "sommerfeld"],
     )
-    def test_kernel_commands_take_no_quadrature_tolerance(self, capsys, command):
+    def test_rel_tol_flag_is_a_usage_error(self, capsys, command):
         code, _, err = run_cli(capsys, command, "--rel-tol", "1e-8")
         assert code == 1
         assert "--rel-tol" in err
@@ -767,6 +799,9 @@ class TestPhysicsOutput:
         assert rows[("", "limiting_mass_ratio_reference")] == ("1.6", "reference", "")
         closed = rows[("", "limiting_mass_ratio_closed_form")]
         assert closed[0] == "1.414213562"
+        # K^{3/2} of the K ratios, not a quotient of two Lane-Emden masses
+        assert rows[("", "nr_mass_ratio")] == ("2", "closed-form", "")
+        assert rows[("", "limiting_mass_ratio")] == ("1.414213562", "closed-form", "")
 
     def test_landau_leading_order(self, capsys):
         _, out, _ = run_cli(capsys, "landau")
@@ -794,17 +829,12 @@ class TestPhysicsOutput:
             assert math.isclose(float(value), expected, rel_tol=CLI_REL)
 
     @pytest.mark.parametrize("command", sorted(_HANDLERS))
-    def test_config_tolerance_only_for_sommerfeld(self, capsys, tmp_path, command):
+    def test_config_tolerance_keys_are_a_usage_error(self, capsys, tmp_path, command):
         cfg = tmp_path / "tol.cfg"
         cfg.write_text("rel-tol=1e-30\nabs-tol=1e-300\n")
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert (code, out) == (1, "")
         assert err.startswith("xfermi: usage error: ")
-        assert "--rel-tol" in err
-
-    def test_landau_takes_no_quadrature_tolerance(self, capsys):
-        code, _, err = run_cli(capsys, "landau", "--rel-tol", "1e-8")
-        assert code == 1
         assert "--rel-tol" in err
 
     @pytest.mark.filterwarnings("error")  # a warning would otherwise reach stderr

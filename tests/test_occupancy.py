@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import dos_coefficient
-from xfermi.constants import REDUCED, codata
+from xfermi.constants import CODATA, REDUCED
 from xfermi.numerics import NumericsError
 from xfermi.occupancy import (
     BOLTZMANN,
@@ -180,8 +180,7 @@ class TestThermalWavelength:
         )
 
     def test_electron_at_room_temperature(self):
-        constants = codata()
-        lam = thermal_wavelength(constants.m_e, 300.0, constants)
+        lam = thermal_wavelength(CODATA.m_e, 300.0, CODATA)
         assert lam == pytest.approx(4.30e-9, rel=1e-2)
 
     def test_validation(self):
@@ -212,11 +211,10 @@ class TestDosCoefficient:
             assert b * lam**3 == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
 
     def test_wavelength_identity_in_si(self):
-        constants = codata()
         temperature = 300.0
-        b = dos_coefficient(constants.m_e, constants)
-        lam = thermal_wavelength(constants.m_e, temperature, constants)
-        kt = constants.k_B * temperature
+        b = dos_coefficient(CODATA.m_e, CODATA)
+        lam = thermal_wavelength(CODATA.m_e, temperature, CODATA)
+        kt = CODATA.k_B * temperature
         assert b * kt**1.5 * lam**3 == pytest.approx(
             2.0 / math.sqrt(math.pi), rel=1e-12
         )
